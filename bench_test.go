@@ -461,11 +461,10 @@ func BenchmarkStochGeom(b *testing.B) {
 }
 
 // BenchmarkSharedScanner measures concurrent covering-set queries on
-// the read-mostly shared scanner: every benchmark goroutine reads the
-// same starlink SharedScanner through its immutable snapshot, with no
-// per-reader memo state. The allocs/op column is gated to zero by
-// ci.sh — the snapshot indirection must not reintroduce allocation on
-// the query path.
+// one shared scanner: every benchmark goroutine reads the same starlink
+// Scanner through its immutable snapshot. The allocs/op column is gated
+// to zero by ci.sh — the snapshot indirection must not reintroduce
+// allocation on the query path.
 func BenchmarkSharedScanner(b *testing.B) {
 	cfg, err := constellation.PresetConfig(constellation.PresetStarlink)
 	if err != nil {
@@ -475,7 +474,7 @@ func BenchmarkSharedScanner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := constellation.NewSharedScanner(c)
+	s := constellation.NewScanner(c)
 	target := orbit.LatLon{Lat: 30 * math.Pi / 180, Lon: 0.4}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

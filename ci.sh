@@ -27,6 +27,10 @@ fi
 go vet ./...
 go test -race ./...
 
+# perfbench is a separate module, so the root build never compiles it;
+# vet and test it here because it names program APIs.
+(cd perfbench && go vet ./... && go test ./...)
+
 go run ./cmd/oaqbench -exp fig9,simvsana -episodes 256 -metrics - |
     go run ./cmd/metricscheck des oaq crosslink parallel capacity
 

@@ -34,18 +34,19 @@ func main() {
 
 	// Empirical conditional PMFs per capacity, from the running
 	// protocol. The signal-duration distribution must match the model's
-	// µ = 0.2.
-	rng := satqos.NewRNG(9, 0)
+	// µ = 0.2. Each cell draws from its own seed.
+	seed := uint64(9)
 	empirical := make(map[int]map[satqos.Scheme]satqos.PMF)
 	for k := eta; k <= 14; k++ {
 		empirical[k] = make(map[satqos.Scheme]satqos.PMF)
 		for _, scheme := range []satqos.Scheme{satqos.SchemeOAQ, satqos.SchemeBAQ} {
 			p := satqos.ReferenceProtocolParams(k, scheme)
 			p.SignalDuration = satqos.Exponential{Rate: 0.2}
-			ev, err := satqos.EvaluateProtocol(p, *episodes, rng)
+			ev, err := satqos.EvaluateProtocol(p, *episodes, seed, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
+			seed++
 			empirical[k][scheme] = ev.PMF
 		}
 	}

@@ -143,27 +143,22 @@ func NewDistribution(eta, n int, probs map[int]float64) (*Distribution, error) {
 	return &Distribution{Eta: eta, N: n, probs: cp}, nil
 }
 
-// NewClampedDistribution builds a distribution from a probability map
-// whose keys may fall outside [eta, n]: out-of-support mass is folded
-// onto the nearest bound (below eta onto eta, above n onto n). This is
-// the adapter used by distributions that are not native plane-capacity
-// laws — e.g. the stochastic-geometry visible-count PMF, which has
-// mass at k = 0 and beyond any plane's capacity — so they can be
-// composed by qos.Model unchanged. Total mass must still be 1.
-func NewClampedDistribution(eta, n int, probs map[int]float64) (*Distribution, error) {
-	folded := make(map[int]float64, len(probs))
-	for k, v := range probs {
+// NewClampedDistribution builds a distribution from a dense probability
+// vector (pmf[k] = P(K = k) for k = 0, 1, ...) whose support may extend
+// outside [eta, n]: out-of-support mass is folded onto the nearest bound
+// (below eta onto eta, above n onto n). This is the adapter used by
+// distributions that are not native plane-capacity laws — e.g. the
+// stochastic-geometry visible-count PMF, which has mass at k = 0 and
+// beyond any plane's capacity — so they can be composed by qos.Model
+// unchanged. Total mass must still be 1. Mass folds in ascending k, so
+// the result is bit-reproducible.
+func NewClampedDistribution(eta, n int, pmf []float64) (*Distribution, error) {
+	folded := make(map[int]float64, max(n-eta+1, 0))
+	for k, v := range pmf {
 		if v < -1e-12 {
 			return nil, fmt.Errorf("capacity: negative probability %g at k = %d", v, k)
 		}
-		switch {
-		case k < eta:
-			folded[eta] += v
-		case k > n:
-			folded[n] += v
-		default:
-			folded[k] += v
-		}
+		folded[min(max(k, eta), n)] += v
 	}
 	return NewDistribution(eta, n, folded)
 }
@@ -171,11 +166,11 @@ func NewClampedDistribution(eta, n int, probs map[int]float64) (*Distribution, e
 // P returns P(K = k); zero outside the support.
 func (d *Distribution) P(k int) float64 { return d.probs[k] }
 
-// Mean returns E[K].
+// Mean returns E[K], summed in ascending k so it is bit-reproducible.
 func (d *Distribution) Mean() float64 {
 	var m float64
-	for k, v := range d.probs {
-		m += float64(k) * v
+	for k := d.Eta; k <= d.N; k++ {
+		m += float64(k) * d.probs[k]
 	}
 	return m
 }

@@ -29,12 +29,12 @@ type Plane struct {
 	spares int
 
 	// version counts geometry-visible state changes (capacity drops and
-	// restores, which re-phase the ring). Scanner caches per-plane
+	// restores, which re-phase the ring). Scanner snapshots per-plane
 	// recurrence state keyed by this counter. It is atomic so that
-	// SharedScanner readers can detect staleness race-free while a
+	// concurrent Scanner queries can detect staleness race-free while a
 	// writer reconfigures the constellation; the other plane fields are
-	// still guarded by SharedScanner's update lock (or by the
-	// single-goroutine discipline of the plain Scanner).
+	// guarded by Scanner.Update's lock (or by mutating only while no
+	// query runs).
 	version atomic.Uint64
 
 	// Counters for reporting.

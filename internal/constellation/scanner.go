@@ -2,6 +2,8 @@ package constellation
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"satqos/internal/orbit"
 )
@@ -30,22 +32,25 @@ type SatRef struct {
 // query performs no heap allocations once dst has grown to the covering
 // set's high-water mark.
 //
-// A Scanner caches per-plane recurrence state keyed by Plane.Version, so
-// it tracks capacity drops and restores automatically. It is not safe
-// for concurrent use; create one per goroutine (the mission engine keeps
-// one per episode scratch).
+// Any number of goroutines may query one Scanner concurrently: queries
+// read an immutable snapshot of the per-plane scan state published
+// through an atomic pointer. Reconfiguration — satellite failures,
+// ground-spare restores — goes through Update, which mutates the
+// constellation under a lock and publishes a fresh snapshot
+// (copy-on-reconfigure); readers switch to it on their next query and
+// never observe a half-updated plane. Mutations made directly on the
+// constellation while no query runs are picked up too: every query
+// compares the snapshot against the planes' atomic version counters
+// and rebuilds it when a plane has re-phased. The mission engine and
+// satqosd keep one Scanner per constellation and share it across
+// goroutines.
 type Scanner struct {
-	c      *Constellation
-	planes []planeScan
-
-	// Latitude-band memo: the z-bounds depend only on the target
-	// latitude and the footprint half-angle, both constant across a
-	// mission episode's many scan steps.
-	bandLat, bandHalf, bandLo, bandHi float64
-	bandValid                         bool
+	c    *Constellation
+	mu   sync.Mutex // serializes Update and snapshot rebuilds
+	snap atomic.Pointer[[]planeScan]
 }
 
-// planeScan is one plane's cached scan state.
+// planeScan is one plane's scan state, immutable once published.
 type planeScan struct {
 	version    uint64
 	k          int
@@ -57,44 +62,83 @@ type planeScan struct {
 	cosHalf    float64
 }
 
-// NewScanner builds a fast scanner over the constellation. The scanner
-// reads the constellation's planes on every query; it never mutates
-// them.
-func NewScanner(c *Constellation) *Scanner {
-	s := &Scanner{c: c, planes: make([]planeScan, len(c.planes))}
-	for i := range c.planes {
-		s.refresh(i)
+// newPlaneScan captures plane p's current scan state.
+func newPlaneScan(p *Plane) planeScan {
+	ps := planeScan{
+		version:  p.version.Load(),
+		k:        p.active,
+		frame:    p.frame,
+		phaseRef: p.phaseRef,
+		n:        2 * math.Pi / p.cfg.PeriodMin,
+		half:     p.fp.HalfAngle,
+		cosHalf:  math.Cos(p.fp.HalfAngle),
+		cosD:     1,
 	}
+	if p.active > 0 {
+		ps.sinD, ps.cosD = math.Sincos(2 * math.Pi / float64(p.active))
+	}
+	return ps
+}
+
+// NewScanner builds a fast scanner over the constellation and publishes
+// the initial snapshot. The scanner reads the constellation's planes;
+// it mutates them only through Update.
+func NewScanner(c *Constellation) *Scanner {
+	s := &Scanner{c: c}
+	s.mu.Lock()
+	s.rebuild()
+	s.mu.Unlock()
 	return s
 }
 
-// refresh rebuilds plane i's cached scan state from the live plane.
-func (s *Scanner) refresh(i int) *planeScan {
-	p := s.c.planes[i]
-	ps := &s.planes[i]
-	ps.version = p.version.Load()
-	ps.k = p.active
-	ps.frame = p.frame
-	ps.phaseRef = p.phaseRef
-	ps.n = 2 * math.Pi / p.cfg.PeriodMin
-	ps.half = p.fp.HalfAngle
-	ps.cosHalf = math.Cos(ps.half)
-	if p.active > 0 {
-		ps.sinD, ps.cosD = math.Sincos(2 * math.Pi / float64(p.active))
-	} else {
-		ps.sinD, ps.cosD = 0, 1
+// rebuild publishes a fresh snapshot from the live planes and returns
+// it. Callers hold s.mu.
+func (s *Scanner) rebuild() []planeScan {
+	planes := make([]planeScan, len(s.c.planes))
+	for i, p := range s.c.planes {
+		planes[i] = newPlaneScan(p)
 	}
-	return ps
+	s.snap.Store(&planes)
+	return planes
 }
 
-// plane returns plane i's scan state, refreshing it if the live plane
-// has re-phased since it was cached.
-func (s *Scanner) plane(i int) *planeScan {
-	ps := &s.planes[i]
-	if ps.version != s.c.planes[i].version.Load() {
-		ps = s.refresh(i)
+// current returns the published snapshot if every plane's version still
+// matches it, else nil.
+func (s *Scanner) current() []planeScan {
+	planes := *s.snap.Load()
+	for i := range planes {
+		if planes[i].version != s.c.planes[i].version.Load() {
+			return nil
+		}
 	}
-	return ps
+	return planes
+}
+
+// snapshot returns the scan state of the live constellation, rebuilding
+// the published snapshot first if a plane changed since it was built.
+// A query that observes an Update mid-mutation waits for the snapshot
+// that Update publishes.
+func (s *Scanner) snapshot() []planeScan {
+	if planes := s.current(); planes != nil {
+		return planes
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if planes := s.current(); planes != nil {
+		return planes
+	}
+	return s.rebuild()
+}
+
+// Update applies a mutation to the underlying constellation — fail
+// planes, restore them, anything reachable from *Constellation — and
+// publishes the rebuilt snapshot before returning. Concurrent queries
+// keep reading the previous snapshot until the new one lands.
+func (s *Scanner) Update(mutate func(*Constellation)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mutate(s.c)
+	s.rebuild()
 }
 
 // latBandPad widens the latitude band in z-space so floating-point
@@ -103,23 +147,10 @@ func (s *Scanner) plane(i int) *planeScan {
 // the footprint; the pad covers the last-ulp cases).
 const latBandPad = 1e-12
 
-// band returns the z-interval a covering satellite's unit position must
-// lie in for a target at latitude lat under half-angle half: a satellite
-// whose sub-point latitude differs from the target's by more than ψ is
-// at least ψ away in great-circle terms.
-func (s *Scanner) band(lat, half float64) (lo, hi float64) {
-	if s.bandValid && s.bandLat == lat && s.bandHalf == half {
-		return s.bandLo, s.bandHi
-	}
-	lo, hi = latBand(lat, half)
-	s.bandLat, s.bandHalf, s.bandLo, s.bandHi = lat, half, lo, hi
-	s.bandValid = true
-	return lo, hi
-}
-
-// latBand computes the z-interval without the memo — the shared
-// building block of Scanner.band and the memo-free SharedScanner
-// queries.
+// latBand returns the z-interval a covering satellite's unit position
+// must lie in for a target at latitude lat under half-angle half: a
+// satellite whose sub-point latitude differs from the target's by more
+// than ψ is at least ψ away in great-circle terms.
 func latBand(lat, half float64) (lo, hi float64) {
 	lo, hi = -1.0, 1.0
 	if l := lat - half; l > -math.Pi/2 {
@@ -131,49 +162,26 @@ func latBand(lat, half float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// AppendCovering appends a reference to every active satellite whose
-// footprint covers the target at time t (minutes), in the same
-// plane-major order as AppendCoveringSatellites, and returns the
-// extended slice. Reusing dst[:0] across scan steps makes the query
-// allocation-free at steady state.
-func (s *Scanner) AppendCovering(dst []SatRef, target orbit.LatLon, t float64) []SatRef {
-	u := target.UnitECI(t)
-	for pi := range s.planes {
-		ps := s.plane(pi)
-		k := ps.k
-		if k == 0 {
-			continue
-		}
-		zLo, zHi := s.band(target.Lat, ps.half)
-		sin, cos := math.Sincos(ps.phaseRef + ps.n*t)
-		px, py := ps.frame.P.X, ps.frame.P.Y
-		qx, qy, qz := ps.frame.Q.X, ps.frame.Q.Y, ps.frame.Q.Z
-		for i := 0; i < k; i++ {
-			if z := qz * sin; z >= zLo && z <= zHi {
-				x := px*cos + qx*sin
-				y := py*cos + qy*sin
-				if x*u.X+y*u.Y+z*u.Z >= ps.cosHalf {
-					dst = append(dst, SatRef{Plane: pi, Index: i})
-				}
-			}
-			cos, sin = cos*ps.cosD-sin*ps.sinD, sin*ps.cosD+cos*ps.sinD
-		}
-	}
-	return dst
-}
-
-// CoverageCount returns how many active satellites cover the target at
-// time t — the fast counterpart of SimultaneousCoverageCount.
-func (s *Scanner) CoverageCount(target orbit.LatLon, t float64) int {
+// scan is the one coverage loop behind AppendCovering and
+// CoverageCount. It counts every active satellite covering the target
+// at time t and, when collect is set, appends its reference to dst. The
+// latitude band is recomputed only when the footprint half-angle
+// changes between planes (never, within one constellation).
+func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float64) ([]SatRef, int) {
 	n := 0
 	u := target.UnitECI(t)
-	for pi := range s.planes {
-		ps := s.plane(pi)
+	bandHalf, zLo, zHi := math.NaN(), 0.0, 0.0
+	planes := s.snapshot()
+	for pi := range planes {
+		ps := &planes[pi]
 		k := ps.k
 		if k == 0 {
 			continue
 		}
-		zLo, zHi := s.band(target.Lat, ps.half)
+		if ps.half != bandHalf {
+			bandHalf = ps.half
+			zLo, zHi = latBand(target.Lat, ps.half)
+		}
 		sin, cos := math.Sincos(ps.phaseRef + ps.n*t)
 		px, py := ps.frame.P.X, ps.frame.P.Y
 		qx, qy, qz := ps.frame.Q.X, ps.frame.Q.Y, ps.frame.Q.Z
@@ -183,11 +191,32 @@ func (s *Scanner) CoverageCount(target orbit.LatLon, t float64) int {
 				y := py*cos + qy*sin
 				if x*u.X+y*u.Y+z*u.Z >= ps.cosHalf {
 					n++
+					if collect {
+						dst = append(dst, SatRef{Plane: pi, Index: i})
+					}
 				}
 			}
 			cos, sin = cos*ps.cosD-sin*ps.sinD, sin*ps.cosD+cos*ps.sinD
 		}
 	}
+	return dst, n
+}
+
+// AppendCovering appends a reference to every active satellite whose
+// footprint covers the target at time t (minutes), in the same
+// plane-major order as AppendCoveringSatellites, and returns the
+// extended slice. Reusing a per-goroutine dst[:0] across scan steps
+// makes the query allocation-free at steady state.
+func (s *Scanner) AppendCovering(dst []SatRef, target orbit.LatLon, t float64) []SatRef {
+	dst, _ = s.scan(dst, true, target, t)
+	return dst
+}
+
+// CoverageCount returns how many active satellites cover the target at
+// time t — the fast counterpart of SimultaneousCoverageCount. It
+// performs no allocations.
+func (s *Scanner) CoverageCount(target orbit.LatLon, t float64) int {
+	_, n := s.scan(nil, false, target, t)
 	return n
 }
 
@@ -197,7 +226,7 @@ func (s *Scanner) CoverageCount(target orbit.LatLon, t float64) int {
 // scan's positions to the per-orbit path (the one acos here is off the
 // scan hot path).
 func (s *Scanner) Separation(ref SatRef, target orbit.LatLon, t float64) float64 {
-	ps := s.plane(ref.Plane)
+	ps := &s.snapshot()[ref.Plane]
 	u := ps.phaseRef + 2*math.Pi*float64(ref.Index)/float64(ps.k) + ps.n*t
 	sin, cos := math.Sincos(u)
 	pos := ps.frame.UnitPosition(cos, sin)
@@ -209,3 +238,13 @@ func (s *Scanner) Separation(ref SatRef, target orbit.LatLon, t float64) float64
 	}
 	return math.Acos(d)
 }
+
+// SharedScanner is the former name of the concurrent scanner.
+//
+// Deprecated: Scanner is safe for concurrent queries; use it directly.
+type SharedScanner = Scanner
+
+// NewSharedScanner is the former constructor of the concurrent scanner.
+//
+// Deprecated: use NewScanner.
+func NewSharedScanner(c *Constellation) *SharedScanner { return NewScanner(c) }

@@ -29,6 +29,8 @@ func scannerPresets(t *testing.T) map[string]*Constellation {
 	return out
 }
 
+const deg = math.Pi / 180
+
 // bruteCovering filters the per-orbit reference path down to the refs
 // the scanner reports.
 func bruteCovering(c *Constellation, target orbit.LatLon, t float64) []SatRef {
@@ -46,7 +48,7 @@ func bruteCovering(c *Constellation, target orbit.LatLon, t float64) []SatRef {
 // per-orbit path's Covers bits exactly (same refs, same order), its
 // count matches SimultaneousCoverageCount, and its unit-vector
 // separations agree with the haversine path to 1e-9 — at 1 worker and at
-// 8 workers (private scanners drawn from a pool).
+// 8 workers querying one shared scanner.
 func TestScannerMatchesBruteForce(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for name, c := range scannerPresets(t) {
@@ -85,14 +87,10 @@ func TestScannerMatchesBruteForce(t *testing.T) {
 				}
 			}
 
-			// The scanner is single-goroutine state (band memo, plane
-			// caches), so workers draw private instances from a pool —
-			// the same shape the mission engine uses for its episode
-			// scratch.
-			pool := sync.Pool{New: func() any { return NewScanner(c) }}
+			// One scanner serves every worker: queries read its shared
+			// immutable snapshot.
+			s := NewScanner(c)
 			err := parallel.Map(workers, len(trials), func(i int) error {
-				s := pool.Get().(*Scanner)
-				defer pool.Put(s)
 				tr := trials[i]
 				want := bruteCovering(c, tr.target, tr.t)
 				got := s.AppendCovering(nil, tr.target, tr.t)
@@ -220,5 +218,154 @@ func TestScannerBandRejectionIsConservative(t *testing.T) {
 		if n := c.SimultaneousCoverageCount(pole, tm); n != 0 {
 			t.Fatalf("t=%g: brute force disagrees: %d", tm, n)
 		}
+	}
+}
+
+// TestScannerUpdateMatchesBruteForce: after every Update-driven fail and
+// restore step, on every preset, the scanner's covering set and count
+// equal the per-orbit brute-force path on the mutated constellation.
+func TestScannerUpdateMatchesBruteForce(t *testing.T) {
+	target := orbit.LatLon{Lat: 30 * deg, Lon: 0.4}
+	for name, c := range scannerPresets(t) {
+		s := NewScanner(c)
+		check := func(stage string) {
+			t.Helper()
+			var got []SatRef
+			for _, tm := range []float64{0, 13.7, 55.25, 101.9} {
+				got = s.AppendCovering(got[:0], target, tm)
+				want := bruteCovering(c, target, tm)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s t=%g: %d covering, want %d", name, stage, tm, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s %s t=%g: sat %d = %+v, want %+v", name, stage, tm, i, got[i], want[i])
+					}
+				}
+				if n := s.CoverageCount(target, tm); n != len(want) {
+					t.Fatalf("%s %s t=%g: CoverageCount %d, want %d", name, stage, tm, n, len(want))
+				}
+			}
+		}
+		check("full")
+
+		// Degrade plane 0 past its spares, so its ring re-phases.
+		s.Update(func(c *Constellation) {
+			p, err := c.Plane(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fails := p.SpareCount() + 2
+			for i := 0; i < fails; i++ {
+				if err := p.FailActive(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		check("degraded")
+
+		s.Update(func(c *Constellation) { c.DeployScheduled() })
+		check("restored")
+	}
+}
+
+// TestSharedScannerConcurrent: concurrent readers race a writer that
+// fails and restores planes through Update. Run under -race this is the memory-safety gate; the
+// invariant checked is that every count a reader observes matches one
+// of the constellation states the writer publishes.
+func TestSharedScannerConcurrent(t *testing.T) {
+	cfg, err := PresetConfig("kepler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScanner(c)
+	target := orbit.LatLon{Lat: 50 * deg, Lon: 1.1}
+	const tm = 42.5
+
+	// The writer alternates between exactly two published states:
+	// full strength and plane 0 degraded by spares+1 failures. Compute
+	// both expected counts up front from private constellations.
+	full, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFull := NewScanner(full).CoverageCount(target, tm)
+	degr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := degr.Plane(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= cfg.SparesPerPlane; i++ {
+		if err := dp.FailActive(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantDegraded := NewScanner(degr).CoverageCount(target, tm)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var dst []SatRef
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := s.CoverageCount(target, tm)
+				if n != wantFull && n != wantDegraded {
+					select {
+					case errs <- "count matches neither published state":
+					default:
+					}
+					return
+				}
+				dst = s.AppendCovering(dst[:0], target, tm)
+				if len(dst) != wantFull && len(dst) != wantDegraded {
+					select {
+					case errs <- "covering set matches neither published state":
+					default:
+					}
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 200; round++ {
+		s.Update(func(c *Constellation) {
+			p, err := c.Plane(0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i <= cfg.SparesPerPlane; i++ {
+				if err := p.FailActive(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		s.Update(func(c *Constellation) { c.DeployScheduled() })
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+	if n := s.CoverageCount(target, tm); n != wantFull {
+		t.Fatalf("count after the final restore = %d, want %d", n, wantFull)
 	}
 }

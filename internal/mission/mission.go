@@ -224,7 +224,7 @@ func run(cfg Config, horizonMin float64, brute bool) (*Report, error) {
 	// to the workload — so episodes are independent and the batch can fan
 	// out across workers without changing any outcome. The constellation
 	// is only read (coverage queries), never mutated, during the batch.
-	m := &runner{cfg: cfg, cons: cons, brute: brute}
+	m := &runner{cfg: cfg, cons: cons, scan: constellation.NewScanner(cons), brute: brute}
 	outcomes, err := parallel.MapSlice(cfg.Workers, len(signals), func(i int) (EpisodeOutcome, error) {
 		return m.episode(uint64(i), signals[i], stats.NewRNG(cfg.Seed, uint64(i)+1)), nil
 	})
@@ -285,6 +285,9 @@ func (c Config) publishMetrics(rep *Report, detected int) {
 type runner struct {
 	cfg  Config
 	cons *constellation.Constellation
+	// scan is the fast coverage scanner over cons, shared by every
+	// worker of the batch (its queries are safe for concurrent use).
+	scan *constellation.Scanner
 	// scratch pools per-episode scan buffers. The runner is shared by
 	// every worker of the batch, so the buffers go through a sync.Pool:
 	// one Get/Put per episode, reused allocation-free within it.
@@ -299,13 +302,12 @@ type runner struct {
 type satKey struct{ plane, index int }
 
 // episodeScratch holds one episode's coverage-scan state: the fast
-// scanner (one per scratch — scanners are single-goroutine, and the
-// scratch is owned by exactly one worker at a time), its covering-ref
-// buffer, the covering set (overwritten by every scan step), the pinned
-// detection-time covering set, the fresh-opportunity set, and the
-// fault-ordinal assignment. views backs the brute-force reference path.
+// scanner's covering-ref buffer, the covering set (overwritten by every
+// scan step), the pinned detection-time covering set, the
+// fresh-opportunity set, and the fault-ordinal assignment. views backs
+// the brute-force reference path. The scratch is owned by exactly one
+// worker at a time.
 type episodeScratch struct {
-	scan     *constellation.Scanner
 	refs     []constellation.SatRef
 	views    []constellation.SatView
 	cov      []satKey
@@ -332,10 +334,7 @@ func (r *runner) coveringAt(sc *episodeScratch, target orbit.LatLon, t float64) 
 		}
 		return sc.cov
 	}
-	if sc.scan == nil {
-		sc.scan = constellation.NewScanner(r.cons)
-	}
-	sc.refs = sc.scan.AppendCovering(sc.refs[:0], target, t)
+	sc.refs = r.scan.AppendCovering(sc.refs[:0], target, t)
 	for _, ref := range sc.refs {
 		sc.cov = append(sc.cov, satKey{ref.Plane, ref.Index})
 	}

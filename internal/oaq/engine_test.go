@@ -49,44 +49,32 @@ func TestEvaluateParallelWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// The sequential Evaluate and a single-shard parallel run consume the
-// same substream identically, so their tallies coincide exactly — the
-// runner-reuse optimization must not change any episode's outcome.
-func TestEvaluateMatchesSingleShardParallel(t *testing.T) {
-	p := ReferenceParams(10, qos.SchemeOAQ)
-	const episodes = 800 // below the shard size: exactly one shard
-	seq, err := Evaluate(p, episodes, stats.NewRNG(21, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := EvaluateParallel(p, episodes, 21, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evaluationsEqual(t, "single-shard", seq, par)
-}
-
-// Runner reuse must be semantically invisible: a long Evaluate on one
-// RNG equals the fold of fresh per-episode RunEpisode calls on an RNG
+// Runner reuse must be semantically invisible: a long run of one Runner
+// equals the fold of fresh per-episode RunEpisode calls on an RNG
 // advancing through the same state sequence.
 func TestRunnerReuseMatchesFreshEpisodes(t *testing.T) {
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.MessageLossProb = 0.1
 	const episodes = 400
-	ev, err := Evaluate(p, episodes, stats.NewRNG(5, 9))
+	r, err := NewRunner(p, stats.NewRNG(5, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var reused tally
+	for i := 0; i < episodes; i++ {
+		res := r.Run()
+		reused.add(&res)
+	}
 	rng := stats.NewRNG(5, 9)
-	var t2 tally
+	var fresh tally
 	for i := 0; i < episodes; i++ {
 		res, err := RunEpisode(p, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2.add(&res)
+		fresh.add(&res)
 	}
-	evaluationsEqual(t, "fresh-vs-reused", ev, t2.evaluation(episodes))
+	evaluationsEqual(t, "fresh-vs-reused", reused.evaluation(episodes), fresh.evaluation(episodes))
 }
 
 func TestEvaluatePairedParallelWorkerCountInvariant(t *testing.T) {
@@ -96,14 +84,6 @@ func TestEvaluatePairedParallelWorkerCountInvariant(t *testing.T) {
 	ref, err := EvaluatePairedParallel(a, b, episodes, 3, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The sequential convenience wrapper IS the workers=1 engine.
-	viaPaired, err := EvaluatePaired(a, b, episodes, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, viaPaired) {
-		t.Error("EvaluatePaired diverges from EvaluatePairedParallel(workers=1)")
 	}
 	for _, workers := range []int{2, 4, 8} {
 		got, err := EvaluatePairedParallel(a, b, episodes, 3, workers)

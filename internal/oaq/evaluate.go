@@ -117,37 +117,6 @@ func (t *tally) evaluation(episodes int) *Evaluation {
 	return ev
 }
 
-// Evaluate runs the protocol for the given number of episodes and
-// aggregates the outcomes, drawing every episode sequentially from the
-// caller's RNG. Use EvaluateParallel for the sharded engine, which
-// parallelizes without changing the result.
-func Evaluate(p Params, episodes int, rng *stats.RNG) (*Evaluation, error) {
-	if episodes <= 0 {
-		return nil, fmt.Errorf("oaq: episode count %d must be positive", episodes)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("oaq: RNG is required")
-	}
-	r, err := newEpisodeRunner(p, rng)
-	if err != nil {
-		return nil, err
-	}
-	detach := r.attachShardTracer(p.Tracing, 0)
-	m := maybeShardMetrics(p.Metrics)
-	r.setMetrics(m)
-	var t tally
-	for i := 0; i < episodes; i++ {
-		res := r.run()
-		t.add(&res)
-	}
-	detach()
-	m.publish(p.Metrics)
-	return t.evaluation(episodes), nil
-}
-
 // EvaluateParallel runs the protocol on the sharded Monte-Carlo engine:
 // the episode budget is split into fixed-size shards
 // (parallel.DefaultShardSize) independent of the worker count, shard i

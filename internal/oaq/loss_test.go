@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"satqos/internal/qos"
-	"satqos/internal/stats"
 )
 
 // TestProbabilityBounds pins the aligned validation of the two failure
@@ -51,8 +50,7 @@ func TestLossyCrosslinksBackwardStillDelivers(t *testing.T) {
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.BackwardMessaging = true
 	p.MessageLossProb = 0.5
-	rng := stats.NewRNG(21, 0)
-	ev, err := Evaluate(p, 5000, rng)
+	ev, err := EvaluateParallel(p, 5000, 21, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func TestLossyCrosslinksBackwardStillDelivers(t *testing.T) {
 	// Losses shrink — but do not eliminate — sequential coordination.
 	clean := ReferenceParams(10, qos.SchemeOAQ)
 	clean.BackwardMessaging = true
-	evClean, err := Evaluate(clean, 5000, rng)
+	evClean, err := EvaluateParallel(clean, 5000, 22, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +82,7 @@ func TestLossyCrosslinksNoBackwardLosesAlerts(t *testing.T) {
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.BackwardMessaging = false
 	p.MessageLossProb = 0.5
-	rng := stats.NewRNG(22, 0)
-	ev, err := Evaluate(p, 5000, rng)
+	ev, err := EvaluateParallel(p, 5000, 22, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +98,11 @@ func TestLossDoesNotAffectBAQ(t *testing.T) {
 	clean := ReferenceParams(10, qos.SchemeBAQ)
 	lossy := ReferenceParams(10, qos.SchemeBAQ)
 	lossy.MessageLossProb = 0.9
-	evClean, err := Evaluate(clean, 3000, stats.NewRNG(23, 0))
+	evClean, err := EvaluateParallel(clean, 3000, 23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evLossy, err := Evaluate(lossy, 3000, stats.NewRNG(23, 0))
+	evLossy, err := EvaluateParallel(lossy, 3000, 23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +119,11 @@ func TestEvaluateDeterministic(t *testing.T) {
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.MessageLossProb = 0.2
 	p.FailSilentProb = 0.1
-	a, err := Evaluate(p, 2000, stats.NewRNG(77, 3))
+	a, err := EvaluateParallel(p, 2000, 77, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(p, 2000, stats.NewRNG(77, 3))
+	b, err := EvaluateParallel(p, 2000, 77, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ func TestMembershipAwareRoutesAroundFailures(t *testing.T) {
 		p.MembershipAware = aware
 		return p
 	}
-	blind, err := Evaluate(mk(false), 6000, stats.NewRNG(41, 0))
+	blind, err := EvaluateParallel(mk(false), 6000, 41, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, err := Evaluate(mk(true), 6000, stats.NewRNG(41, 0))
+	aware, err := EvaluateParallel(mk(true), 6000, 41, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestMembershipAwareNoOpWhenHealthy(t *testing.T) {
 	base := ReferenceParams(10, qos.SchemeOAQ)
 	aware := base
 	aware.MembershipAware = true
-	evBase, err := Evaluate(base, 2000, stats.NewRNG(42, 0))
+	evBase, err := EvaluateParallel(base, 2000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evAware, err := Evaluate(aware, 2000, stats.NewRNG(42, 0))
+	evAware, err := EvaluateParallel(aware, 2000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,25 +44,21 @@ func (t *pairedTally) merge(o *pairedTally) {
 	t.losses += o.losses
 }
 
-// EvaluatePaired runs two configurations against the *same* random
-// workload (common random numbers): each episode draws its signal and
-// computation randomness from a per-episode substream shared by both
+// EvaluatePairedParallel runs two configurations against the *same*
+// random workload (common random numbers): each episode draws its signal
+// and computation randomness from a per-episode substream shared by both
 // configurations. Use it to measure the OAQ-vs-BAQ gain — or any
 // parameter ablation — without workload noise.
 //
 // The configurations must share the workload-defining parameters
 // (geometry, capacity, signal-duration distribution); otherwise "the
 // same signal" is not well defined and an error is returned.
-func EvaluatePaired(a, b Params, episodes int, seed uint64) (*PairedComparison, error) {
-	return EvaluatePairedParallel(a, b, episodes, seed, 1)
-}
-
-// EvaluatePairedParallel is the sharded form of EvaluatePaired. The
-// pairing substreams are indexed by the global episode ordinal — episode
-// i replays stats.NewRNG(seed, i) for both configurations regardless of
-// which shard hosts it — and shards merge in index order, so the result
-// is bit-identical for any workers value (including the sequential
-// workers == 1, which is what EvaluatePaired runs).
+//
+// The pairing substreams are indexed by the global episode ordinal —
+// episode i replays stats.NewRNG(seed, i) for both configurations
+// regardless of which shard hosts it — and shards merge in index order,
+// so the result is bit-identical for any workers value; workers == 1
+// runs sequentially on the calling goroutine.
 func EvaluatePairedParallel(a, b Params, episodes int, seed uint64, workers int) (*PairedComparison, error) {
 	if episodes <= 0 {
 		return nil, fmt.Errorf("oaq: episode count %d must be positive", episodes)

@@ -11,24 +11,24 @@ import (
 func TestEvaluatePairedValidation(t *testing.T) {
 	a := ReferenceParams(10, qos.SchemeOAQ)
 	b := ReferenceParams(10, qos.SchemeBAQ)
-	if _, err := EvaluatePaired(a, b, 0, 1); err == nil {
+	if _, err := EvaluatePairedParallel(a, b, 0, 1, 1); err == nil {
 		t.Error("zero episodes accepted")
 	}
 	bad := a
 	bad.K = 0
-	if _, err := EvaluatePaired(bad, b, 10, 1); err == nil {
+	if _, err := EvaluatePairedParallel(bad, b, 10, 1, 1); err == nil {
 		t.Error("invalid config A accepted")
 	}
-	if _, err := EvaluatePaired(a, bad, 10, 1); err == nil {
+	if _, err := EvaluatePairedParallel(a, bad, 10, 1, 1); err == nil {
 		t.Error("invalid config B accepted")
 	}
 	mismatched := ReferenceParams(12, qos.SchemeBAQ)
-	if _, err := EvaluatePaired(a, mismatched, 10, 1); err == nil {
+	if _, err := EvaluatePairedParallel(a, mismatched, 10, 1, 1); err == nil {
 		t.Error("mismatched capacity accepted")
 	}
 	otherDur := ReferenceParams(10, qos.SchemeBAQ)
 	otherDur.SignalDuration = stats.Exponential{Rate: 0.2}
-	if _, err := EvaluatePaired(a, otherDur, 10, 1); err == nil {
+	if _, err := EvaluatePairedParallel(a, otherDur, 10, 1, 1); err == nil {
 		t.Error("mismatched duration distribution accepted")
 	}
 }
@@ -36,7 +36,7 @@ func TestEvaluatePairedValidation(t *testing.T) {
 func TestEvaluatePairedOAQvsBAQ(t *testing.T) {
 	a := ReferenceParams(10, qos.SchemeOAQ)
 	b := ReferenceParams(10, qos.SchemeBAQ)
-	cmp, err := EvaluatePaired(a, b, 4000, 11)
+	cmp, err := EvaluatePairedParallel(a, b, 4000, 11, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPairedVarianceReduction(t *testing.T) {
 	a := ReferenceParams(9, qos.SchemeOAQ)
 	b := ReferenceParams(9, qos.SchemeBAQ)
 	const n = 3000
-	cmp, err := EvaluatePaired(a, b, n, 5)
+	cmp, err := EvaluatePairedParallel(a, b, n, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,8 @@ func TestRunEpisodeValidation(t *testing.T) {
 	if _, err := RunEpisode(p, stats.NewRNG(1, 0)); err == nil {
 		t.Error("invalid params accepted")
 	}
-	if _, err := Evaluate(ReferenceParams(12, qos.SchemeOAQ), 0, stats.NewRNG(1, 0)); err == nil {
+	if _, err := EvaluateParallel(ReferenceParams(12, qos.SchemeOAQ), 0, 1, 1); err == nil {
 		t.Error("zero episodes accepted")
-	}
-	if _, err := Evaluate(ReferenceParams(12, qos.SchemeOAQ), 5, nil); err == nil {
-		t.Error("nil RNG accepted by Evaluate")
 	}
 }
 
@@ -131,11 +128,12 @@ func TestEmpiricalMatchesAnalytic(t *testing.T) {
 	}
 	const episodes = 40000
 	model := qos.ReferenceModel()
-	rng := stats.NewRNG(2003, 1)
+	seed := uint64(2003)
 	for _, k := range []int{9, 10, 12, 14} {
 		for _, s := range []qos.Scheme{qos.SchemeBAQ, qos.SchemeOAQ} {
 			p := ReferenceParams(k, s)
-			ev, err := Evaluate(p, episodes, rng)
+			ev, err := EvaluateParallel(p, episodes, seed, 1)
+			seed++
 			if err != nil {
 				t.Fatalf("k=%d %v: %v", k, s, err)
 			}
@@ -163,15 +161,14 @@ func TestSection43SpotBySimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte-Carlo validation skipped in -short mode")
 	}
-	rng := stats.NewRNG(44, 0)
-	oaq, err := Evaluate(ReferenceParams(12, qos.SchemeOAQ), 40000, rng)
+	oaq, err := EvaluateParallel(ReferenceParams(12, qos.SchemeOAQ), 40000, 44, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(oaq.PMF[qos.LevelSimultaneousDual]-0.44) > 0.02 {
 		t.Errorf("simulated OAQ P(Y=3|12) = %v, paper reports 0.44", oaq.PMF[qos.LevelSimultaneousDual])
 	}
-	baq, err := Evaluate(ReferenceParams(12, qos.SchemeBAQ), 40000, rng)
+	baq, err := EvaluateParallel(ReferenceParams(12, qos.SchemeBAQ), 40000, 45, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +187,7 @@ func TestFailSilentPeer(t *testing.T) {
 		p.BackwardMessaging = backward
 		return p
 	}
-	rng := stats.NewRNG(13, 0)
-	backward, err := Evaluate(mk(true), 3000, rng)
+	backward, err := EvaluateParallel(mk(true), 3000, 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +198,7 @@ func TestFailSilentPeer(t *testing.T) {
 	if backward.PMF[qos.LevelSequentialDual] > 0 {
 		t.Error("dead peers cannot produce sequential dual results")
 	}
-	noBackward, err := Evaluate(mk(false), 3000, rng)
+	noBackward, err := EvaluateParallel(mk(false), 3000, 14, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +213,7 @@ func TestFailSilentPeer(t *testing.T) {
 func TestTC1StopsCoordination(t *testing.T) {
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.ErrorThresholdKm = 1000 // single pass already good enough
-	rng := stats.NewRNG(5, 0)
-	ev, err := Evaluate(p, 3000, rng)
+	ev, err := EvaluateParallel(p, 3000, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +226,7 @@ func TestTC1StopsCoordination(t *testing.T) {
 	// Restrictive threshold with the default 15/√passes model: never
 	// satisfied → chains proceed.
 	p.ErrorThresholdKm = 0.001
-	ev2, err := Evaluate(p, 3000, rng)
+	ev2, err := EvaluateParallel(p, 3000, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +240,7 @@ func TestTC1StopsCoordination(t *testing.T) {
 func TestMaxChainCap(t *testing.T) {
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.MaxChain = 1
-	rng := stats.NewRNG(6, 0)
-	ev, err := Evaluate(p, 3000, rng)
+	ev, err := EvaluateParallel(p, 3000, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,15 +256,14 @@ func TestMaxChainCap(t *testing.T) {
 // (gap detection, satellites i+1 and i+2) and longer chains; levels stay
 // valid and sequential mass grows versus a short deadline.
 func TestLongDeadlineExtendsChains(t *testing.T) {
-	rng := stats.NewRNG(8, 0)
 	short := ReferenceParams(9, qos.SchemeOAQ)
 	long := ReferenceParams(9, qos.SchemeOAQ)
 	long.TauMin = 25
-	evShort, err := Evaluate(short, 4000, rng)
+	evShort, err := EvaluateParallel(short, 4000, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evLong, err := Evaluate(long, 4000, rng)
+	evLong, err := EvaluateParallel(long, 4000, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +280,9 @@ func TestLongDeadlineExtendsChains(t *testing.T) {
 // Escaped targets: k = 9 has a 1-minute coverage gap; with very short
 // signals some escape (level 0); with very long signals none do.
 func TestEscapedTargets(t *testing.T) {
-	rng := stats.NewRNG(9, 0)
 	shortSignals := ReferenceParams(9, qos.SchemeOAQ)
 	shortSignals.SignalDuration = stats.Exponential{Rate: 5} // mean 12 s
-	ev, err := Evaluate(shortSignals, 4000, rng)
+	ev, err := EvaluateParallel(shortSignals, 4000, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +291,7 @@ func TestEscapedTargets(t *testing.T) {
 	}
 	longSignals := ReferenceParams(9, qos.SchemeOAQ)
 	longSignals.SignalDuration = stats.Exponential{Rate: 0.01} // mean 100 min
-	ev2, err := Evaluate(longSignals, 4000, rng)
+	ev2, err := EvaluateParallel(longSignals, 4000, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,16 +303,17 @@ func TestEscapedTargets(t *testing.T) {
 // OAQ dominates BAQ empirically at every level (the protocol-level
 // counterpart of the analytic dominance property).
 func TestSimulatedOAQDominatesBAQ(t *testing.T) {
-	rng := stats.NewRNG(10, 0)
+	seed := uint64(10)
 	for _, k := range []int{10, 12} {
-		oaqEv, err := Evaluate(ReferenceParams(k, qos.SchemeOAQ), 8000, rng)
+		oaqEv, err := EvaluateParallel(ReferenceParams(k, qos.SchemeOAQ), 8000, seed, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baqEv, err := Evaluate(ReferenceParams(k, qos.SchemeBAQ), 8000, rng)
+		baqEv, err := EvaluateParallel(ReferenceParams(k, qos.SchemeBAQ), 8000, seed+1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seed += 2
 		for y := qos.LevelSingle; y <= qos.LevelSimultaneousDual; y++ {
 			if oaqEv.CCDF(y) < baqEv.CCDF(y)-0.02 {
 				t.Errorf("k=%d level %v: OAQ %v < BAQ %v", k, y, oaqEv.CCDF(y), baqEv.CCDF(y))
@@ -353,8 +346,7 @@ func TestTerminationString(t *testing.T) {
 }
 
 func TestEvaluationCI(t *testing.T) {
-	rng := stats.NewRNG(20, 0)
-	ev, err := Evaluate(ReferenceParams(12, qos.SchemeOAQ), 1000, rng)
+	ev, err := EvaluateParallel(ReferenceParams(12, qos.SchemeOAQ), 1000, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

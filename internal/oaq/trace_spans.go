@@ -75,7 +75,7 @@ func (e *episode) finishTrace(res *EpisodeResult, endAt float64) {
 	})
 }
 
-// tracedShard wraps one evaluation shard with tracing bookkeeping:
+// attachShardTracer wraps one evaluation shard with tracing bookkeeping:
 // attach a per-shard recorder, seed the ordinal base, and flush retained
 // traces to the collector when done. It returns a detach func; both
 // halves are no-ops when tracing is off.
@@ -94,8 +94,9 @@ func (r *episodeRunner) attachShardTracer(cfg *trace.Config, ordBase uint64) fun
 
 // RunEpisodeTracedSpans runs one episode with span tracing forced on
 // (head sampling every episode) and returns its outcome together with
-// the retained trace. It is the convenience the trace CLI builds on; the
-// hot paths use Params.Tracing directly.
+// the retained trace — a one-episode convenience. Batch callers (the
+// evaluation engine, and cmd/oaqtrace through NewRunner) set
+// Params.Tracing instead.
 func RunEpisodeTracedSpans(p Params, rng *stats.RNG) (EpisodeResult, trace.EpisodeTrace, error) {
 	col := trace.NewCollector()
 	cfg := trace.Config{SampleEvery: 1, Collector: col}

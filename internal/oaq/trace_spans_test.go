@@ -78,9 +78,9 @@ func TestTracingBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTracingSequentialMatchesParallel: Evaluate on substream 0 equals
-// the first shard of EvaluateParallel, traces included, as long as the
-// budget fits one shard.
+// TestTracingSequentialMatchesParallel: the sequential engine (one
+// worker, on the calling goroutine) equals a 4-worker run, traces
+// included.
 func TestTracingSequentialMatchesParallel(t *testing.T) {
 	const episodes, seed = 600, 17 // < parallel.DefaultShardSize
 	export := func(eval func(p Params) (*Evaluation, error)) (*Evaluation, string) {
@@ -100,7 +100,7 @@ func TestTracingSequentialMatchesParallel(t *testing.T) {
 		return ev, b.String()
 	}
 	evSeq, ldSeq := export(func(p Params) (*Evaluation, error) {
-		return Evaluate(p, episodes, stats.NewRNG(seed, 0))
+		return EvaluateParallel(p, episodes, seed, 1)
 	})
 	evPar, ldPar := export(func(p Params) (*Evaluation, error) {
 		return EvaluateParallel(p, episodes, seed, 4)

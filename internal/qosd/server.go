@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -128,13 +129,12 @@ type Server struct {
 	// burst can't collectively overshoot the budget.
 	inflightEpisodes atomic.Int64
 
-	// scanners holds one long-lived SharedScanner per preset, built
-	// lazily on the first /v1/coverage query and shared by every
-	// subsequent request — the read-mostly alternative to a per-request
-	// scanner. scanMu guards only (de)registration; queries go straight
+	// scanners holds one long-lived Scanner per preset, built lazily on
+	// the first /v1/coverage query and shared by every subsequent
+	// request. scanMu guards only (de)registration; queries go straight
 	// to the scanner's lock-free snapshot.
 	scanMu   sync.Mutex
-	scanners map[string]*constellation.SharedScanner
+	scanners map[string]*constellation.Scanner
 
 	requests  *obs.Counter
 	errors    *obs.Counter
@@ -184,7 +184,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		cache:     newResponseCache(cfg.CacheSize),
-		scanners:  make(map[string]*constellation.SharedScanner),
+		scanners:  make(map[string]*constellation.Scanner),
 		requests:  r.Counter("satqosd_requests_total", "Evaluation requests received."),
 		errors:    r.Counter("satqosd_request_errors_total", "Evaluation requests answered with an error status."),
 		shed:      r.Counter("satqosd_shed_total", "Monte-Carlo requests shed with 429 under budget pressure."),
@@ -237,6 +237,10 @@ func (s *Server) admitMC(episodes int) (release func(), ok bool) {
 	}
 }
 
+// maxRequestBytes bounds a /v1/evaluate request body; a larger body is
+// answered 413.
+const maxRequestBytes = 1 << 20
+
 // httpError is an evaluation failure with a definite status code.
 type httpError struct {
 	status int
@@ -257,10 +261,24 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	err := dec.Decode(&req)
+	if err == nil {
+		// Only whitespace may follow the object.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	resp, herr := s.evaluate(r.Context(), &req)
@@ -434,10 +452,10 @@ func (s *Server) evaluateStochGeom(rv *resolved) (*Response, error) {
 	return resp, nil
 }
 
-// sharedScanner returns the long-lived shared scanner of the preset,
+// scanner returns the long-lived shared scanner of the preset,
 // building it on first use. Every /v1/coverage query for a preset
 // after the first reads the same scanner's lock-free snapshot.
-func (s *Server) sharedScanner(preset string) (*constellation.SharedScanner, error) {
+func (s *Server) scanner(preset string) (*constellation.Scanner, error) {
 	s.scanMu.Lock()
 	defer s.scanMu.Unlock()
 	if sc, ok := s.scanners[preset]; ok {
@@ -451,14 +469,14 @@ func (s *Server) sharedScanner(preset string) (*constellation.SharedScanner, err
 	if err != nil {
 		return nil, err
 	}
-	sc := constellation.NewSharedScanner(c)
+	sc := constellation.NewScanner(c)
 	s.scanners[preset] = sc
 	return sc, nil
 }
 
 // handleCoverage serves GET /v1/coverage: the exact simultaneous-
 // coverage count of a preset constellation at a ground target and
-// time, from the preset's shared read-mostly scanner.
+// time, from the preset's shared scanner.
 //
 // Query parameters: preset (default reference), lat_deg (default 30),
 // lon_deg (default 0), t_min (default 0).
@@ -499,7 +517,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	sc, err := s.sharedScanner(preset)
+	sc, err := s.scanner(preset)
 	if err != nil {
 		var bad badRequestError
 		if errors.As(err, &bad) {

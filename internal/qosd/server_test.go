@@ -282,6 +282,32 @@ func TestBadRequestsAre400(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimits: a body over maxRequestBytes is answered 413,
+// anything but whitespace after the JSON object 400, and whitespace
+// padding up to the limit is accepted.
+func TestRequestBodyLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const obj = `{"mode":"analytic"}`
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"trailing whitespace", obj + "\n \t\r\n", http.StatusOK},
+		{"padded to the limit", obj + strings.Repeat(" ", maxRequestBytes-len(obj)), http.StatusOK},
+		{"padded past the limit", obj + strings.Repeat(" ", maxRequestBytes), http.StatusRequestEntityTooLarge},
+		{"oversized object", `{"preset":"` + strings.Repeat("x", maxRequestBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"second object", obj + obj, http.StatusBadRequest},
+		{"trailing garbage", obj + " x", http.StatusBadRequest},
+		{"trailing brace", obj + "}", http.StatusBadRequest},
+	} {
+		resp, _ := post(t, ts, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestHealthzAndMetricsSurface: the daemon's operational endpoints ride
 // the shared debug mux alongside /v1/evaluate.
 func TestHealthzAndMetricsSurface(t *testing.T) {

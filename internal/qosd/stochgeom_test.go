@@ -54,6 +54,37 @@ func TestStochGeomMatchesBackend(t *testing.T) {
 	}
 }
 
+// TestStochGeomReproducible: the same stochgeom request, served again
+// and again with the response cache off, computes its answer each time
+// and returns bit-identical floats. The oneweb law at 60 degrees has
+// mass on both sides of the capacity ceiling, so the clamped adapter
+// really folds, and a fold that followed map order would differ from
+// serving to serving.
+func TestStochGeomReproducible(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: -1})
+	const body = `{"mode":"stochgeom","preset":"oneweb","scheme":"oaq","latitude_deg":60}`
+	var first Response
+	for i := 0; i < 10; i++ {
+		resp, got := post(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("serving %d: status %d", i, resp.StatusCode)
+		}
+		if i == 0 {
+			first = got
+			continue
+		}
+		if got.PYGE != first.PYGE {
+			t.Errorf("serving %d: p_y_ge %v, first %v", i, got.PYGE, first.PYGE)
+		}
+		if got.VisibleMean != first.VisibleMean {
+			t.Errorf("serving %d: visible_mean %v, first %v", i, got.VisibleMean, first.VisibleMean)
+		}
+		if got.MeanLevel != first.MeanLevel {
+			t.Errorf("serving %d: mean_level %v, first %v", i, got.MeanLevel, first.MeanLevel)
+		}
+	}
+}
+
 // TestStochGeomShells: an explicit LEO/MEO mixture bypasses the preset
 // geometry and answers from the convolved design.
 func TestStochGeomShells(t *testing.T) {

@@ -293,6 +293,32 @@ func TestCapacityDistributionAdapter(t *testing.T) {
 	}
 }
 
+// TestCapacityDistributionBitReproducible: the adapter folds the
+// out-of-support mass in a fixed order, so 200 rebuilds of one 41-key
+// law (a Binomial(40, 0.3) visible count clamped onto [10, 14]) give
+// bit-identical bound masses and means.
+func TestCapacityDistributionBitReproducible(t *testing.T) {
+	v := &Visibility{PMF: make([]float64, 41)}
+	binomialPMF(v.PMF, 40, 0.3)
+	build := func() (lo, hi, mean float64) {
+		d, err := v.CapacityDistribution(10, 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.P(10), d.P(14), d.Mean()
+	}
+	lo0, hi0, mean0 := build()
+	for i := 1; i < 200; i++ {
+		lo, hi, mean := build()
+		if math.Float64bits(lo) != math.Float64bits(lo0) ||
+			math.Float64bits(hi) != math.Float64bits(hi0) ||
+			math.Float64bits(mean) != math.Float64bits(mean0) {
+			t.Fatalf("rebuild %d: P(10)=%v P(14)=%v mean=%v, first build %v %v %v",
+				i, lo, hi, mean, lo0, hi0, mean0)
+		}
+	}
+}
+
 // Monte-Carlo check of the cap integral: sample the BPP latitude
 // marginal via φ = asin(sin ι · sin u), u ~ Uniform(−π/2, π/2), and a
 // uniform longitude, and count cap hits. The analytic p must land in

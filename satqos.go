@@ -144,17 +144,13 @@ func RunEpisode(p ProtocolParams, rng *RNG) (EpisodeResult, error) {
 	return oaq.RunEpisode(p, rng)
 }
 
-// EvaluateProtocol runs the protocol for the given number of episodes.
-func EvaluateProtocol(p ProtocolParams, episodes int, rng *RNG) (*Evaluation, error) {
-	return oaq.Evaluate(p, episodes, rng)
-}
-
-// EvaluateProtocolParallel runs the protocol on the sharded Monte-Carlo
-// engine: the episode budget splits into fixed-size shards independent
-// of the worker count, shard i draws from the substream (seed, i), and
-// tallies merge in shard order — so the result is bit-identical for any
-// workers value. workers <= 0 selects one worker per CPU.
-func EvaluateProtocolParallel(p ProtocolParams, episodes int, seed uint64, workers int) (*Evaluation, error) {
+// EvaluateProtocol runs the protocol for the given number of episodes
+// on the sharded Monte-Carlo engine: the episode budget splits into
+// fixed-size shards independent of the worker count, shard i draws from
+// the substream (seed, i), and tallies merge in shard order — so the
+// result is bit-identical for any workers value. workers == 1 runs
+// sequentially; workers <= 0 selects one worker per CPU.
+func EvaluateProtocol(p ProtocolParams, episodes int, seed uint64, workers int) (*Evaluation, error) {
 	return oaq.EvaluateParallel(p, episodes, seed, workers)
 }
 
@@ -164,7 +160,7 @@ type PairedComparison = oaq.PairedComparison
 
 // EvaluateProtocolPaired compares two configurations on the same random
 // workload (common random numbers), optionally sharded across workers
-// with the same determinism guarantee as EvaluateProtocolParallel.
+// with the same determinism guarantee as EvaluateProtocol.
 func EvaluateProtocolPaired(a, b ProtocolParams, episodes int, seed uint64, workers int) (*PairedComparison, error) {
 	return oaq.EvaluatePairedParallel(a, b, episodes, seed, workers)
 }

@@ -44,7 +44,7 @@ func TestProtocolFacade(t *testing.T) {
 	if !res.Level.Valid() {
 		t.Errorf("invalid level %v", res.Level)
 	}
-	ev, err := satqos.EvaluateProtocol(params, 500, rng)
+	ev, err := satqos.EvaluateProtocol(params, 500, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
