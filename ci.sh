@@ -79,19 +79,21 @@ if go run ./cmd/goldencheck -only fig9 -perturb 0.05; then
     exit 1
 fi
 
-# Allocation gate: the steady-state episode hot path, the SoA coverage
-# scan, and the shared read-mostly scanner's concurrent query path all
-# have a committed budget of 0 allocs/op (BENCH_PR5.json /
+# Allocation gate: the steady-state episode hot path (on the ideal
+# channel and on the routed ISL fabric under every forwarding policy),
+# the SoA coverage scan, and the shared read-mostly scanner's concurrent
+# query path all have a committed budget of 0 allocs/op (BENCH_PR5.json /
 # BENCH_PR6.json / BENCH_PR10.json). A single fixed-count bench run is
 # timing-noisy but its allocation counts are exact, so gate on
 # allocs/op only; ns/op trends live in the committed BENCH_*.json
 # records, which benchdiff cross-checks across PRs.
 alloc_budget=0
-go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkCoverageScan$|^BenchmarkSharedScanner$' \
+go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkProtocolEpisodeRouted$|^BenchmarkCoverageScan$|^BenchmarkSharedScanner$' \
     -benchmem -benchtime 200x . |
     tee "$tmpdir/bench.txt"
 awk -v budget="$alloc_budget" '
-    /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkCoverageScan\// ||
+    /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkProtocolEpisodeRouted\// ||
+    /^BenchmarkCoverageScan\// ||
     /^BenchmarkSharedScanner(-[0-9]+)?[ \t]/ {
         seen++
         allocs = $(NF - 1) + 0
@@ -99,7 +101,7 @@ awk -v budget="$alloc_budget" '
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 10) { print "expected 10 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 13) { print "expected 13 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 go run ./cmd/benchdiff -require-overlap -max-alloc-regress 0 \
     BENCH_PR5.json BENCH_PR6.json

@@ -102,7 +102,9 @@ func (s Stats) CheckInvariant() error {
 // station's -1 maps to slot 0): the episode engines register the same
 // small contiguous ID range every episode, and indexed reset-in-place
 // buffers make Register/FailSilent/Send plain array accesses with no
-// hashing and no steady-state allocation.
+// hashing and no steady-state allocation. Reset clears only the window
+// of slots written since the previous Reset, so an episode that touches
+// a few nodes of a long slice pays for those few.
 type Network struct {
 	sim          *des.Simulation
 	rng          *stats.RNG
@@ -110,9 +112,11 @@ type Network struct {
 	lossProb     float64
 	baseLossProb float64
 	// handlers and failSilent are indexed by slot (NodeID+1) and grown on
-	// demand; Reset clears them in place.
+	// demand; Reset clears their [lo, hi) window in place, the slots
+	// written since the last Reset (empty when lo == hi).
 	handlers   []Handler
 	failSilent []bool
+	lo, hi     int
 	stats      Stats
 	delayHist  *obs.LocalHistogram
 	// epoch fences delivery events across Reset: a message emitted before
@@ -123,7 +127,7 @@ type Network struct {
 	// so the hot path never rebuilds the string.
 	pooling    bool
 	free       []*delivery
-	kindLabels map[string]string
+	kindLabels []kindLabelEntry
 	// tracer, when non-nil, records message-lifetime spans and drop
 	// events (see SetTracer).
 	tracer *trace.Recorder
@@ -299,7 +303,6 @@ func NewNetwork(sim *des.Simulation, cfg Config, rng *stats.RNG) (*Network, erro
 		delta:        cfg.MaxDelayMin,
 		lossProb:     cfg.LossProb,
 		baseLossProb: cfg.LossProb,
-		kindLabels:   make(map[string]string),
 	}, nil
 }
 
@@ -328,6 +331,16 @@ func (n *Network) growTo(i int) {
 		n.handlers = append(n.handlers, nil)
 		n.failSilent = append(n.failSilent, false)
 	}
+}
+
+// touch widens the window of slots Reset must clear to include slot i.
+func (n *Network) touch(i int) {
+	if n.lo == n.hi {
+		n.lo, n.hi = i, i+1
+		return
+	}
+	n.lo = min(n.lo, i)
+	n.hi = max(n.hi, i+1)
 }
 
 // handlerOf returns the registered handler for id (nil when none).
@@ -388,8 +401,9 @@ func (n *Network) Reconfigure(cfg Config, rng *stats.RNG) error {
 // simulation without reallocating. The delivery freelist survives Reset
 // — it belongs to the network, not the epoch.
 func (n *Network) Reset() {
-	clear(n.handlers)
-	clear(n.failSilent)
+	clear(n.handlers[n.lo:n.hi])
+	clear(n.failSilent[n.lo:n.hi])
+	n.lo, n.hi = 0, 0
 	n.stats = Stats{}
 	n.lossProb = n.baseLossProb
 	n.epoch++
@@ -403,6 +417,7 @@ func (n *Network) Register(id NodeID, h Handler) error {
 	}
 	i := slot(id)
 	n.growTo(i)
+	n.touch(i)
 	n.handlers[i] = h
 	return nil
 }
@@ -426,6 +441,7 @@ func (n *Network) SetFailSilent(id NodeID, silent bool) {
 	if n.failSilent[i] == silent {
 		return
 	}
+	n.touch(i)
 	n.failSilent[i] = silent
 	if n.router != nil {
 		n.router.NodeFailSilent(id, silent)
@@ -512,15 +528,21 @@ func (n *Network) newDelivery(from, to NodeID, kind string, payload any) *delive
 	return d
 }
 
-// kindLabel memoizes the diagnostic event label for a message kind; the
-// handful of protocol kinds make the cache tiny and the lookup
+// kindLabelEntry is one memoized (message kind, event label) pair.
+type kindLabelEntry struct{ kind, label string }
+
+// kindLabel memoizes the diagnostic event label for a message kind. A
+// protocol sends a handful of kinds (four per OAQ episode), so a linear
+// scan of a short slice beats hashing, and the lookup is
 // allocation-free.
 func (n *Network) kindLabel(kind string) string {
-	if l, ok := n.kindLabels[kind]; ok {
-		return l
+	for i := range n.kindLabels {
+		if n.kindLabels[i].kind == kind {
+			return n.kindLabels[i].label
+		}
 	}
 	l := "crosslink:" + kind
-	n.kindLabels[kind] = l
+	n.kindLabels = append(n.kindLabels, kindLabelEntry{kind: kind, label: l})
 	return l
 }
 

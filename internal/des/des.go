@@ -9,7 +9,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -31,7 +30,6 @@ type ArgHandler func(now float64, arg any)
 // Simulation.Schedule and may be canceled before they fire.
 type Event struct {
 	time     float64
-	seq      uint64
 	index    int // heap index, -1 once removed
 	canceled bool
 	handler  Handler
@@ -101,15 +99,17 @@ func (s *Simulation) Stats() Stats {
 // reallocating. Any *Event previously returned by Schedule is invalid
 // after a Reset.
 func (s *Simulation) Reset() {
-	for i, e := range s.queue {
+	for _, q := range s.queue {
+		e := q.ev
+		e.index = -1
 		if s.reuse {
 			e.handler = nil
 			e.argFn = nil
 			e.arg = nil
 			s.free = append(s.free, e)
 		}
-		s.queue[i] = nil
 	}
+	clear(s.queue)
 	s.queue = s.queue[:0]
 	s.now = 0
 	s.seq = 0
@@ -154,15 +154,7 @@ func (s *Simulation) Now() float64 { return s.now }
 func (s *Simulation) Fired() uint64 { return s.fired }
 
 // Pending returns the number of scheduled, non-canceled events.
-func (s *Simulation) Pending() int {
-	n := 0
-	for _, e := range s.queue {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Simulation) Pending() int { return len(s.queue) }
 
 // Schedule registers handler to run after delay units of simulation time.
 // The label is for diagnostics. Scheduling into the past is a programming
@@ -203,16 +195,23 @@ func (s *Simulation) schedule(delay float64, label string, handler Handler, argF
 	s.seq++
 	var e *Event
 	if n := len(s.free); n > 0 {
+		// Refilled field by field below rather than by copying a whole
+		// Event literal; push sets index.
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*e = Event{time: s.now + delay, seq: s.seq, handler: handler, argFn: argFn, arg: arg, label: label}
+		e.canceled = false
 		s.freeHits++
 	} else {
-		e = &Event{time: s.now + delay, seq: s.seq, handler: handler, argFn: argFn, arg: arg, label: label}
+		e = &Event{}
 		s.freeMisses++
 	}
-	heap.Push(&s.queue, e)
+	e.time = s.now + delay
+	e.handler = handler
+	e.argFn = argFn
+	e.arg = arg
+	e.label = label
+	s.queue.push(e, s.seq)
 	if len(s.queue) > s.maxDepth {
 		s.maxDepth = len(s.queue)
 	}
@@ -230,14 +229,13 @@ func (s *Simulation) ScheduleAt(t float64, label string, handler Handler) *Event
 // Cancel removes the event from the pending set; a canceled event never
 // fires. Canceling an already-fired or already-canceled event is a no-op.
 func (s *Simulation) Cancel(e *Event) {
-	if e == nil || e.canceled || e.index < 0 {
-		if e != nil {
-			e.canceled = true
-		}
+	if e == nil {
 		return
 	}
+	if !e.canceled && e.index >= 0 {
+		s.queue.remove(e.index)
+	}
 	e.canceled = true
-	heap.Remove(&s.queue, e.index)
 }
 
 // Halt stops the run loop after the current event completes. It is the
@@ -247,37 +245,34 @@ func (s *Simulation) Halt() { s.halted = true }
 // Step fires the next pending event, advancing the clock, and reports
 // whether an event was fired.
 func (s *Simulation) Step() bool {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.canceled {
-			continue
-		}
-		s.now = e.time
-		s.fired++
-		if s.tracer != nil {
-			sp := s.tracer.Begin(trace.KindDispatch, e.label, trace.SatKernel, s.now)
-			if e.handler != nil {
-				e.handler(s.now)
-			} else {
-				e.argFn(s.now, e.arg)
-			}
-			s.tracer.End(sp, s.now)
-		} else if e.handler != nil {
+	if len(s.queue) == 0 {
+		return false
+	}
+	e := s.queue.pop()
+	s.now = e.time
+	s.fired++
+	if s.tracer != nil {
+		sp := s.tracer.Begin(trace.KindDispatch, e.label, trace.SatKernel, s.now)
+		if e.handler != nil {
 			e.handler(s.now)
 		} else {
 			e.argFn(s.now, e.arg)
 		}
-		if s.reuse {
-			// Recycled after the handler so a handler scheduling new
-			// events cannot be handed its own in-flight event.
-			e.handler = nil
-			e.argFn = nil
-			e.arg = nil
-			s.free = append(s.free, e)
-		}
-		return true
+		s.tracer.End(sp, s.now)
+	} else if e.handler != nil {
+		e.handler(s.now)
+	} else {
+		e.argFn(s.now, e.arg)
 	}
-	return false
+	if s.reuse {
+		// Recycled after the handler so a handler scheduling new
+		// events cannot be handed its own in-flight event.
+		e.handler = nil
+		e.argFn = nil
+		e.arg = nil
+		s.free = append(s.free, e)
+	}
+	return true
 }
 
 // Run fires events until the queue drains, Halt is called, or the clock
@@ -289,15 +284,9 @@ func (s *Simulation) Run(horizon float64) uint64 {
 	}
 	s.halted = false
 	start := s.fired
-	for !s.halted {
-		// Peek: do not fire events beyond the horizon.
-		top := s.queue.peek()
-		if top == nil {
-			break
-		}
-		if top.time > horizon {
-			break
-		}
+	// Do not fire events beyond the horizon; the queue holds no
+	// canceled events, so its head is the next event to fire.
+	for !s.halted && len(s.queue) > 0 && !(s.queue[0].time > horizon) {
 		s.Step()
 	}
 	// A run always leaves the clock at the horizon (unless halted early)
@@ -308,52 +297,101 @@ func (s *Simulation) Run(horizon float64) uint64 {
 	return s.fired - start
 }
 
-// eventQueue is a binary min-heap ordered by (time, seq).
-type eventQueue []*Event
+// eventQueue is a binary min-heap of pending events ordered by
+// (time, seq). Each entry carries its ordering key inline, so sifting
+// compares slice elements and never dereferences an *Event; the only
+// event access is the store that keeps Event.index equal to the
+// event's slot, which Cancel relies on to remove eagerly.
+//
+// Invariant: every queued event is live. Cancel removes its event at
+// once, and a fired event is popped before its handler runs, so the
+// queue never holds a canceled or fired event and its head is always
+// the next event to fire.
+type eventQueue []queueEntry
 
-func (q eventQueue) Len() int { return len(q) }
+// queueEntry is one heap slot: the event's ordering key and the event.
+type queueEntry struct {
+	time float64
+	seq  uint64
+	ev   *Event
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+// before reports whether a orders strictly ahead of b. (time, seq) is a
+// strict total order — seq is unique per Reset — so the firing sequence
+// does not depend on the heap's internal layout.
+func (a *queueEntry) before(b *queueEntry) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// push inserts e with scheduling sequence number seq.
+func (q *eventQueue) push(e *Event, seq uint64) {
+	*q = append(*q, queueEntry{time: e.time, seq: seq, ev: e})
+	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+// pop removes and returns the head event. The queue must be non-empty.
+func (q *eventQueue) pop() *Event {
+	return q.remove(0)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+// remove deletes the event at slot i and returns it with index -1.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	e := h[i].ev
+	h[i] = h[n]
+	h[n] = queueEntry{}
+	*q = h[:n]
+	if i < n && !q.down(i) {
+		q.up(i)
+	}
 	e.index = -1
-	*q = old[:n-1]
 	return e
 }
 
-func (q eventQueue) peek() *Event {
-	// The heap may have canceled events at the top; they are skipped by
-	// Step, but for horizon checks we need the first live event.
-	// Canceled events are removed eagerly by Cancel, so the top is live
-	// except in the narrow case of cancellation during Pop; guard anyway.
-	for len(q) > 0 {
-		if !q[0].canceled {
-			return q[0]
+// up sifts the entry at slot i toward the root.
+func (q eventQueue) up(i int) {
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
 		}
-		return q[0] // canceled-at-top is skipped by Step; time is still a bound
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
 	}
-	return nil
+	q[i] = x
+	x.ev.index = i
+}
+
+// down sifts the entry at slot i0 toward the leaves and reports whether
+// it moved.
+func (q eventQueue) down(i0 int) bool {
+	n := len(q)
+	x := q[i0]
+	i := i0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q[i] = q[c]
+		q[i].ev.index = i
+		i = c
+	}
+	q[i] = x
+	x.ev.index = i
+	return i > i0
 }
 
 // Ticker schedules handler every period units of time, starting after the

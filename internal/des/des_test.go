@@ -72,6 +72,28 @@ func TestCancel(t *testing.T) {
 	s.Cancel(nil)
 }
 
+// Canceling the head event must leave the next live event at the head:
+// Run may fire nothing scheduled after its horizon.
+func TestCancelHeadRespectsHorizon(t *testing.T) {
+	var s Simulation
+	var fired []float64
+	record := func(now float64) { fired = append(fired, now) }
+	head := s.Schedule(1, "head", record)
+	s.Schedule(5, "mid", record)
+	s.Schedule(20, "late", record)
+	s.Cancel(head)
+	if got := s.Pending(); got != 2 {
+		t.Fatalf("Pending after canceling the head = %d, want 2", got)
+	}
+	s.Run(10)
+	if len(fired) != 1 || fired[0] != 5 {
+		t.Fatalf("Run(10) fired at %v, want [5]", fired)
+	}
+	if s.Now() != 10 || s.Pending() != 1 {
+		t.Fatalf("after Run(10): Now = %g, Pending = %d, want 10 and 1", s.Now(), s.Pending())
+	}
+}
+
 func TestCancelFromHandler(t *testing.T) {
 	var s Simulation
 	fired := false

@@ -130,9 +130,11 @@ func EvaluateParallel(p Params, episodes int, seed uint64, workers int) (*Evalua
 }
 
 // cancelCheckStride is how many episodes a shard runs between context
-// polls in EvaluateParallelCtx. At ~600 ns/episode a stride of 256
-// bounds the cancellation latency of one shard to ~0.2 ms while keeping
-// the poll (one atomic load) far off the per-episode cost.
+// polls in EvaluateParallelCtx. At ~1 µs per ideal-channel episode
+// (BenchmarkProtocolEpisode, 2-vCPU Xeon) a stride of 256 bounds the
+// cancellation latency of one shard to ~0.25 ms while keeping the poll
+// (one atomic load) far off the per-episode cost. A routed episode
+// costs ~0.6–0.9 ms, which stretches that bound to ~0.2 s.
 const cancelCheckStride = 256
 
 // EvaluateParallelCtx is EvaluateParallel with cooperative
