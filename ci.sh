@@ -47,6 +47,14 @@ go run ./cmd/constsim -mode protocol -episodes 500 -loss 0.4 -retries 2 \
     -faults cmd/constsim/testdata/faults.json -workers 7 -metrics "$tmpdir/w7.json"
 go run ./cmd/metricscheck -in "$tmpdir/w1.json" -diff "$tmpdir/w7.json" des oaq crosslink fault
 
+# Example smoke: every examples/* program must run to completion (no
+# test runs them), and quickstart must print its traced protocol
+# episode as a span tree.
+for ex in examples/*/; do
+    go run "./$ex" > "$tmpdir/example-$(basename "$ex").txt"
+done
+grep -q "span tree" "$tmpdir/example-quickstart.txt"
+
 # Routed-fabric smoke under -race, one run per forwarding policy: a
 # congested multi-hop workload with background cross-traffic exercises
 # the per-node queues, the policy state, and the packet pool's epoch

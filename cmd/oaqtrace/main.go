@@ -1,11 +1,11 @@
-// Command oaqtrace prints full event timelines of OAQ/BAQ protocol
-// episodes: detections, computations, coordination requests, done
+// Command oaqtrace prints the span tree of one OAQ/BAQ protocol
+// episode: detections, computations, coordination requests, done
 // propagation, timeouts, and alert deliveries — the executable
-// counterpart of the paper's Figure 3 snapshots. Alongside the flat
-// timeline it renders the episode's span tree (the same structured
-// trace the -trace flags export), so causality — which dispatch ran
-// which computation, which message carried which alert — reads
-// directly from the indentation.
+// counterpart of the paper's Figure 3 snapshots. The tree is the same
+// structured trace the -trace flags export, so causality — which
+// dispatch ran which computation, which message carried which alert —
+// reads directly from the indentation. Times are minutes from the
+// initial detection (t0).
 //
 // Usage:
 //
@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -99,9 +98,6 @@ func run(args []string, w io.Writer) error {
 	tracing.SampleEvery = 1
 	p.Tracing = tracing
 
-	var events []oaq.TraceEvent
-	p.Trace = func(ev oaq.TraceEvent) { events = append(events, ev) }
-
 	runner, err := oaq.NewRunner(p, stats.NewRNG(*seed, 0))
 	if err != nil {
 		return err
@@ -118,7 +114,6 @@ func run(args []string, w io.Writer) error {
 	}
 
 	for i := 0; i < *episodes; i++ {
-		events = events[:0]
 		res := runner.Run()
 		if !res.Detected {
 			continue
@@ -126,33 +121,16 @@ func run(args []string, w io.Writer) error {
 		if *level >= 0 && int(res.Level) != *level {
 			continue
 		}
-		// Rebase the timeline so the initial detection (the protocol's
-		// t0) is t = 0. The detection is anchored explicitly rather than
-		// trusting event order: simultaneous events fire in schedule
-		// order, so it is not structurally guaranteed to be first.
-		base := 0.0
-		if len(events) > 0 {
-			base = events[0].Time
-			for _, ev := range events {
-				if ev.Kind == oaq.TraceDetection {
-					base = ev.Time
-					break
-				}
-			}
-		}
 		fmt.Fprintf(w, "%v episode on a k=%d plane (τ=%g, µ=%g, ν=%g, backward=%v)\n",
 			scheme, *k, *tau, *mu, *nu, *backward)
 		fmt.Fprintf(w, "outcome: level=%v delivered=%v latency=%.3f chain=%d messages=%d termination=%v\n\n",
 			res.Level, res.Delivered, res.DeliveryLatency, res.ChainLength, res.MessagesSent, res.Termination)
-		for _, ev := range events {
-			ev.Time -= base
-			fmt.Fprintln(w, " ", ev)
-		}
 		runner.FlushTraces()
 		for _, tr := range tracing.Collector.Traces() {
 			if tr.Ordinal == uint64(i) {
-				fmt.Fprintln(w)
-				writeSpanTree(w, tr, base)
+				// The root span opens at signal start; the origin is the
+				// detection (t0).
+				tr.WriteTree(w, tr.Spans[0].Start+res.DetectionDelay)
 				break
 			}
 		}
@@ -162,57 +140,4 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	return fmt.Errorf("no matching episode in %d tries (level filter %d)", *episodes, *level)
-}
-
-// writeSpanTree renders one episode trace as an indented tree, times
-// rebased to the same origin as the event timeline (minutes from the
-// initial detection).
-func writeSpanTree(w io.Writer, tr trace.EpisodeTrace, base float64) {
-	fmt.Fprintf(w, "span tree (%s, %d spans", tr.ID(), len(tr.Spans))
-	if tr.Dropped > 0 {
-		fmt.Fprintf(w, ", %d dropped", tr.Dropped)
-	}
-	fmt.Fprintf(w, ", reasons=%v):\n", tr.Reasons)
-	children := make(map[int32][]int32, len(tr.Spans))
-	byID := make(map[int32]trace.Span, len(tr.Spans))
-	var roots []int32
-	for _, sp := range tr.Spans {
-		byID[sp.Seq] = sp
-		if _, ok := byID[sp.Parent]; ok {
-			children[sp.Parent] = append(children[sp.Parent], sp.Seq)
-		} else {
-			// Root spans, and orphans whose parent fell off the ring.
-			roots = append(roots, sp.Seq)
-		}
-	}
-	var emit func(id int32, depth int)
-	emit = func(id int32, depth int) {
-		sp := byID[id]
-		end := "      …"
-		if !math.IsNaN(sp.End) {
-			end = fmt.Sprintf("%7.3f", sp.End-base)
-		}
-		who := fmt.Sprintf("S%d", sp.Sat)
-		switch sp.Sat {
-		case trace.SatGround:
-			who = "ground"
-		case trace.SatKernel:
-			who = "kernel"
-		}
-		fmt.Fprintf(w, "  [%7.3f %s] %s%-12s %-22s %s", sp.Start-base, end,
-			strings.Repeat("  ", depth), sp.Kind, sp.Label, who)
-		if sp.Arg != 0 {
-			fmt.Fprintf(w, " arg=%g", sp.Arg)
-		}
-		fmt.Fprintln(w)
-		for _, c := range children[id] {
-			emit(c, depth+1)
-		}
-	}
-	for _, id := range roots {
-		emit(id, 0)
-	}
-	for _, l := range tr.Links {
-		fmt.Fprintf(w, "  link %d -> %d\n", l.From, l.To)
-	}
 }

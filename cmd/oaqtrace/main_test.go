@@ -9,7 +9,7 @@ import (
 
 // TestTraceLevelSearchGolden pins the full output of the -level
 // episode-search path — the search must land on the same episode and
-// the timeline must render identically, detection anchored at t=0.
+// the span tree must render identically, detection anchored at t=0.
 // Regenerate with:
 //
 //	go run ./cmd/oaqtrace -level 2 -episodes 300 -seed 7 > cmd/oaqtrace/testdata/level2_seed7.golden
@@ -28,8 +28,8 @@ func TestTraceLevelSearchGolden(t *testing.T) {
 	if !strings.HasPrefix(b.String(), "OAQ episode") {
 		t.Error("golden output does not start with the episode header")
 	}
-	if !strings.Contains(b.String(), "t=   0.000") {
-		t.Error("timeline not rebased to the detection event")
+	if !strings.Contains(b.String(), "[  0.000") {
+		t.Error("span tree not rebased to the detection event")
 	}
 }
 
@@ -41,7 +41,7 @@ func TestTraceMetricsDump(t *testing.T) {
 	out := b.String()
 	i := strings.Index(out, "\n{")
 	if i < 0 {
-		t.Fatalf("no JSON snapshot after the timeline:\n%s", out)
+		t.Fatalf("no JSON snapshot after the span tree:\n%s", out)
 	}
 	var snap struct {
 		Metrics []struct {
@@ -68,7 +68,7 @@ func TestTraceDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"OAQ episode", "detection", "alert-sent"} {
+	for _, want := range []string{"OAQ episode", "detection", "crosslink:alert"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -84,7 +84,7 @@ func TestTraceLevelFilter(t *testing.T) {
 	if !strings.Contains(out, "level=sequential-dual") {
 		t.Errorf("level filter not honored:\n%s", out)
 	}
-	if !strings.Contains(out, "request-sent") {
+	if !strings.Contains(out, "crosslink:coordination-request") {
 		t.Error("sequential episode without coordination request")
 	}
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"satqos"
 )
@@ -46,12 +47,12 @@ func main() {
 	}
 
 	// Protocol route: live episodes on a degraded (k = 10, underlapping)
-	// plane, with the first sequential-coordination timeline printed in
-	// full.
+	// plane, with the first sequential-coordination episode's span tree
+	// printed in full.
 	rng := satqos.NewRNG(42, 0)
 	params := satqos.ReferenceProtocolParams(10, satqos.SchemeOAQ)
 	for i := 0; i < 100; i++ {
-		res, events, err := satqos.RunEpisodeTraced(params, rng)
+		res, tr, err := satqos.RunEpisodeTraced(params, rng)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,9 +62,8 @@ func main() {
 		fmt.Printf("\nOne OAQ sequential-coordination episode on a k=10 plane "+
 			"(level=%v, chain=%d, messages=%d, termination=%v):\n",
 			res.Level, res.ChainLength, res.MessagesSent, res.Termination)
-		for _, ev := range events {
-			fmt.Println(" ", ev)
-		}
+		// The root span opens at signal start; rebase to the detection.
+		tr.WriteTree(os.Stdout, tr.Spans[0].Start+res.DetectionDelay)
 		return
 	}
 	log.Fatal("no sequential episode found in 100 tries")

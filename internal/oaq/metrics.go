@@ -238,10 +238,10 @@ func (m *shardMetrics) publish(r *obs.Registry) {
 		queueDelayBounds).AddLocal(m.queueDelay)
 }
 
-// note counts one protocol event by kind. It is the metric counterpart
-// of trace: called unconditionally at every event site, it costs a nil
-// check when metrics are disabled and a plain array increment when
-// enabled — never an allocation, never an atomic.
+// note counts one protocol event by kind, feeding
+// oaq_trace_events_total{kind=…}. Called unconditionally at every event
+// site, it costs a nil check when metrics are disabled and a plain array
+// increment when enabled — never an allocation, never an atomic.
 func (e *episode) note(kind TraceKind) {
 	if e.obs != nil {
 		e.obs.traceKinds[kind]++
@@ -262,5 +262,68 @@ func (r *episodeRunner) setMetrics(m *shardMetrics) {
 		if r.ep.fab != nil {
 			r.ep.fab.SetQueueDelayHistogram(nil)
 		}
+	}
+}
+
+// TraceKind classifies protocol events; it is the kind label of the
+// oaq_trace_events_total counter.
+type TraceKind int
+
+// Trace event kinds, in rough lifecycle order.
+const (
+	// TraceDetection: the signal was first observed (t0).
+	TraceDetection TraceKind = iota + 1
+	// TraceComputationDone: a geolocation computation completed.
+	TraceComputationDone
+	// TraceRequestSent: a coordination request left a satellite.
+	TraceRequestSent
+	// TraceRequestReceived: a coordination request arrived at a peer.
+	TraceRequestReceived
+	// TracePassArrival: a coordinating peer's footprint reached the
+	// target.
+	TracePassArrival
+	// TraceSignalLost: TC-3 was observed — the footprint arrived after
+	// the signal stopped.
+	TraceSignalLost
+	// TraceDoneSent: a "coordination done" notification was emitted.
+	TraceDoneSent
+	// TraceDoneReceived: a "coordination done" notification arrived.
+	TraceDoneReceived
+	// TraceTimeout: a wait timer or deadline guard fired.
+	TraceTimeout
+	// TraceAlertSent: an alert left for the ground station.
+	TraceAlertSent
+	// TraceAlertReceived: the ground station accepted an alert (on
+	// time) or discarded it (late).
+	TraceAlertReceived
+)
+
+// String implements fmt.Stringer.
+func (k TraceKind) String() string {
+	switch k {
+	case TraceDetection:
+		return "detection"
+	case TraceComputationDone:
+		return "computation-done"
+	case TraceRequestSent:
+		return "request-sent"
+	case TraceRequestReceived:
+		return "request-received"
+	case TracePassArrival:
+		return "pass-arrival"
+	case TraceSignalLost:
+		return "signal-lost"
+	case TraceDoneSent:
+		return "done-sent"
+	case TraceDoneReceived:
+		return "done-received"
+	case TraceTimeout:
+		return "timeout"
+	case TraceAlertSent:
+		return "alert-sent"
+	case TraceAlertReceived:
+		return "alert-received"
+	default:
+		return fmt.Sprintf("TraceKind(%d)", int(k))
 	}
 }

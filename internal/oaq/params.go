@@ -121,9 +121,6 @@ type Params struct {
 	// EstimatedErrorKm models the estimated geolocation error after a
 	// number of fused passes, for TC-1. Nil uses DefaultErrorModel.
 	EstimatedErrorKm func(passes int) float64
-	// Trace, when non-nil, receives every protocol event of the episode
-	// (see RunEpisodeTraced for the collecting convenience).
-	Trace func(TraceEvent)
 	// Metrics, when non-nil, receives the evaluation's metric families
 	// (episode outcomes, termination causes, per-kind protocol event
 	// counts, alert-latency and crosslink-delay histograms, DES kernel

@@ -121,11 +121,6 @@ type episode struct {
 	rootSpan trace.SpanID
 }
 
-// tracing reports whether a trace sink is configured; the hot path
-// checks it before calling trace so that episodes without a sink never
-// box the variadic arguments.
-func (e *episode) tracing() bool { return e.p.Trace != nil }
-
 // satellite is one protocol participant. The struct is pooled across
 // episodes (reset in place by resetFor), and all of its event handling
 // goes through package-level des.ArgHandler adapters with the satellite
@@ -259,16 +254,10 @@ func (e *episode) recordAlert(msg crosslink.Message) {
 	}
 	e.note(TraceAlertReceived)
 	if msg.SentAt > e.deadline+1e-12 {
-		if e.tracing() {
-			e.trace(e.sim.Now(), -1, TraceAlertReceived, "LATE alert (level %v) discarded", pay.level)
-		}
 		if e.rec != nil {
 			e.rec.Event(trace.KindEvent, "alert-late", trace.SatGround, e.sim.Now(), msg.SentAt-e.t0)
 		}
 		return // late alert: does not count toward the QoS level
-	}
-	if e.tracing() {
-		e.trace(e.sim.Now(), -1, TraceAlertReceived, "level %v accepted (sent %.3f min after detection)", pay.level, msg.SentAt-e.t0)
 	}
 	if e.rec != nil {
 		e.rec.Event(trace.KindEvent, "alert-accepted", trace.SatGround, e.sim.Now(), msg.SentAt-e.t0)
@@ -295,9 +284,6 @@ func (s *satellite) sendAlert(level qos.Level, passes int) {
 	}
 	s.sentAlert = true
 	s.ep.note(TraceAlertSent)
-	if s.ep.tracing() {
-		s.ep.trace(s.ep.sim.Now(), s.id, TraceAlertSent, "level %v from %d fused passes", level, passes)
-	}
 	s.alertOut = alertPayload{level: level, passes: passes, t0: s.ep.t0}
 	_ = s.ep.ground.Send(s.node, crosslink.GroundStation, kindAlert, &s.alertOut)
 }
@@ -309,9 +295,6 @@ func (s *satellite) sendDone() {
 		return
 	}
 	s.ep.note(TraceDoneSent)
-	if s.ep.tracing() {
-		s.ep.trace(s.ep.sim.Now(), s.id, TraceDoneSent, "to S%d", int(s.requestFrom))
-	}
 	_ = s.ep.net.Send(s.node, s.requestFrom, kindDone, nil)
 }
 
@@ -340,9 +323,6 @@ func (s *satellite) onMessage(now float64, msg crosslink.Message) {
 		s.ordinal = pay.ordinal
 		s.inherited = alertPayload{level: pay.inherited, passes: pay.passes, t0: pay.t0}
 		s.ep.note(TraceRequestReceived)
-		if s.ep.tracing() {
-			s.ep.trace(now, s.id, TraceRequestReceived, "ordinal n=%d, inherited level %v", pay.ordinal, pay.inherited)
-		}
 		s.scheduleAttempt(now)
 		if !s.ep.p.BackwardMessaging {
 			// Terminal-responsibility guard: whoever holds the freshest
@@ -363,9 +343,6 @@ func (s *satellite) onMessage(now float64, msg crosslink.Message) {
 			s.ep.rec.End(s.waitSpan, now)
 		}
 		s.ep.note(TraceDoneReceived)
-		if s.ep.tracing() {
-			s.ep.trace(now, s.id, TraceDoneReceived, "from S%d", int(msg.From))
-		}
 		// Propagate downstream (Figure 3(c)-(d)).
 		s.sendDone()
 	}
@@ -387,9 +364,6 @@ func passAttemptEvent(t float64, arg any) {
 		return
 	}
 	s.ep.note(TracePassArrival)
-	if s.ep.tracing() {
-		s.ep.trace(t, s.id, TracePassArrival, "signal active: %v", s.ep.signalActiveAt(t))
-	}
 	if s.ep.signalActiveAt(t) {
 		h := s.ep.p.ComputeTime.Sample(s.ep.rng)
 		if s.ep.rec != nil {
@@ -403,9 +377,6 @@ func passAttemptEvent(t float64, arg any) {
 		s.ep.rec.Event(trace.KindEvent, "signal-lost", int32(s.id), t, 0)
 	}
 	s.ep.note(TraceSignalLost)
-	if s.ep.tracing() {
-		s.ep.trace(t, s.id, TraceSignalLost, "TC-3 observed at pass")
-	}
 	if !s.ep.p.BackwardMessaging {
 		s.ep.noteTermination(TermSignalLost)
 		s.sendAlert(s.inherited.level, s.inherited.passes)
@@ -427,9 +398,6 @@ func iterativeComputationEvent(done float64, arg any) {
 		s.ep.rec.EndArg(s.compSpan, done, float64(s.passes))
 	}
 	s.ep.note(TraceComputationDone)
-	if s.ep.tracing() {
-		s.ep.trace(done, s.id, TraceComputationDone, "iteration %d complete", s.passes)
-	}
 	s.evaluate(done)
 }
 
@@ -478,18 +446,14 @@ func (s *satellite) evaluate(now float64) {
 	next := e.sat(s.id + 1)
 	if e.p.MembershipAware {
 		for hop := 1; hop <= 4 && e.net.FailSilent(next.node); hop++ {
-			if e.tracing() {
-				e.trace(now, s.id, TraceRequestSent,
-					"membership view excludes S%d; skipping", next.id)
+			if e.rec != nil {
+				e.rec.Event(trace.KindEvent, "membership-skip", int32(s.id), now, float64(next.id))
 			}
 			next = e.sat(s.id + 1 + hop)
 		}
 	}
 	s.forwarded = true
 	e.note(TraceRequestSent)
-	if e.tracing() {
-		e.trace(now, s.id, TraceRequestSent, "to S%d (n=%d -> n=%d)", next.id, s.ordinal, s.ordinal+1)
-	}
 	s.reqOut = requestPayload{
 		t0:        e.t0,
 		ordinal:   s.ordinal + 1,
@@ -525,9 +489,6 @@ func waitTimeoutEvent(t float64, arg any) {
 		return
 	}
 	e.note(TraceTimeout)
-	if e.tracing() {
-		e.trace(t, s.id, TraceTimeout, "no coordination-done by τ-(n-1)δ")
-	}
 	if e.rec != nil {
 		e.rec.EndArg(s.waitSpan, t, 1)
 	}
@@ -575,9 +536,6 @@ func ackTimeoutEvent(t float64, arg any) {
 	if s.retryAttempt < e.p.RequestRetries && t+2*e.p.DeltaMin+e.p.TgMin <= e.deadline {
 		if e.obs != nil {
 			e.obs.retransmits++
-		}
-		if e.tracing() {
-			e.trace(t, s.id, TraceRequestSent, "retransmit %d to S%d (no ack)", s.retryAttempt+1, int(s.retryTo))
 		}
 		if e.rec != nil {
 			e.rec.Event(trace.KindEvent, "retransmit", int32(s.id), t, float64(s.retryAttempt+1))
@@ -987,10 +945,6 @@ func (e *episode) onDetection() {
 	covering := e.detCov
 	defer func() { e.failRollArmed = true }()
 	e.note(TraceDetection)
-	if e.tracing() {
-		e.trace(e.t0, covering[len(covering)-1], TraceDetection,
-			"covered by %d footprint(s); deadline τ expires at +%.1f", len(covering), e.p.TauMin)
-	}
 	if len(covering) >= 2 {
 		// Simultaneous multiple coverage at detection: one joint
 		// computation yields the level-3 result, no coordination needed
@@ -1057,9 +1011,6 @@ func initialComputationBAQEvent(t float64, arg any) {
 		s1.ep.rec.EndArg(s1.compSpan, t, 1)
 	}
 	s1.ep.note(TraceComputationDone)
-	if s1.ep.tracing() {
-		s1.ep.trace(t, s1.id, TraceComputationDone, "initial computation")
-	}
 	s1.sendAlert(qos.LevelSingle, 1)
 }
 
@@ -1072,9 +1023,6 @@ func initialComputationWithheldEvent(t float64, arg any) {
 		s1.ep.rec.EndArg(s1.compSpan, t, 1)
 	}
 	s1.ep.note(TraceComputationDone)
-	if s1.ep.tracing() {
-		s1.ep.trace(t, s1.id, TraceComputationDone, "preliminary result withheld (overlap regime)")
-	}
 }
 
 // initialComputationEvaluateEvent: the underlap regime evaluates the
@@ -1085,9 +1033,6 @@ func initialComputationEvaluateEvent(now float64, arg any) {
 		s1.ep.rec.EndArg(s1.compSpan, now, 1)
 	}
 	s1.ep.note(TraceComputationDone)
-	if s1.ep.tracing() {
-		s1.ep.trace(now, s1.id, TraceComputationDone, "initial computation; evaluating TC conditions")
-	}
 	s1.evaluate(now)
 }
 
@@ -1097,10 +1042,6 @@ func overlapArrivalEvent(now float64, arg any) {
 	s1 := arg.(*satellite)
 	e := s1.ep
 	e.note(TracePassArrival)
-	if e.tracing() {
-		e.trace(now, s1.id+1, TracePassArrival,
-			"overlapped footprint arrives; signal active: %v", e.signalActiveAt(now))
-	}
 	if e.rec != nil {
 		e.rec.End(s1.awaitSpan, now)
 	}
@@ -1138,9 +1079,6 @@ func jointComputationEvent(t float64, arg any) {
 		e.rec.EndArg(s.compSpan, t, float64(s.jointPasses))
 	}
 	e.note(TraceComputationDone)
-	if e.tracing() {
-		e.trace(t, s.id, TraceComputationDone, "simultaneous-coverage computation")
-	}
 	s.sendAlert(qos.LevelSimultaneousDual, s.jointPasses)
 }
 
@@ -1158,9 +1096,6 @@ func preliminaryGuardEvent(t float64, arg any) {
 	e := s.ep
 	if !s.sentAlert && !s.forwarded && !e.net.FailSilent(s.node) {
 		e.note(TraceTimeout)
-		if e.tracing() {
-			e.trace(t, s.id, TraceTimeout, "deadline guard: releasing preliminary result")
-		}
 		if e.rec != nil {
 			e.rec.Event(trace.KindEvent, "preliminary-guard", int32(s.id), t, 0)
 		}

@@ -5,10 +5,10 @@ import (
 	"satqos/internal/stats"
 )
 
-// This file is the span-tracing glue of the episode engine (the
-// fmt-based event timeline of trace.go is a separate, older facility).
-// Every hook is gated on e.rec != nil, so episodes without a tracing
-// config pay one pointer compare per site and allocate nothing.
+// This file is the span-tracing glue of the episode engine, its only
+// trace facility. Every hook is gated on e.rec != nil, so episodes
+// without a tracing config pay one pointer compare per site and
+// allocate nothing.
 
 // termTraceLabels memoizes the KindTermination span label per cause, so
 // the recording path never formats.
@@ -92,33 +92,18 @@ func (r *episodeRunner) attachShardTracer(cfg *trace.Config, ordBase uint64) fun
 	}
 }
 
-// RunEpisodeTracedSpans runs one episode with span tracing forced on
-// (head sampling every episode) and returns its outcome together with
-// the retained trace — a one-episode convenience. Batch callers (the
-// evaluation engine, and cmd/oaqtrace through NewRunner) set
-// Params.Tracing instead.
-func RunEpisodeTracedSpans(p Params, rng *stats.RNG) (EpisodeResult, trace.EpisodeTrace, error) {
+// RunEpisodeTraced runs one episode with span tracing forced on and
+// returns its outcome together with its trace — a one-episode
+// convenience over RunEpisode. Span times are absolute simulation
+// minutes; the root span opens at signal start, so the detection (t0)
+// is root Start + DetectionDelay. Batch callers (the evaluation engine,
+// and cmd/oaqtrace through NewRunner) set Params.Tracing instead.
+func RunEpisodeTraced(p Params, rng *stats.RNG) (EpisodeResult, trace.EpisodeTrace, error) {
 	col := trace.NewCollector()
-	cfg := trace.Config{SampleEvery: 1, Collector: col}
-	if p.Tracing != nil {
-		cfg = *p.Tracing
-		cfg.SampleEvery = 1
-		cfg.Collector = col
-	}
-	p.Tracing = &cfg
-	r, err := newEpisodeRunner(p, rng)
+	p.Tracing = &trace.Config{SampleEvery: 1, Collector: col}
+	res, err := RunEpisode(p, rng)
 	if err != nil {
 		return EpisodeResult{}, trace.EpisodeTrace{}, err
 	}
-	detach := r.attachShardTracer(&cfg, 0)
-	m := maybeShardMetrics(p.Metrics)
-	r.setMetrics(m)
-	res := r.run()
-	m.publish(p.Metrics)
-	detach()
-	traces := col.Traces()
-	if len(traces) == 0 {
-		return res, trace.EpisodeTrace{}, nil
-	}
-	return res, traces[0], nil
+	return res, col.Traces()[0], nil
 }

@@ -113,11 +113,80 @@ func TestTracingSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestRunEpisodeTracedSpans: the convenience wrapper returns the
-// episode's own retained trace with a root span enclosing every other
-// span.
+// TestRunEpisodeTraced: the one-episode convenience returns the
+// episode's own trace — a root span enclosing every other span, spans
+// in time order, the detection dispatch at the t0 origin (root Start +
+// DetectionDelay), and a delivered alert and every coordination request
+// visible as crosslink message spans.
+func TestRunEpisodeTraced(t *testing.T) {
+	p := ReferenceParams(10, qos.SchemeOAQ)
+	// Long signals force sequential chains frequently; find an episode
+	// with a coordination request to exercise the full vocabulary.
+	p.SignalDuration = stats.Exponential{Rate: 0.1}
+	rng := stats.NewRNG(3, 0)
+	var sawRequest bool
+	for i := 0; i < 50 && !sawRequest; i++ {
+		res, tr, err := RunEpisodeTraced(p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Spans) == 0 {
+			t.Fatal("no spans retained")
+		}
+		root := tr.Spans[0]
+		if root.Kind != trace.KindEpisode || root.Parent != -1 {
+			t.Fatalf("first span is not the episode root: %+v", root)
+		}
+		labels := make(map[trace.Kind]map[string]int)
+		for j, sp := range tr.Spans {
+			if sp.Start < root.Start || (sp.End > root.End && sp.End == sp.End) {
+				t.Errorf("span %q [%g,%g] outside the episode root [%g,%g]",
+					sp.Label, sp.Start, sp.End, root.Start, root.End)
+			}
+			if j > 0 && sp.Start < tr.Spans[j-1].Start {
+				t.Errorf("span %d %q starts before its predecessor", sp.Seq, sp.Label)
+			}
+			if labels[sp.Kind] == nil {
+				labels[sp.Kind] = make(map[string]int)
+			}
+			labels[sp.Kind][sp.Label]++
+		}
+		if !res.Detected {
+			continue
+		}
+		t0 := root.Start + res.DetectionDelay
+		found := false
+		for _, sp := range tr.Spans {
+			if sp.Kind == trace.KindDispatch && sp.Label == "detection" {
+				found = true
+				if sp.Start != t0 {
+					t.Errorf("detection dispatch at %g, want root Start + DetectionDelay = %g", sp.Start, t0)
+				}
+			}
+		}
+		if !found {
+			t.Error("detected episode has no detection dispatch span")
+		}
+		if res.Delivered && labels[trace.KindMessage]["crosslink:alert"] == 0 {
+			t.Error("delivered episode without an alert message span")
+		}
+		if n := labels[trace.KindMessage]["crosslink:coordination-request"]; n > 0 {
+			sawRequest = true
+			if labels[trace.KindDispatch]["crosslink:coordination-request"] != n {
+				t.Error("request sent but never received (healthy link)")
+			}
+		}
+	}
+	if !sawRequest {
+		t.Error("no episode produced a coordination request in 50 tries")
+	}
+}
+
+// TestRunEpisodeTracedSpans: on a plain reference episode the wrapper
+// returns the episode's own retained trace with a root span enclosing
+// every other span, and a detected episode carries a detection span.
 func TestRunEpisodeTracedSpans(t *testing.T) {
-	res, tr, err := RunEpisodeTracedSpans(ReferenceParams(10, qos.SchemeOAQ), stats.NewRNG(7, 0))
+	res, tr, err := RunEpisodeTraced(ReferenceParams(10, qos.SchemeOAQ), stats.NewRNG(7, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +214,44 @@ func TestRunEpisodeTracedSpans(t *testing.T) {
 			t.Error("detected episode has no detection span")
 		}
 	}
+}
+
+// TestMembershipSkipEvent: a membership-aware satellite that skips
+// excluded peers records each skip as a membership-skip event (arg =
+// the skipped pass index) — the one decision with no other span.
+func TestMembershipSkipEvent(t *testing.T) {
+	p := ReferenceParams(10, qos.SchemeOAQ)
+	p.SignalDuration = stats.Exponential{Rate: 0.1}
+	p.MembershipAware = true
+	p.FailSilentProb = 1
+	rng := stats.NewRNG(3, 0)
+	for i := 0; i < 50; i++ {
+		res, tr, err := RunEpisodeTraced(p, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forwarded, skips := false, 0
+		for _, sp := range tr.Spans {
+			// A request to a fail-silent peer is recorded as a drop.
+			if sp.Label == "crosslink:coordination-request" {
+				forwarded = true
+			}
+			if sp.Kind == trace.KindEvent && sp.Label == "membership-skip" {
+				skips++
+				if sp.Arg <= float64(sp.Sat) {
+					t.Errorf("S%d skipped S%g, want a later peer", sp.Sat, sp.Arg)
+				}
+			}
+		}
+		if !res.Detected || !forwarded {
+			continue
+		}
+		if skips == 0 {
+			t.Fatal("forwarding episode past fail-silent peers retained no membership-skip event")
+		}
+		return
+	}
+	t.Fatal("no detected episode forwarded a coordination request in 50 tries")
 }
 
 // TestAnomalyChromeGolden is the acceptance gate for the exporter: a

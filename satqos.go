@@ -36,6 +36,7 @@ import (
 	"satqos/internal/membership"
 	"satqos/internal/mission"
 	"satqos/internal/oaq"
+	"satqos/internal/obs/trace"
 	"satqos/internal/orbit"
 	"satqos/internal/qos"
 	"satqos/internal/signal"
@@ -129,8 +130,8 @@ type (
 	Evaluation = oaq.Evaluation
 	// Termination identifies why coordination stopped.
 	Termination = oaq.Termination
-	// TraceEvent is one protocol occurrence within a traced episode.
-	TraceEvent = oaq.TraceEvent
+	// EpisodeTrace is the span tree of one traced episode.
+	EpisodeTrace = trace.EpisodeTrace
 )
 
 // ReferenceProtocolParams returns the paper's evaluation setting for a
@@ -170,9 +171,11 @@ func EvaluateProtocolPaired(a, b ProtocolParams, episodes int, seed uint64, work
 // sweep driver.
 func CapacityCacheStats() (hits, misses uint64) { return capacity.AnalyticCacheStats() }
 
-// RunEpisodeTraced simulates one episode and returns its event timeline
-// alongside the outcome.
-func RunEpisodeTraced(p ProtocolParams, rng *RNG) (EpisodeResult, []TraceEvent, error) {
+// RunEpisodeTraced simulates one episode and returns its span trace
+// alongside the outcome. Span times are absolute simulation minutes; the
+// detection (t0) is the root span's Start plus res.DetectionDelay, the
+// origin to pass to EpisodeTrace.WriteTree.
+func RunEpisodeTraced(p ProtocolParams, rng *RNG) (EpisodeResult, EpisodeTrace, error) {
 	return oaq.RunEpisodeTraced(p, rng)
 }
 

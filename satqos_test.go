@@ -72,13 +72,40 @@ func TestConstellationFacade(t *testing.T) {
 
 func TestTraceAndMissionFacade(t *testing.T) {
 	rng := satqos.NewRNG(5, 0)
-	params := satqos.ReferenceProtocolParams(10, satqos.SchemeOAQ)
-	res, events, err := satqos.RunEpisodeTraced(params, rng)
-	if err != nil {
-		t.Fatal(err)
+	// The origin rule: the root span opens at signal start, so the
+	// detection dispatch starts at root Start + DetectionDelay. A k=8
+	// plane has coverage gaps, so some detected episodes have a nonzero
+	// delay, where the rule bites.
+	params := satqos.ReferenceProtocolParams(8, satqos.SchemeOAQ)
+	delayed := false
+	for i := 0; i < 200 && !delayed; i++ {
+		res, tr, err := satqos.RunEpisodeTraced(params, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Detected {
+			continue
+		}
+		if len(tr.Spans) == 0 {
+			t.Fatal("detected episode produced no trace")
+		}
+		delayed = res.DetectionDelay > 0
+		t0 := tr.Spans[0].Start + res.DetectionDelay
+		found := false
+		for _, sp := range tr.Spans {
+			if sp.Label == "detection" {
+				found = true
+				if sp.Start != t0 {
+					t.Errorf("detection span at %g, want root Start + DetectionDelay = %g", sp.Start, t0)
+				}
+			}
+		}
+		if !found {
+			t.Error("detected episode has no detection span")
+		}
 	}
-	if res.Detected && len(events) == 0 {
-		t.Error("detected episode produced no trace")
+	if !delayed {
+		t.Error("no detected episode with a detection delay in 200 tries")
 	}
 	cfg := satqos.DefaultMissionConfig()
 	cfg.SignalRatePerMin = 0.2
