@@ -120,14 +120,15 @@ go run ./cmd/benchdiff -require-overlap -max-alloc-regress 0 \
 go run ./cmd/benchdiff -require-overlap -max-alloc-regress 0 \
     BENCH_PR9.json BENCH_PR10.json
 
-# Stochastic-geometry golden gate: the BPP backend must agree with the
-# exact geometry engine on every Walker preset (the experiment
-# self-gates the relative mean error at 1% in its package test; here
-# the rendered table must also be bit-identical at 1 and 8 workers).
-go run ./cmd/oaqbench -exp stochgeom -workers 1 > "$tmpdir/sg1.txt"
-go run ./cmd/oaqbench -exp stochgeom -workers 8 > "$tmpdir/sg8.txt"
-cmp "$tmpdir/sg1.txt" "$tmpdir/sg8.txt"
-grep -q "worst relative mean error" "$tmpdir/sg1.txt"
+# Worker-invariance gate: every experiment's rendered output must be
+# bit-identical at 1 and 8 workers. This includes the stochastic-geometry
+# check, whose BPP backend must agree with the exact geometry engine on
+# every Walker preset (the experiment self-gates the relative mean error
+# at 1% in its package test).
+go run ./cmd/oaqbench -exp all -episodes 256 -workers 1 > "$tmpdir/all1.txt"
+go run ./cmd/oaqbench -exp all -episodes 256 -workers 8 > "$tmpdir/all8.txt"
+cmp "$tmpdir/all1.txt" "$tmpdir/all8.txt"
+grep -q "worst relative mean error" "$tmpdir/all1.txt"
 
 # Serving gate: boot satqosd on an ephemeral port with an artificially
 # tiny Monte-Carlo admission budget, then satqosload -smoke exercises

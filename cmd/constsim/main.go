@@ -108,14 +108,9 @@ func run(args []string, w io.Writer) (err error) {
 
 	switch *mode {
 	case "protocol":
-		var scheme qos.Scheme
-		switch strings.ToLower(*schemeName) {
-		case "oaq":
-			scheme = qos.SchemeOAQ
-		case "baq":
-			scheme = qos.SchemeBAQ
-		default:
-			return fmt.Errorf("unknown scheme %q", *schemeName)
+		scheme, err := qos.ParseScheme(*schemeName)
+		if err != nil {
+			return err
 		}
 		geom, err := qos.NewGeometry(presetCfg.PeriodMin, presetCfg.CoverageTimeMin)
 		if err != nil {

@@ -17,11 +17,12 @@
 // against the exact scanner on every preset; -backend stochgeom makes
 // the coverage experiment answer analytically from the same backend).
 // Extensions: scaling, ablation-backward, ablation-constants,
-// ablation-tc1, membership, sensitivity, mission, degraded-loss,
-// degraded-failsilent, routed-load (the degraded pair and routed-load
-// honor -retries; -faults layers a scripted fault scenario onto them
-// and onto mission; routed-load honors -route/-isl-capacity/
-// -traffic-load). Use -exp all for everything.
+// ablation-tc1, membership, sensitivity, mission, availability,
+// degraded-loss, degraded-failsilent, routed-load (the degraded pair
+// and routed-load honor -retries; -faults layers a scripted fault
+// scenario onto them and onto mission; routed-load honors -route/
+// -isl-capacity/-traffic-load). Use -exp all for everything, in the
+// order of the experiments table (the order -h lists).
 package main
 
 import (
@@ -116,7 +117,7 @@ func (o options) writeSVG(id string, s *experiment.Sweep) error {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("oaqbench", flag.ContinueOnError)
 	opt := options{}
-	fs.StringVar(&opt.exp, "exp", "all", "experiment id (table1|fig7|fig8|fig9|spot|tau|duration|simvsana|geometry|capacity|coverage|stochgeom|scaling|ablation-backward|ablation-constants|ablation-tc1|membership|sensitivity|mission|availability|degraded-loss|degraded-failsilent|routed-load|all)")
+	fs.StringVar(&opt.exp, "exp", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs(), "|")+"|all)")
 	fs.StringVar(&opt.backend, "backend", "geometry", "coverage-experiment backend: geometry (exact position scan) | stochgeom (O(1) BPP analytic)")
 	fs.BoolVar(&opt.csv, "csv", false, "emit CSV instead of aligned text")
 	fs.StringVar(&opt.svgDir, "svg", "", "also write sweep experiments as SVG charts into this directory")
@@ -190,12 +191,7 @@ func run(args []string, w io.Writer) error {
 
 	ids := strings.Split(opt.exp, ",")
 	if opt.exp == "all" {
-		ids = []string{
-			"table1", "geometry", "capacity", "fig7", "fig8", "fig9", "spot",
-			"tau", "duration", "simvsana", "coverage", "stochgeom",
-			"scaling", "ablation-backward", "ablation-constants", "ablation-tc1", "membership", "sensitivity", "mission", "availability",
-			"degraded-loss", "degraded-failsilent", "routed-load",
-		}
+		ids = experimentIDs()
 	}
 	for i, id := range ids {
 		if i > 0 {
@@ -214,213 +210,159 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-func runOne(id string, opt options, w io.Writer) error {
-	render := func(t *experiment.Table) error {
-		if opt.csv {
-			return t.RenderCSV(w)
-		}
-		return t.Render(w)
-	}
-	switch id {
-	case "table1":
-		return render(experiment.Table1())
-	case "fig7":
-		s, err := experiment.Figure7(opt.lambdas, opt.eta, opt.phi)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("fig7", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "fig8":
-		s, err := experiment.Figure8(opt.lambdas)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("fig8", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "fig9":
-		s, err := experiment.Figure9(opt.lambdas)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("fig9", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "spot":
-		t, err := experiment.Section43Spot()
-		if err != nil {
-			return err
-		}
-		return render(t)
-	case "tau":
-		s, err := experiment.TauSweep(nil, 5e-5)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("tau", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "duration":
-		s, err := experiment.DurationSweep(nil, 5e-5)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("duration", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "simvsana":
-		t, worst, err := experiment.SimVsAnalytic(nil, opt.episodes, opt.seed)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "max |simulated - analytic| = %.4f\n", worst)
-		return err
-	case "geometry":
-		t, err := experiment.GeometryCheck()
-		if err != nil {
-			return err
-		}
-		return render(t)
-	case "capacity":
+// experiments is the one list of experiment ids, in -exp all order.
+// A sweep entry is rendered as a table and, under -svg, charted as
+// <id>.svg; a run entry writes its own output.
+var experiments = []struct {
+	id    string
+	sweep func(opt options) (*experiment.Sweep, error)
+	run   func(opt options, w io.Writer) error
+}{
+	{id: "table1", run: table(func(options) (*experiment.Table, error) { return experiment.Table1(), nil })},
+	{id: "geometry", run: table(func(options) (*experiment.Table, error) { return experiment.GeometryCheck() })},
+	{id: "capacity", run: checked("max |analytic - SAN| = %.2e\n", func(opt options) (*experiment.Table, float64, error) {
 		lambda := 5e-5
 		if len(opt.lambdas) > 0 {
 			lambda = opt.lambdas[0]
 		}
-		t, worst, err := experiment.CapacityRouteCheck(opt.eta, lambda, opt.phi, 0, opt.seed)
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "max |analytic - SAN| = %.2e\n", worst)
-		return err
-	case "scaling":
-		s, err := experiment.PicoScaling(nil, nil, 5, 0.5, 30)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("scaling", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "ablation-backward":
-		s, err := experiment.AblationBackwardMessaging(nil, opt.episodes, opt.seed)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("ablation-backward", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "ablation-constants":
-		s, err := experiment.AblationProtocolConstants(nil, opt.episodes, opt.seed)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("ablation-constants", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "ablation-tc1":
-		s, err := experiment.AblationTC1(nil, opt.episodes, opt.seed)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("ablation-tc1", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "membership":
-		s, err := experiment.MembershipLatency(nil, 30, opt.seed)
-		if err != nil {
-			return err
-		}
-		if err := opt.writeSVG("membership", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "sensitivity":
-		t, err := experiment.DistributionSensitivity(5)
-		if err != nil {
-			return err
-		}
-		return render(t)
-	case "availability":
+		return experiment.CapacityRouteCheck(opt.eta, lambda, opt.phi, 0, opt.seed)
+	})},
+	{id: "fig7", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.Figure7(opt.lambdas, opt.eta, opt.phi)
+	}},
+	{id: "fig8", sweep: func(opt options) (*experiment.Sweep, error) { return experiment.Figure8(opt.lambdas) }},
+	{id: "fig9", sweep: func(opt options) (*experiment.Sweep, error) { return experiment.Figure9(opt.lambdas) }},
+	{id: "spot", run: table(func(options) (*experiment.Table, error) { return experiment.Section43Spot() })},
+	{id: "tau", sweep: func(options) (*experiment.Sweep, error) { return experiment.TauSweep(nil, 5e-5) }},
+	{id: "duration", sweep: func(options) (*experiment.Sweep, error) { return experiment.DurationSweep(nil, 5e-5) }},
+	{id: "simvsana", run: checked("max |simulated - analytic| = %.4f\n", func(opt options) (*experiment.Table, float64, error) {
+		return experiment.SimVsAnalytic(nil, opt.episodes, opt.seed)
+	})},
+	{id: "coverage", run: runCoverage},
+	{id: "stochgeom", run: checked("worst relative mean error = %.2e\n", func(options) (*experiment.Table, float64, error) {
+		return experiment.StochGeomCheck()
+	})},
+	{id: "scaling", sweep: func(options) (*experiment.Sweep, error) {
+		return experiment.PicoScaling(nil, nil, 5, 0.5, 30)
+	}},
+	{id: "ablation-backward", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.AblationBackwardMessaging(nil, opt.episodes, opt.seed)
+	}},
+	{id: "ablation-constants", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.AblationProtocolConstants(nil, opt.episodes, opt.seed)
+	}},
+	{id: "ablation-tc1", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.AblationTC1(nil, opt.episodes, opt.seed)
+	}},
+	{id: "membership", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.MembershipLatency(nil, 30, opt.seed)
+	}},
+	{id: "sensitivity", run: table(func(options) (*experiment.Table, error) { return experiment.DistributionSensitivity(5) })},
+	{id: "mission", run: runMission},
+	// Tabulated only: its series mix probabilities, fleet sizes and
+	// hours, which share no chart axis.
+	{id: "availability", run: table(func(opt options) (*experiment.Table, error) {
 		s, err := experiment.ConstellationAvailability(opt.lambdas, opt.eta, opt.phi, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return render(s.Table())
-	case "degraded-loss":
-		s, err := experiment.DegradedLossSweep(nil, opt.faults, 10, opt.retries, opt.episodes, opt.seed)
+		return s.Table(), nil
+	})},
+	{id: "degraded-loss", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.DegradedLossSweep(nil, opt.faults, 10, opt.retries, opt.episodes, opt.seed)
+	}},
+	{id: "degraded-failsilent", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.DegradedFailSilentSweep(nil, 10, opt.retries, opt.episodes, opt.seed)
+	}},
+	{id: "routed-load", sweep: func(opt options) (*experiment.Sweep, error) {
+		return experiment.RoutedLoadSweep(nil, *opt.route, opt.faults, 10, opt.retries, opt.episodes, opt.seed)
+	}},
+}
+
+// experimentIDs lists every experiment id in -exp all order.
+func experimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+func runOne(id string, opt options, w io.Writer) error {
+	for _, e := range experiments {
+		if e.id != id {
+			continue
+		}
+		if e.run != nil {
+			return e.run(opt, w)
+		}
+		s, err := e.sweep(opt)
 		if err != nil {
 			return err
 		}
-		if err := opt.writeSVG("degraded-loss", s); err != nil {
+		if err := opt.writeSVG(id, s); err != nil {
 			return err
 		}
-		return render(s.Table())
-	case "degraded-failsilent":
-		s, err := experiment.DegradedFailSilentSweep(nil, 10, opt.retries, opt.episodes, opt.seed)
+		return opt.render(w, s.Table())
+	}
+	return fmt.Errorf("unknown experiment %q", id)
+}
+
+// render writes t as aligned text, or as CSV under -csv.
+func (o options) render(w io.Writer, t *experiment.Table) error {
+	if o.csv {
+		return t.RenderCSV(w)
+	}
+	return t.Render(w)
+}
+
+// table adapts a one-table experiment to a run entry.
+func table(fn func(opt options) (*experiment.Table, error)) func(options, io.Writer) error {
+	return func(opt options, w io.Writer) error {
+		t, err := fn(opt)
 		if err != nil {
 			return err
 		}
-		if err := opt.writeSVG("degraded-failsilent", s); err != nil {
-			return err
-		}
-		return render(s.Table())
-	case "routed-load":
-		s, err := experiment.RoutedLoadSweep(nil, *opt.route, opt.faults, 10, opt.retries, opt.episodes, opt.seed)
+		return opt.render(w, t)
+	}
+}
+
+// checked adapts a validation experiment to a run entry: its table is
+// followed by the worst discrepancy, printed with format.
+func checked(format string, fn func(opt options) (*experiment.Table, float64, error)) func(options, io.Writer) error {
+	return func(opt options, w io.Writer) error {
+		t, worst, err := fn(opt)
 		if err != nil {
 			return err
 		}
-		if err := opt.writeSVG("routed-load", s); err != nil {
+		if err := opt.render(w, t); err != nil {
 			return err
 		}
-		return render(s.Table())
-	case "mission":
-		return runMission(opt, w)
-	case "coverage":
-		if opt.backend == "stochgeom" {
-			covered, mult, err := experiment.AnalyticEarthCoverage(6)
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "Full-constellation earth coverage (stochgeom): %.2f%% of surface points covered, mean multiplicity %.2f\n",
-				100*covered, mult)
-			return err
-		}
-		covered, mult, err := experiment.FullEarthCoverage(6, 10, numeric.Linspace(0, 60, 4))
+		_, err = fmt.Fprintf(w, format, worst)
+		return err
+	}
+}
+
+// runCoverage reports the full-constellation earth coverage, scanned
+// from satellite positions or, with -backend stochgeom, answered
+// analytically.
+func runCoverage(opt options, w io.Writer) error {
+	if opt.backend == "stochgeom" {
+		covered, mult, err := experiment.AnalyticEarthCoverage(6)
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Fprintf(w, "Full-constellation earth coverage: %.2f%% of sampled points covered, mean multiplicity %.2f\n",
+		_, err = fmt.Fprintf(w, "Full-constellation earth coverage (stochgeom): %.2f%% of surface points covered, mean multiplicity %.2f\n",
 			100*covered, mult)
 		return err
-	case "stochgeom":
-		t, worst, err := experiment.StochGeomCheck()
-		if err != nil {
-			return err
-		}
-		if err := render(t); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "worst relative mean error = %.2e\n", worst)
-		return err
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
 	}
+	covered, mult, err := experiment.FullEarthCoverage(6, 10, numeric.Linspace(0, 60, 4))
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "Full-constellation earth coverage: %.2f%% of sampled points covered, mean multiplicity %.2f\n",
+		100*covered, mult)
+	return err
 }
 
 // runMission executes the 3-D end-to-end mission for both schemes on
@@ -464,8 +406,5 @@ func runMission(opt options, w io.Writer) error {
 			cell(qos.LevelSingle),
 		})
 	}
-	if opt.csv {
-		return t.RenderCSV(w)
-	}
-	return t.Render(w)
+	return opt.render(w, t)
 }

@@ -183,3 +183,19 @@ func TestRunSimulationExperiments(t *testing.T) {
 		}
 	}
 }
+
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range experiments {
+		if seen[e.id] {
+			t.Errorf("duplicate experiment id %q", e.id)
+		}
+		seen[e.id] = true
+		if (e.sweep == nil) == (e.run == nil) {
+			t.Errorf("experiment %q: want exactly one of sweep and run", e.id)
+		}
+	}
+	if seen["all"] {
+		t.Error(`"all" must not be an experiment id`)
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"satqos/internal/oaq"
 	"satqos/internal/obs"
@@ -57,14 +56,9 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	var scheme qos.Scheme
-	switch strings.ToLower(*schemeName) {
-	case "oaq":
-		scheme = qos.SchemeOAQ
-	case "baq":
-		scheme = qos.SchemeBAQ
-	default:
-		return fmt.Errorf("unknown scheme %q", *schemeName)
+	scheme, err := qos.ParseScheme(*schemeName)
+	if err != nil {
+		return err
 	}
 	if *pprofAddr != "" {
 		stop, err := obs.ServeDebug(*pprofAddr, obs.Default(), w)

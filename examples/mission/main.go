@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"strings"
 
 	"satqos/internal/mission"
 	"satqos/internal/qos"
@@ -34,14 +33,11 @@ func main() {
 
 	cfg := mission.DefaultConfig()
 	cfg.Seed = *seed
-	switch strings.ToLower(*schemeName) {
-	case "oaq":
-		cfg.Scheme = qos.SchemeOAQ
-	case "baq":
-		cfg.Scheme = qos.SchemeBAQ
-	default:
-		log.Fatalf("unknown scheme %q", *schemeName)
+	scheme, err := qos.ParseScheme(*schemeName)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg.Scheme = scheme
 
 	rep, err := mission.Run(cfg, *hours*60)
 	if err != nil {

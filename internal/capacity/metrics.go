@@ -2,6 +2,8 @@ package capacity
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"satqos/internal/san"
 )
@@ -61,7 +63,8 @@ func (p Params) ExpectedCapacity() (float64, error) {
 // protected planes into the distribution of the total active satellite
 // count (the paper's planes share no spares, making independence exact
 // in this model). The convolution is computed exactly over the plane
-// support.
+// support, accumulating in ascending order of the partial total so the
+// floating-point result is the same on every call.
 func ConstellationDistribution(p Params, nPlanes int) (map[int]float64, error) {
 	if nPlanes < 1 {
 		return nil, fmt.Errorf("capacity: %d planes, need at least 1", nPlanes)
@@ -73,9 +76,9 @@ func ConstellationDistribution(p Params, nPlanes int) (map[int]float64, error) {
 	total := map[int]float64{0: 1}
 	for i := 0; i < nPlanes; i++ {
 		next := make(map[int]float64, len(total)*len(plane.Support()))
-		for sum, prob := range total {
+		for _, sum := range slices.Sorted(maps.Keys(total)) {
 			for _, k := range plane.Support() {
-				next[sum+k] += prob * plane.P(k)
+				next[sum+k] += total[sum] * plane.P(k)
 			}
 		}
 		total = next
@@ -91,9 +94,9 @@ func ConstellationAtLeast(p Params, nPlanes, m int) (float64, error) {
 		return 0, err
 	}
 	var s float64
-	for total, prob := range dist {
+	for _, total := range slices.Sorted(maps.Keys(dist)) {
 		if total >= m {
-			s += prob
+			s += dist[total]
 		}
 	}
 	if s > 1 {

@@ -126,6 +126,25 @@ func TestConstellationDistribution(t *testing.T) {
 	}
 }
 
+// Map iteration order is randomized per range loop, so an unordered
+// accumulation would differ in the last bits from call to call.
+func TestConstellationAtLeastDeterministic(t *testing.T) {
+	p := ReferenceParams(10, 5e-5, 30000)
+	want, err := ConstellationAtLeast(p, 7, 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		got, err := ConstellationAtLeast(p, 7, 90)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("call %d: P(total >= 90) = %v, first call gave %v", i, got, want)
+		}
+	}
+}
+
 func TestConstellationAtLeast(t *testing.T) {
 	p := ReferenceParams(12, 5e-5, 30000)
 	all, err := ConstellationAtLeast(p, 7, 84)

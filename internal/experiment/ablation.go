@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"satqos/internal/oaq"
-	"satqos/internal/parallel"
 	"satqos/internal/qos"
 )
 
@@ -19,8 +18,8 @@ import (
 // then degraded by a fraction of its population and the conditional
 // QoS measure P(Y >= 2 | k) is evaluated for both schemes. Larger
 // populations degrade more gracefully, and OAQ's advantage survives
-// deeper into the degradation. The loss-fraction points of each
-// population run concurrently.
+// deeper into the degradation. The loss-fraction points run
+// concurrently.
 func PicoScaling(populations []int, lossFractions []float64, tau, mu, nu float64) (*Sweep, error) {
 	if len(populations) == 0 {
 		populations = []int{14, 28, 56, 112}
@@ -29,7 +28,6 @@ func PicoScaling(populations []int, lossFractions []float64, tau, mu, nu float64
 		lossFractions = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	}
 	const theta = 90.0
-	schemes := []qos.Scheme{qos.SchemeOAQ, qos.SchemeBAQ}
 	sweep := &Sweep{
 		Title:  fmt.Sprintf("Pico-constellation scaling: P(Y>=2 | loss) (tau=%g, mu=%g, nu=%g)", tau, mu, nu),
 		XLabel: "loss-fraction",
@@ -38,6 +36,10 @@ func PicoScaling(populations []int, lossFractions []float64, tau, mu, nu float64
 			"per-population geometry: Tc = 1.4*theta/N (same full-plane overlap ratio as the reference design)",
 		},
 	}
+	var (
+		names  []string
+		models []qos.Model
+	)
 	for _, n := range populations {
 		tc := 1.4 * theta / float64(n)
 		geom, err := qos.NewGeometry(theta, tc)
@@ -48,40 +50,32 @@ func PicoScaling(populations []int, lossFractions []float64, tau, mu, nu float64
 		if err != nil {
 			return nil, err
 		}
-		cols, err := parallel.MapSlice(Workers, len(lossFractions), func(i int) ([]float64, error) {
-			f := lossFractions[i]
-			if f < 0 || f >= 1 {
-				return nil, fmt.Errorf("experiment: loss fraction %g outside [0, 1)", f)
-			}
+		models = append(models, model)
+		for _, scheme := range bothSchemes {
+			names = append(names, fmt.Sprintf("%v N=%d", scheme, n))
+		}
+	}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+		f := lossFractions[i]
+		if f < 0 || f >= 1 {
+			return nil, fmt.Errorf("experiment: loss fraction %g outside [0, 1)", f)
+		}
+		col := make([]float64, 0, len(names))
+		for pi, n := range populations {
 			k := int(math.Round(float64(n) * (1 - f)))
 			if k < 1 {
 				k = 1
 			}
-			col := make([]float64, len(schemes))
-			for j, scheme := range schemes {
-				pmf, err := model.ConditionalPMF(scheme, k)
+			for _, scheme := range bothSchemes {
+				pmf, err := models[pi].ConditionalPMF(scheme, k)
 				if err != nil {
 					return nil, err
 				}
-				col[j] = pmf.CCDF(qos.LevelSequentialDual)
+				col = append(col, pmf.CCDF(qos.LevelSequentialDual))
 			}
-			return col, nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		for j, scheme := range schemes {
-			values := make([]float64, len(lossFractions))
-			for i := range cols {
-				values[i] = cols[i][j]
-			}
-			sweep.Series = append(sweep.Series, Series{
-				Name:   fmt.Sprintf("%v N=%d", scheme, n),
-				Values: values,
-			})
-		}
-	}
-	return sweep, nil
+		return col, nil
+	})
 }
 
 // AblationBackwardMessaging compares the two protocol variants of §3.2
@@ -104,36 +98,28 @@ func AblationBackwardMessaging(failProbs []float64, episodes int, seed uint64) (
 		XLabel: "fail-silent-prob",
 		X:      failProbs,
 	}
-	for _, backward := range []bool{true, false} {
-		name := "no-backward"
-		if backward {
-			name = "backward"
-		}
-		evs, err := parallel.MapSlice(Workers, len(failProbs), func(i int) (*oaq.Evaluation, error) {
+	variants := []struct {
+		name     string
+		backward bool
+	}{{"backward", true}, {"no-backward", false}}
+	var names []string
+	for _, v := range variants {
+		names = append(names, v.name+" delivered", v.name+" P(Y=2)")
+	}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+		var col []float64
+		for _, v := range variants {
 			p := oaq.ReferenceParams(10, qos.SchemeOAQ)
-			p.BackwardMessaging = backward
+			p.BackwardMessaging = v.backward
 			p.FailSilentProb = failProbs[i]
-			ev, err := oaq.EvaluateParallel(p, episodes, seed, 1)
+			ev, err := simulate(p, fmt.Sprintf("ablation-backward/f%g-%s", failProbs[i], v.name), episodes, seed)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: ablation at failProb=%g: %w", failProbs[i], err)
 			}
-			return ev, nil
-		})
-		if err != nil {
-			return nil, err
+			col = append(col, ev.DeliveredFraction, ev.PMF[qos.LevelSequentialDual])
 		}
-		delivered := make([]float64, len(evs))
-		level2 := make([]float64, len(evs))
-		for i, ev := range evs {
-			delivered[i] = ev.DeliveredFraction
-			level2[i] = ev.PMF[qos.LevelSequentialDual]
-		}
-		sweep.Series = append(sweep.Series,
-			Series{Name: name + " delivered", Values: delivered},
-			Series{Name: name + " P(Y=2)", Values: level2},
-		)
-	}
-	return sweep, nil
+		return col, nil
+	})
 }
 
 // AblationProtocolConstants measures how the empirical protocol drifts
@@ -161,30 +147,18 @@ func AblationProtocolConstants(deltas []float64, episodes int, seed uint64) (*Sw
 			fmt.Sprintf("analytic P(Y=2|10) = %.4f assumes δ, T_g → 0; T_g tracks 5δ here", ana[qos.LevelSequentialDual]),
 		},
 	}
-	evs, err := parallel.MapSlice(Workers, len(deltas), func(i int) (*oaq.Evaluation, error) {
+	names := []string{"empirical P(Y=2)", "|drift from analytic|"}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
 		p := oaq.ReferenceParams(10, qos.SchemeOAQ)
 		p.DeltaMin = deltas[i]
 		p.TgMin = 5 * deltas[i]
-		ev, err := oaq.EvaluateParallel(p, episodes, seed, 1)
+		ev, err := simulate(p, fmt.Sprintf("ablation-constants/d%g", deltas[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: constants ablation at δ=%g: %w", deltas[i], err)
 		}
-		return ev, nil
+		level2 := ev.PMF[qos.LevelSequentialDual]
+		return []float64{level2, math.Abs(level2 - ana[qos.LevelSequentialDual])}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	empirical := make([]float64, len(evs))
-	drift := make([]float64, len(evs))
-	for i, ev := range evs {
-		empirical[i] = ev.PMF[qos.LevelSequentialDual]
-		drift[i] = math.Abs(ev.PMF[qos.LevelSequentialDual] - ana[qos.LevelSequentialDual])
-	}
-	sweep.Series = append(sweep.Series,
-		Series{Name: "empirical P(Y=2)", Values: empirical},
-		Series{Name: "|drift from analytic|", Values: drift},
-	)
-	return sweep, nil
 }
 
 // AblationTC1 sweeps the TC-1 error threshold: a permissive threshold
@@ -208,30 +182,14 @@ func AblationTC1(thresholds []float64, episodes int, seed uint64) (*Sweep, error
 			"threshold 0 disables TC-1; thresholds above 15 km are satisfied by a single pass",
 		},
 	}
-	evs, err := parallel.MapSlice(Workers, len(thresholds), func(i int) (*oaq.Evaluation, error) {
+	names := []string{"P(Y=2)", "mean messages", "mean chain"}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
 		p := oaq.ReferenceParams(10, qos.SchemeOAQ)
 		p.ErrorThresholdKm = thresholds[i]
-		ev, err := oaq.EvaluateParallel(p, episodes, seed, 1)
+		ev, err := simulate(p, fmt.Sprintf("ablation-tc1/t%g", thresholds[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: TC-1 ablation at threshold=%g: %w", thresholds[i], err)
 		}
-		return ev, nil
+		return []float64{ev.PMF[qos.LevelSequentialDual], ev.MeanMessages, ev.MeanChainLength}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	level2 := make([]float64, len(evs))
-	messages := make([]float64, len(evs))
-	chains := make([]float64, len(evs))
-	for i, ev := range evs {
-		level2[i] = ev.PMF[qos.LevelSequentialDual]
-		messages[i] = ev.MeanMessages
-		chains[i] = ev.MeanChainLength
-	}
-	sweep.Series = append(sweep.Series,
-		Series{Name: "P(Y=2)", Values: level2},
-		Series{Name: "mean messages", Values: messages},
-		Series{Name: "mean chain", Values: chains},
-	)
-	return sweep, nil
 }

@@ -12,7 +12,7 @@ import (
 // function of the node-failure rate, together with the expected fleet
 // size and the expected time for a plane to degrade to its threshold.
 // This is the fleet-operator view the paper's per-plane analysis rolls
-// up into.
+// up into. The λ points run concurrently.
 func ConstellationAvailability(lambdas []float64, eta int, phiHours float64, thresholds []int) (*Sweep, error) {
 	if len(lambdas) == 0 {
 		lambdas = DefaultLambdas()
@@ -29,38 +29,29 @@ func ConstellationAvailability(lambdas []float64, eta int, phiHours float64, thr
 			"planes are independent (no shared spares); exact convolution of the per-plane distribution",
 		},
 	}
-	series := make(map[int][]float64, len(thresholds))
-	var fleetMean []float64
-	var mttaHours []float64
-	for _, lambda := range lambdas {
-		p := capacity.ReferenceParams(eta, lambda, phiHours)
+	var names []string
+	for _, m := range thresholds {
+		names = append(names, fmt.Sprintf("P(total>=%d)", m))
+	}
+	names = append(names, "E[fleet]", "MTTA(hrs)")
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+		p := capacity.ReferenceParams(eta, lambdas[i], phiHours)
+		col := make([]float64, 0, len(names))
 		for _, m := range thresholds {
 			v, err := capacity.ConstellationAtLeast(p, planes, m)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: availability at λ=%g, m=%d: %w", lambda, m, err)
+				return nil, fmt.Errorf("experiment: availability at λ=%g, m=%d: %w", lambdas[i], m, err)
 			}
-			series[m] = append(series[m], v)
+			col = append(col, v)
 		}
 		dist, err := p.Analytic()
 		if err != nil {
 			return nil, err
 		}
-		fleetMean = append(fleetMean, float64(planes)*dist.Mean())
 		mtta, err := p.MeanTimeToThreshold()
 		if err != nil {
 			return nil, err
 		}
-		mttaHours = append(mttaHours, mtta)
-	}
-	for _, m := range thresholds {
-		sweep.Series = append(sweep.Series, Series{
-			Name:   fmt.Sprintf("P(total>=%d)", m),
-			Values: series[m],
-		})
-	}
-	sweep.Series = append(sweep.Series,
-		Series{Name: "E[fleet]", Values: fleetMean},
-		Series{Name: "MTTA(hrs)", Values: mttaHours},
-	)
-	return sweep, nil
+		return append(col, float64(planes)*dist.Mean(), mtta), nil
+	})
 }

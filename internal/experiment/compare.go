@@ -39,19 +39,13 @@ func SimVsAnalytic(capacities []int, episodes int, seed uint64) (*Table, float64
 	}
 	var cells []cell
 	for _, k := range capacities {
-		for _, scheme := range []qos.Scheme{qos.SchemeOAQ, qos.SchemeBAQ} {
+		for _, scheme := range bothSchemes {
 			cells = append(cells, cell{k, scheme})
 		}
 	}
 	evs, err := timedMapSlice(len(cells), func(i int) (*oaq.Evaluation, error) {
 		c := cells[i]
-		p := oaq.ReferenceParams(c.k, c.scheme)
-		// Protocol metric families (des, oaq, crosslink) flow into the
-		// sweep registry; each cell publishes its deterministic totals
-		// once.
-		p.Metrics = Metrics
-		p.Tracing = Tracing.WithScope(fmt.Sprintf("compare/k%d-%v", c.k, c.scheme))
-		ev, err := oaq.EvaluateParallel(p, episodes, seed, 1)
+		ev, err := simulate(oaq.ReferenceParams(c.k, c.scheme), fmt.Sprintf("compare/k%d-%v", c.k, c.scheme), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: simulate k=%d %v: %w", c.k, c.scheme, err)
 		}
@@ -182,7 +176,8 @@ func CapacityRouteCheck(eta int, lambda, phi float64, simPeriods int, seed uint6
 
 // FullEarthCoverage samples the globe and reports the covered fraction
 // and mean simultaneous-coverage multiplicity of the full constellation
-// (the Figure 1 claim: full earth coverage with 98 active satellites).
+// (the Figure 1 claim: full earth coverage with 98 active satellites),
+// counting with the fast coverage scanner.
 func FullEarthCoverage(latStepDeg, lonStepDeg float64, sampleTimes []float64) (covered, meanMultiplicity float64, err error) {
 	if latStepDeg <= 0 || lonStepDeg <= 0 {
 		return 0, 0, fmt.Errorf("experiment: sampling steps must be positive")
@@ -194,6 +189,7 @@ func FullEarthCoverage(latStepDeg, lonStepDeg float64, sampleTimes []float64) (c
 	if err != nil {
 		return 0, 0, err
 	}
+	sc := constellation.NewScanner(c)
 	var samples, coveredCount, multSum int
 	for lat := -84.0; lat <= 84; lat += latStepDeg {
 		for lon := -180.0; lon < 180; lon += lonStepDeg {
@@ -202,7 +198,7 @@ func FullEarthCoverage(latStepDeg, lonStepDeg float64, sampleTimes []float64) (c
 				return 0, 0, err
 			}
 			for _, tm := range sampleTimes {
-				n := c.SimultaneousCoverageCount(target, tm)
+				n := sc.CoverageCount(target, tm)
 				samples++
 				multSum += n
 				if n > 0 {

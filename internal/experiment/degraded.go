@@ -51,49 +51,16 @@ func DegradedLossSweep(lossRates []float64, scenario *fault.Scenario, k, retries
 			fmt.Sprintf("fault scenario %q layered on every point (%d fail-silent windows, %d loss bursts)",
 				scenario.Name, len(scenario.FailSilent), len(scenario.LossBursts)))
 	}
-	evaluate := func(loss float64, withRetries int) (*oaq.Evaluation, error) {
+	return mapSeries(sweep, degradedNames(retries), func(i int) ([]float64, error) {
 		p := oaq.ReferenceParams(k, qos.SchemeOAQ)
-		p.MessageLossProb = loss
-		p.RequestRetries = withRetries
+		p.MessageLossProb = lossRates[i]
 		p.Faults = scenario
-		p.Metrics = Metrics
-		p.Tracing = Tracing.WithScope(fmt.Sprintf("degraded-loss/p%g-r%d", loss, withRetries))
-		return oaq.EvaluateParallel(p, episodes, seed, 1)
-	}
-	cols, err := timedMapSlice(len(lossRates), func(i int) ([]float64, error) {
-		hardened, err := evaluate(lossRates[i], retries)
+		col, err := degradedColumn(p, retries, fmt.Sprintf("degraded-loss/p%g", lossRates[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: DegradedLossSweep at loss=%g: %w", lossRates[i], err)
 		}
-		col := []float64{
-			hardened.PMF.CCDF(qos.LevelSingle),
-			hardened.PMF.CCDF(qos.LevelSequentialDual),
-			hardened.PMF.CCDF(qos.LevelSimultaneousDual),
-		}
-		if retries > 0 {
-			bare, err := evaluate(lossRates[i], 0)
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, bare.PMF.CCDF(qos.LevelSingle), bare.PMF.CCDF(qos.LevelSequentialDual))
-		}
 		return col, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	names := []string{"OAQ y>=1", "OAQ y>=2", "OAQ y>=3"}
-	if retries > 0 {
-		names = append(names, "no-retry y>=1", "no-retry y>=2")
-	}
-	for j, name := range names {
-		values := make([]float64, len(lossRates))
-		for i := range cols {
-			values[i] = cols[i][j]
-		}
-		sweep.Series = append(sweep.Series, Series{Name: name, Values: values})
-	}
-	return sweep, nil
 }
 
 // DegradedFailSilentSweep measures P(Y >= y) against the number of
@@ -133,9 +100,9 @@ func DegradedFailSilentSweep(counts []int, k, retries, episodes int, seed uint64
 			"common random numbers across points: every count replays the same seeded workload",
 		},
 	}
-	evaluate := func(n, withRetries int) (*oaq.Evaluation, error) {
+	return mapSeries(sweep, degradedNames(retries), func(i int) ([]float64, error) {
+		n := counts[i]
 		p := oaq.ReferenceParams(k, qos.SchemeOAQ)
-		p.RequestRetries = withRetries
 		if n > 0 {
 			s := &fault.Scenario{Name: fmt.Sprintf("failsilent-%d", n)}
 			for j := 0; j < n; j++ {
@@ -143,42 +110,47 @@ func DegradedFailSilentSweep(counts []int, k, retries, episodes int, seed uint64
 			}
 			p.Faults = s
 		}
-		p.Metrics = Metrics
-		p.Tracing = Tracing.WithScope(fmt.Sprintf("degraded-failsilent/n%d-r%d", n, withRetries))
-		return oaq.EvaluateParallel(p, episodes, seed, 1)
-	}
-	cols, err := timedMapSlice(len(counts), func(i int) ([]float64, error) {
-		hardened, err := evaluate(counts[i], retries)
+		col, err := degradedColumn(p, retries, fmt.Sprintf("degraded-failsilent/n%d", n), episodes, seed)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: DegradedFailSilentSweep at n=%d: %w", counts[i], err)
-		}
-		col := []float64{
-			hardened.PMF.CCDF(qos.LevelSingle),
-			hardened.PMF.CCDF(qos.LevelSequentialDual),
-			hardened.PMF.CCDF(qos.LevelSimultaneousDual),
-		}
-		if retries > 0 {
-			bare, err := evaluate(counts[i], 0)
-			if err != nil {
-				return nil, err
-			}
-			col = append(col, bare.PMF.CCDF(qos.LevelSingle), bare.PMF.CCDF(qos.LevelSequentialDual))
+			return nil, fmt.Errorf("experiment: DegradedFailSilentSweep at n=%d: %w", n, err)
 		}
 		return col, nil
 	})
-	if err != nil {
-		return nil, err
-	}
+}
+
+// degradedNames are the series of both degraded-mode sweeps: the
+// hardened configuration's P(Y >= 1..3) and, when retries > 0, the
+// no-retry baseline's P(Y >= 1..2).
+func degradedNames(retries int) []string {
 	names := []string{"OAQ y>=1", "OAQ y>=2", "OAQ y>=3"}
 	if retries > 0 {
 		names = append(names, "no-retry y>=1", "no-retry y>=2")
 	}
-	for j, name := range names {
-		values := make([]float64, len(counts))
-		for i := range cols {
-			values[i] = cols[i][j]
-		}
-		sweep.Series = append(sweep.Series, Series{Name: name, Values: values})
+	return names
+}
+
+// degradedColumn evaluates the degraded-mode point p as its column of
+// the degradedNames series: hardened with the given retries and, when
+// retries > 0, again as the no-retry baseline. Each run's trace scope is
+// scope suffixed with its retry count.
+func degradedColumn(p oaq.Params, retries int, scope string, episodes int, seed uint64) ([]float64, error) {
+	p.RequestRetries = retries
+	hardened, err := simulate(p, fmt.Sprintf("%s-r%d", scope, retries), episodes, seed)
+	if err != nil {
+		return nil, err
 	}
-	return sweep, nil
+	col := []float64{
+		hardened.PMF.CCDF(qos.LevelSingle),
+		hardened.PMF.CCDF(qos.LevelSequentialDual),
+		hardened.PMF.CCDF(qos.LevelSimultaneousDual),
+	}
+	if retries > 0 {
+		p.RequestRetries = 0
+		bare, err := simulate(p, scope+"-r0", episodes, seed)
+		if err != nil {
+			return nil, err
+		}
+		col = append(col, bare.PMF.CCDF(qos.LevelSingle), bare.PMF.CCDF(qos.LevelSequentialDual))
+	}
+	return col, nil
 }

@@ -68,31 +68,21 @@ func Figure7(lambdas []float64, eta int, phiHours float64) (*Sweep, error) {
 			"analytic route: time-averaged transient of the plane-capacity chain over one scheduled-deployment period",
 		},
 	}
-	cols, err := timedMapSlice(len(lambdas), func(i int) ([]float64, error) {
+	var names []string
+	for k := eta; k <= 14; k++ {
+		names = append(names, fmt.Sprintf("P(K=%d)", k))
+	}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
 		dist, err := capacity.ReferenceParams(eta, lambdas[i], phiHours).Analytic()
 		if err != nil {
 			return nil, fmt.Errorf("experiment: Figure7 at λ=%g: %w", lambdas[i], err)
 		}
-		col := make([]float64, 0, 14-eta+1)
+		col := make([]float64, 0, len(names))
 		for k := eta; k <= 14; k++ {
 			col = append(col, dist.P(k))
 		}
 		return col, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for ki, k := 0, eta; k <= 14; ki, k = ki+1, k+1 {
-		values := make([]float64, len(lambdas))
-		for i := range cols {
-			values[i] = cols[i][ki]
-		}
-		sweep.Series = append(sweep.Series, Series{
-			Name:   fmt.Sprintf("P(K=%d)", k),
-			Values: values,
-		})
-	}
-	return sweep, nil
 }
 
 // Figure8 reproduces Figure 8: P(Y = 3) as a function of λ for OAQ and
@@ -115,32 +105,30 @@ func Figure8(lambdas []float64) (*Sweep, error) {
 		XLabel: "lambda(/hr)",
 		X:      lambdas,
 	}
-	type cfg struct {
-		scheme qos.Scheme
-		mu     float64
-	}
-	cfgs := []cfg{
-		{qos.SchemeOAQ, 0.2},
-		{qos.SchemeOAQ, 0.5},
-		{qos.SchemeBAQ, 0.2},
-		{qos.SchemeBAQ, 0.5},
-	}
-	models := make([]qos.Model, len(cfgs))
-	for j, c := range cfgs {
-		model, err := qos.NewModel(qos.ReferenceGeometry(), tau, c.mu, nu)
-		if err != nil {
-			return nil, err
+	var (
+		names   []string
+		schemes []qos.Scheme
+		models  []qos.Model
+	)
+	for _, scheme := range bothSchemes {
+		for _, mu := range []float64{0.2, 0.5} {
+			model, err := qos.NewModel(qos.ReferenceGeometry(), tau, mu, nu)
+			if err != nil {
+				return nil, err
+			}
+			names = append(names, fmt.Sprintf("%v (mu=%g)", scheme, mu))
+			schemes = append(schemes, scheme)
+			models = append(models, model)
 		}
-		models[j] = model
 	}
-	cols, err := timedMapSlice(len(lambdas), func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
 		dist, err := capacity.ReferenceParams(eta, lambdas[i], phi).Analytic()
 		if err != nil {
 			return nil, fmt.Errorf("experiment: Figure8 at λ=%g: %w", lambdas[i], err)
 		}
-		col := make([]float64, len(cfgs))
-		for j, c := range cfgs {
-			pmf, err := models[j].Compose(c.scheme, dist)
+		col := make([]float64, len(models))
+		for j, model := range models {
+			pmf, err := model.Compose(schemes[j], dist)
 			if err != nil {
 				return nil, err
 			}
@@ -148,20 +136,6 @@ func Figure8(lambdas []float64) (*Sweep, error) {
 		}
 		return col, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for j, c := range cfgs {
-		values := make([]float64, len(lambdas))
-		for i := range cols {
-			values[i] = cols[i][j]
-		}
-		sweep.Series = append(sweep.Series, Series{
-			Name:   fmt.Sprintf("%v (mu=%g)", c.scheme, c.mu),
-			Values: values,
-		})
-	}
-	return sweep, nil
 }
 
 // Figure9 reproduces Figure 9: the QoS measure P(Y >= y) for
@@ -193,45 +167,14 @@ func Figure9(lambdas []float64) (*Sweep, error) {
 			"eta=10 (the Figure 7 setting): reproduces the paper's endpoints P(Y>=2) 0.75/0.33 at 1e-5 and 0.41/0.04 at 1e-4",
 		},
 	}
-	type cell struct {
-		scheme qos.Scheme
-		y      qos.Level
-	}
-	var cells []cell
-	for _, scheme := range []qos.Scheme{qos.SchemeOAQ, qos.SchemeBAQ} {
-		for y := qos.LevelSimultaneousDual; y >= qos.LevelSingle; y-- {
-			cells = append(cells, cell{scheme, y})
-		}
-	}
-	cols, err := timedMapSlice(len(lambdas), func(i int) ([]float64, error) {
+	levels := []qos.Level{qos.LevelSimultaneousDual, qos.LevelSequentialDual, qos.LevelSingle}
+	return mapSeries(sweep, measureNames(levels), func(i int) ([]float64, error) {
 		dist, err := capacity.ReferenceParams(eta, lambdas[i], phi).Analytic()
 		if err != nil {
 			return nil, fmt.Errorf("experiment: Figure9 at λ=%g: %w", lambdas[i], err)
 		}
-		col := make([]float64, len(cells))
-		for j, c := range cells {
-			v, err := model.Measure(c.scheme, dist, c.y)
-			if err != nil {
-				return nil, err
-			}
-			col[j] = v
-		}
-		return col, nil
+		return measures(model, dist, levels)
 	})
-	if err != nil {
-		return nil, err
-	}
-	for j, c := range cells {
-		values := make([]float64, len(lambdas))
-		for i := range cols {
-			values[i] = cols[i][j]
-		}
-		sweep.Series = append(sweep.Series, Series{
-			Name:   fmt.Sprintf("%v y>=%d", c.scheme, int(c.y)),
-			Values: values,
-		})
-	}
-	return sweep, nil
 }
 
 // Section43Spot reproduces the §4.3 spot evaluation of the constituent
@@ -251,7 +194,7 @@ func Section43Spot() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, scheme := range []qos.Scheme{qos.SchemeOAQ, qos.SchemeBAQ} {
+		for _, scheme := range bothSchemes {
 			pmf, err := model.ConditionalPMF(scheme, k)
 			if err != nil {
 				return nil, err
@@ -270,21 +213,34 @@ func Section43Spot() (*Table, error) {
 	return t, nil
 }
 
-// schemeLevelCells is the (scheme, y) series grid shared by TauSweep and
-// DurationSweep, in presentation order.
-type schemeLevelCell struct {
-	scheme qos.Scheme
-	y      qos.Level
-}
+// bothSchemes is the presentation order of every OAQ-vs-BAQ series.
+var bothSchemes = []qos.Scheme{qos.SchemeOAQ, qos.SchemeBAQ}
 
-func schemeLevelCells() []schemeLevelCell {
-	var cells []schemeLevelCell
-	for _, scheme := range []qos.Scheme{qos.SchemeOAQ, qos.SchemeBAQ} {
-		for _, y := range []qos.Level{qos.LevelSequentialDual, qos.LevelSimultaneousDual} {
-			cells = append(cells, schemeLevelCell{scheme, y})
+// measureNames names the P(Y >= y) series that measures computes: OAQ
+// then BAQ, each at levels in order.
+func measureNames(levels []qos.Level) []string {
+	names := make([]string, 0, len(bothSchemes)*len(levels))
+	for _, scheme := range bothSchemes {
+		for _, y := range levels {
+			names = append(names, fmt.Sprintf("%v y>=%d", scheme, int(y)))
 		}
 	}
-	return cells
+	return names
+}
+
+// measures is one sweep point's column of the measureNames series.
+func measures(model qos.Model, dist *capacity.Distribution, levels []qos.Level) ([]float64, error) {
+	col := make([]float64, 0, len(bothSchemes)*len(levels))
+	for _, scheme := range bothSchemes {
+		for _, y := range levels {
+			v, err := model.Measure(scheme, dist, y)
+			if err != nil {
+				return nil, err
+			}
+			col = append(col, v)
+		}
+	}
+	return col, nil
 }
 
 // TauSweep reproduces the §4.3 experiment "the QoS measure as a function
@@ -294,51 +250,15 @@ func TauSweep(taus []float64, lambda float64) (*Sweep, error) {
 	if len(taus) == 0 {
 		taus = numeric.Linspace(1, 9, 9)
 	}
-	const (
-		eta = 10
-		phi = 30000.0
-		mu  = 0.2
-		nu  = 30.0
-	)
-	dist, err := capacity.ReferenceParams(eta, lambda, phi).Analytic()
-	if err != nil {
-		return nil, err
-	}
+	const mu = 0.2
 	sweep := &Sweep{
 		Title:  fmt.Sprintf("QoS measure vs deadline tau (lambda=%g, mu=%g)", lambda, mu),
 		XLabel: "tau(min)",
 		X:      taus,
 	}
-	cells := schemeLevelCells()
-	cols, err := timedMapSlice(len(taus), func(i int) ([]float64, error) {
-		model, err := qos.NewModel(qos.ReferenceGeometry(), taus[i], mu, nu)
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, len(cells))
-		for j, c := range cells {
-			v, err := model.Measure(c.scheme, dist, c.y)
-			if err != nil {
-				return nil, err
-			}
-			col[j] = v
-		}
-		return col, nil
+	return modelSweep(sweep, lambda, func(tau float64) (qos.Model, error) {
+		return qos.NewModel(qos.ReferenceGeometry(), tau, mu, 30)
 	})
-	if err != nil {
-		return nil, err
-	}
-	for j, c := range cells {
-		values := make([]float64, len(taus))
-		for i := range cols {
-			values[i] = cols[i][j]
-		}
-		sweep.Series = append(sweep.Series, Series{
-			Name:   fmt.Sprintf("%v y>=%d", c.scheme, int(c.y)),
-			Values: values,
-		})
-	}
-	return sweep, nil
 }
 
 // DurationSweep reproduces the §4.3 experiment "the QoS measure as a
@@ -349,49 +269,32 @@ func DurationSweep(meanDurations []float64, lambda float64) (*Sweep, error) {
 	if len(meanDurations) == 0 {
 		meanDurations = []float64{0.5, 1, 2, 3, 5, 8, 12, 20}
 	}
-	const (
-		eta = 10
-		phi = 30000.0
-		tau = 5.0
-		nu  = 30.0
-	)
-	dist, err := capacity.ReferenceParams(eta, lambda, phi).Analytic()
-	if err != nil {
-		return nil, err
-	}
+	const tau = 5.0
 	sweep := &Sweep{
 		Title:  fmt.Sprintf("QoS measure vs mean signal duration 1/mu (lambda=%g, tau=%g)", lambda, tau),
 		XLabel: "mean-duration(min)",
 		X:      meanDurations,
 	}
-	cells := schemeLevelCells()
-	cols, err := timedMapSlice(len(meanDurations), func(i int) ([]float64, error) {
-		model, err := qos.NewModel(qos.ReferenceGeometry(), tau, 1/meanDurations[i], nu)
-		if err != nil {
-			return nil, err
-		}
-		col := make([]float64, len(cells))
-		for j, c := range cells {
-			v, err := model.Measure(c.scheme, dist, c.y)
-			if err != nil {
-				return nil, err
-			}
-			col[j] = v
-		}
-		return col, nil
+	return modelSweep(sweep, lambda, func(meanDuration float64) (qos.Model, error) {
+		return qos.NewModel(qos.ReferenceGeometry(), tau, 1/meanDuration, 30)
 	})
+}
+
+// modelSweep is the driver behind TauSweep and DurationSweep: the
+// capacity distribution is fixed (η = 10, φ = 30000 h, the given λ)
+// and each x point builds its own model with newModel,
+// reporting OAQ and BAQ P(Y >= 2) and P(Y >= 3).
+func modelSweep(sweep *Sweep, lambda float64, newModel func(x float64) (qos.Model, error)) (*Sweep, error) {
+	dist, err := capacity.ReferenceParams(10, lambda, 30000).Analytic()
 	if err != nil {
 		return nil, err
 	}
-	for j, c := range cells {
-		values := make([]float64, len(meanDurations))
-		for i := range cols {
-			values[i] = cols[i][j]
+	levels := []qos.Level{qos.LevelSequentialDual, qos.LevelSimultaneousDual}
+	return mapSeries(sweep, measureNames(levels), func(i int) ([]float64, error) {
+		model, err := newModel(sweep.X[i])
+		if err != nil {
+			return nil, err
 		}
-		sweep.Series = append(sweep.Series, Series{
-			Name:   fmt.Sprintf("%v y>=%d", c.scheme, int(c.y)),
-			Values: values,
-		})
-	}
-	return sweep, nil
+		return measures(model, dist, levels)
+	})
 }

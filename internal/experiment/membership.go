@@ -16,7 +16,8 @@ import (
 // has installed a view excluding it is recorded. The theoretical bound
 // is SuspectAfter + 3 rounds + δ: up to one round of tick granularity
 // before suspicion is raised, one round of stability wait, and the
-// install happening at the next tick.
+// install happening at the next tick. The round periods run
+// concurrently; every period replays the same trial seeds.
 func MembershipLatency(roundPeriods []float64, trials int, seed uint64) (*Sweep, error) {
 	if len(roundPeriods) == 0 {
 		roundPeriods = []float64{0.05, 0.1, 0.2, 0.4}
@@ -36,10 +37,9 @@ func MembershipLatency(roundPeriods []float64, trials int, seed uint64) (*Sweep,
 			"suspect timeout = 3.5 rounds; bound = timeout + 3 rounds + δ (tick granularity, stability wait, install tick)",
 		},
 	}
-	means := make([]float64, 0, len(roundPeriods))
-	maxes := make([]float64, 0, len(roundPeriods))
-	bounds := make([]float64, 0, len(roundPeriods))
-	for _, round := range roundPeriods {
+	names := []string{"mean latency", "max latency", "analytic bound"}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+		round := roundPeriods[i]
 		cfg := membership.Config{RoundEvery: round, SuspectAfter: 3.5 * round}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -55,16 +55,8 @@ func MembershipLatency(roundPeriods []float64, trials int, seed uint64) (*Sweep,
 				worst = latency
 			}
 		}
-		means = append(means, sum/float64(trials))
-		maxes = append(maxes, worst)
-		bounds = append(bounds, cfg.SuspectAfter+3*round+delta)
-	}
-	sweep.Series = append(sweep.Series,
-		Series{Name: "mean latency", Values: means},
-		Series{Name: "max latency", Values: maxes},
-		Series{Name: "analytic bound", Values: bounds},
-	)
-	return sweep, nil
+		return []float64{sum / float64(trials), worst, cfg.SuspectAfter + 3*round + delta}, nil
+	})
 }
 
 // measureExclusion runs one fail/exclude cycle and returns the latency

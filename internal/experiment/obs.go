@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"satqos/internal/oaq"
 	"satqos/internal/obs"
 	"satqos/internal/obs/trace"
 	"satqos/internal/parallel"
@@ -45,4 +46,34 @@ func timedMapSlice[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 		points.Inc()
 		return v, err
 	})
+}
+
+// simulate runs one simulation cell on the seeded workload shared by
+// every cell of its sweep (common random numbers). The cell publishes
+// its deterministic protocol totals (des, oaq, crosslink families) into
+// Metrics once, and retains traces under Tracing scoped to scope.
+func simulate(p oaq.Params, scope string, episodes int, seed uint64) (*oaq.Evaluation, error) {
+	p.Metrics = Metrics
+	p.Tracing = Tracing.WithScope(scope)
+	return oaq.EvaluateParallel(p, episodes, seed, 1)
+}
+
+// mapSeries is the one sweep driver: it evaluates col for every point
+// of sweep.X through timedMapSlice and appends one Series per name,
+// series j holding element j of every point's column. Every column
+// must have len(names) elements. It returns the completed sweep, or
+// the first point's error.
+func mapSeries(sweep *Sweep, names []string, col func(i int) ([]float64, error)) (*Sweep, error) {
+	cols, err := timedMapSlice(len(sweep.X), col)
+	if err != nil {
+		return nil, err
+	}
+	for j, name := range names {
+		values := make([]float64, len(cols))
+		for i := range cols {
+			values[i] = cols[i][j]
+		}
+		sweep.Series = append(sweep.Series, Series{Name: name, Values: values})
+	}
+	return sweep, nil
 }

@@ -49,3 +49,23 @@ func TestSimVsAnalyticPublishesProtocolFamilies(t *testing.T) {
 		}
 	}
 }
+
+func TestAblationPublishesProtocolFamilies(t *testing.T) {
+	Metrics = obs.NewRegistry()
+	t.Cleanup(func() { Metrics = nil })
+
+	const episodes = 128
+	if _, err := AblationTC1([]float64{0, 20}, episodes, 7); err != nil {
+		t.Fatal(err)
+	}
+	snap := Metrics.Snapshot()
+	// Two thresholds of `episodes` each, timed as two sweep points.
+	ep := snap.Get("oaq_episodes_total")
+	if ep == nil || ep.Value == nil || *ep.Value != 2*episodes {
+		t.Fatalf("oaq_episodes_total = %+v, want %d", ep, 2*episodes)
+	}
+	pts := snap.Get("experiment_sweep_points_total")
+	if pts == nil || pts.Value == nil || *pts.Value != 2 {
+		t.Fatalf("experiment_sweep_points_total = %+v, want 2", pts)
+	}
+}

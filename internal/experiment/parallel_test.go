@@ -62,6 +62,18 @@ func TestSweepDriversWorkerInvariant(t *testing.T) {
 		})
 		requireEqual(t, "PicoScaling", seq, par)
 	})
+	t.Run("ConstellationAvailability", func(t *testing.T) {
+		seq, par := withWorkers(t, func() (*Sweep, error) {
+			return ConstellationAvailability(lambdas, 10, 30000, []int{98, 90})
+		})
+		requireEqual(t, "ConstellationAvailability", seq, par)
+	})
+	t.Run("MembershipLatency", func(t *testing.T) {
+		seq, par := withWorkers(t, func() (*Sweep, error) {
+			return MembershipLatency([]float64{0.1, 0.2, 0.4}, 4, 5)
+		})
+		requireEqual(t, "MembershipLatency", seq, par)
+	})
 }
 
 func TestSimulationDriversWorkerInvariant(t *testing.T) {

@@ -52,29 +52,21 @@ func RoutedLoadSweep(loads []float64, rc route.Config, scenario *fault.Scenario,
 			fmt.Sprintf("fault scenario %q layered on every point (%d fail-silent windows, %d loss bursts)",
 				scenario.Name, len(scenario.FailSilent), len(scenario.LossBursts)))
 	}
-	evaluate := func(load float64) (*oaq.Evaluation, float64, error) {
+	names := []string{"OAQ y>=1", "OAQ y>=2", "OAQ y>=3", "mean-latency/tau"}
+	return mapSeries(sweep, names, func(i int) ([]float64, error) {
 		cfg := rc
-		cfg.TrafficLoadPerMin = load
+		cfg.TrafficLoadPerMin = loads[i]
 		p := oaq.ReferenceParams(k, qos.SchemeOAQ)
 		p.Route = &cfg
 		p.Faults = scenario
 		p.RequestRetries = retries
-		p.Metrics = Metrics
-		p.Tracing = Tracing.WithScope(fmt.Sprintf("routed-load/%s-l%g", cfg.Policy, load))
-		ev, err := oaq.EvaluateParallel(p, episodes, seed, 1)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ev, p.TauMin, nil
-	}
-	cols, err := timedMapSlice(len(loads), func(i int) ([]float64, error) {
-		ev, tau, err := evaluate(loads[i])
+		ev, err := simulate(p, fmt.Sprintf("routed-load/%s-l%g", cfg.Policy, loads[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: RoutedLoadSweep at load=%g: %w", loads[i], err)
 		}
 		latency := 0.0
 		if ev.MeanDeliveryLatency == ev.MeanDeliveryLatency { // not NaN
-			latency = ev.MeanDeliveryLatency / tau
+			latency = ev.MeanDeliveryLatency / p.TauMin
 		}
 		return []float64{
 			ev.PMF.CCDF(qos.LevelSingle),
@@ -83,16 +75,4 @@ func RoutedLoadSweep(loads []float64, rc route.Config, scenario *fault.Scenario,
 			latency,
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	names := []string{"OAQ y>=1", "OAQ y>=2", "OAQ y>=3", "mean-latency/tau"}
-	for j, name := range names {
-		values := make([]float64, len(loads))
-		for i := range cols {
-			values[i] = cols[i][j]
-		}
-		sweep.Series = append(sweep.Series, Series{Name: name, Values: values})
-	}
-	return sweep, nil
 }

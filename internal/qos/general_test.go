@@ -198,3 +198,32 @@ func TestLevelAndSchemeStrings(t *testing.T) {
 		t.Error("Scheme.Valid wrong")
 	}
 }
+
+func TestParseScheme(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Scheme
+		err  string
+	}{
+		{in: "oaq", want: SchemeOAQ},
+		{in: "OAQ", want: SchemeOAQ},
+		{in: "Baq", want: SchemeBAQ},
+		{in: "", err: `unknown scheme "" (oaq | baq)`},
+		{in: "qam", err: `unknown scheme "qam" (oaq | baq)`},
+		{in: " oaq", err: `unknown scheme " oaq" (oaq | baq)`},
+	} {
+		got, err := ParseScheme(tc.in)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("ParseScheme(%q) error = %v, want %q", tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if back, err := ParseScheme(got.String()); err != nil || back != got {
+			t.Errorf("ParseScheme(%q) does not round-trip: %v, %v", got.String(), back, err)
+		}
+	}
+}

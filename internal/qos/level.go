@@ -1,6 +1,9 @@
 package qos
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Level is a QoS level Y of the paper's 4-level spectrum (Table 1). The
 // numeric values are the paper's: higher is better.
@@ -76,6 +79,18 @@ func (s Scheme) String() string {
 
 // Valid reports whether s is a known scheme.
 func (s Scheme) Valid() bool { return s == SchemeBAQ || s == SchemeOAQ }
+
+// ParseScheme parses a scheme name, "oaq" or "baq" in any case.
+func ParseScheme(name string) (Scheme, error) {
+	switch strings.ToLower(name) {
+	case "oaq":
+		return SchemeOAQ, nil
+	case "baq":
+		return SchemeBAQ, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q (oaq | baq)", name)
+	}
+}
 
 // PMF is a probability mass function over the QoS spectrum, indexed by
 // Level.

@@ -211,13 +211,12 @@ func (req *Request) resolve(maxEpisodes, enumLimit int) (*resolved, error) {
 			return nil, badRequest("min_elevation_deg requires mode stochgeom (or auto resolving to it)")
 		}
 	}
-	switch strings.ToLower(req.Scheme) {
-	case "", "oaq":
-		r.scheme = qos.SchemeOAQ
-	case "baq":
-		r.scheme = qos.SchemeBAQ
-	default:
-		return nil, badRequest("unknown scheme %q (oaq | baq)", req.Scheme)
+	scheme := req.Scheme
+	if scheme == "" {
+		scheme = "oaq"
+	}
+	if r.scheme, err = qos.ParseScheme(scheme); err != nil {
+		return nil, badRequestError{err}
 	}
 	geom, err := qos.NewGeometry(presetCfg.PeriodMin, presetCfg.CoverageTimeMin)
 	if err != nil {
