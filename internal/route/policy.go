@@ -125,7 +125,7 @@ func (p *qlearningPolicy) table(f *Fabric, u int32) []float64 {
 		return t
 	}
 	t := make([]float64, p.topo.n*p.topo.maxDeg)
-	hop := f.txTime + f.prop
+	hop := f.txLane.Delay() + f.propLane.Delay()
 	for dst := 0; dst < p.topo.n; dst++ {
 		for ai, v := range p.topo.nbrs[u] {
 			t[dst*p.topo.maxDeg+ai] = float64(1+p.topo.Dist(int(v), dst)) * hop
