@@ -1,9 +1,10 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // AgendaEntry is one scripted occurrence on an Agenda: an action to run
@@ -14,8 +15,10 @@ type AgendaEntry struct {
 	At float64
 	// Label tags the scheduled event for diagnostics.
 	Label string
-	// Do is the action; it receives the simulation time it fires at.
-	Do Handler
+	// Fn is the action; it receives the simulation time it fires at and
+	// Arg, as with ScheduleCall.
+	Fn  ArgHandler
+	Arg any
 }
 
 // Agenda is a scenario-event source: an ordered script of timed actions
@@ -26,7 +29,10 @@ type AgendaEntry struct {
 //
 // An Agenda can be armed repeatedly — once per episode — and entries
 // whose absolute time has already passed when Arm is called are clamped
-// to fire immediately (in Add order), preserving FIFO determinism.
+// to fire immediately (in Add order), preserving FIFO determinism. A
+// caller that scripts a fresh timeline per episode Resets the agenda and
+// re-adds; with action functions that build no closures, that cycle
+// allocates nothing once the entry storage has grown.
 type Agenda struct {
 	entries []AgendaEntry
 	sorted  bool
@@ -34,15 +40,21 @@ type Agenda struct {
 
 // Add appends an entry. At must be finite; NaN is a scripting bug and
 // panics, matching the kernel's Schedule contract.
-func (a *Agenda) Add(at float64, label string, do Handler) {
+func (a *Agenda) Add(at float64, label string, fn ArgHandler, arg any) {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("des: agenda entry %q at non-finite time %g", label, at))
 	}
-	if do == nil {
+	if fn == nil {
 		panic(fmt.Sprintf("des: agenda entry %q has nil action", label))
 	}
-	a.entries = append(a.entries, AgendaEntry{At: at, Label: label, Do: do})
+	a.entries = append(a.entries, AgendaEntry{At: at, Label: label, Fn: fn, Arg: arg})
 	a.sorted = false
+}
+
+// Reset removes every entry, keeping the storage.
+func (a *Agenda) Reset() {
+	clear(a.entries)
+	a.entries = a.entries[:0]
 }
 
 // Len returns the number of entries on the agenda.
@@ -55,7 +67,7 @@ func (a *Agenda) Len() int { return len(a.entries) }
 // agendas armed back-to-back interleave deterministically.
 func (a *Agenda) Arm(sim *Simulation, origin float64) {
 	if !a.sorted {
-		sort.SliceStable(a.entries, func(i, j int) bool { return a.entries[i].At < a.entries[j].At })
+		slices.SortStableFunc(a.entries, func(x, y AgendaEntry) int { return cmp.Compare(x.At, y.At) })
 		a.sorted = true
 	}
 	now := sim.Now()
@@ -64,6 +76,6 @@ func (a *Agenda) Arm(sim *Simulation, origin float64) {
 		if at < now {
 			at = now
 		}
-		sim.ScheduleAt(at, "agenda:"+e.Label, e.Do)
+		sim.ScheduleCallAt(at, e.Label, e.Fn, e.Arg)
 	}
 }

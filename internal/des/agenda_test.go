@@ -9,16 +9,14 @@ import (
 func TestAgendaArmOrderAndClamp(t *testing.T) {
 	var a Agenda
 	var fired []string
-	note := func(name string) Handler {
-		return func(float64) { fired = append(fired, name) }
-	}
-	a.Add(5, "late", note("late"))
-	a.Add(1, "early", note("early"))
-	a.Add(1, "early2", note("early2")) // tie: Add order
-	a.Add(-3, "past", note("past"))    // lands before now once armed
+	note := func(_ float64, arg any) { fired = append(fired, arg.(string)) }
+	a.Add(5, "late", note, "late")
+	a.Add(1, "early", note, "early")
+	a.Add(1, "early2", note, "early2") // tie: Add order
+	a.Add(-3, "past", note, "past")    // lands before now once armed
 
 	sim := &Simulation{}
-	sim.Schedule(2, "marker", note("marker"))
+	sim.ScheduleCall(2, "marker", note, "marker")
 	sim.Run(1.5) // now = 1.5; origin 0 puts "past" and both "early" behind now
 	if a.Len() != 4 {
 		t.Fatalf("Len = %d", a.Len())
@@ -42,6 +40,18 @@ func TestAgendaArmOrderAndClamp(t *testing.T) {
 	if !reflect.DeepEqual(fired, want) {
 		t.Errorf("re-armed fire order = %v, want %v", fired, want)
 	}
+
+	// A reset agenda scripts a fresh timeline in the same storage.
+	fired = nil
+	sim.Reset()
+	a.Reset()
+	a.Add(2, "b", note, "b")
+	a.Add(1, "a", note, "a")
+	a.Arm(sim, 0)
+	sim.Run(100)
+	if want = []string{"a", "b"}; a.Len() != 2 || !reflect.DeepEqual(fired, want) {
+		t.Errorf("after Reset: %d entries fired %v, want %v", a.Len(), fired, want)
+	}
 }
 
 func TestAgendaAddValidation(t *testing.T) {
@@ -53,7 +63,7 @@ func TestAgendaAddValidation(t *testing.T) {
 					t.Errorf("Add at %v did not panic", bad)
 				}
 			}()
-			a.Add(bad, "x", func(float64) {})
+			a.Add(bad, "x", func(float64, any) {}, nil)
 		}()
 	}
 	func() {
@@ -62,6 +72,6 @@ func TestAgendaAddValidation(t *testing.T) {
 				t.Error("Add with nil action did not panic")
 			}
 		}()
-		a.Add(1, "x", nil)
+		a.Add(1, "x", nil, nil)
 	}()
 }

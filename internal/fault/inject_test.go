@@ -28,13 +28,13 @@ func runScenario(t *testing.T, s *Scenario, seed uint64, times []float64) []prob
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := s.Arm(Target{
-		Sim:    sim,
-		Origin: 0,
-		RNG:    stats.NewRNG(seed, 0),
-		Node:   func(ordinal int) crosslink.NodeID { return crosslink.NodeID(ordinal) },
-		Links:  links,
-		Ground: ground,
+	counts := new(Injector).Arm(s, Target{
+		Sim:      sim,
+		Origin:   0,
+		RNG:      stats.NewRNG(seed, 0),
+		Detector: 1,
+		Links:    links,
+		Ground:   ground,
 	})
 	if want := (Counts{FailSilentWindows: len(s.FailSilent), LossBursts: len(s.LossBursts)}); counts != want {
 		t.Errorf("Arm counts = %+v, want %+v", counts, want)
@@ -116,7 +116,7 @@ func TestArmJitterDeterministic(t *testing.T) {
 
 func TestArmEmptyScenarioIsNoOp(t *testing.T) {
 	var s *Scenario
-	counts := s.Arm(Target{})
+	counts := new(Injector).Arm(s, Target{})
 	if counts != (Counts{}) {
 		t.Errorf("nil scenario armed: %+v", counts)
 	}
