@@ -27,6 +27,7 @@ import (
 	"satqos/internal/route"
 	"satqos/internal/stats"
 	"satqos/internal/stochgeom"
+	"satqos/internal/validate"
 )
 
 // BenchmarkTable1 regenerates Table 1 (QoS levels vs geometric
@@ -285,12 +286,17 @@ func BenchmarkProtocolEpisodeCold(b *testing.B) {
 // BenchmarkProtocolEpisodeRouted measures one full OAQ episode with
 // protocol messages carried over the multi-hop ISL fabric instead of
 // the ideal delay-δ channel, per forwarding policy, including the
-// episode's background cross-traffic. Packets, delivery envelopes and
-// events all come from pools, so after warmup the routed path reads
-// 0 allocs/op under every policy, and ci.sh gates it at that budget
-// alongside the ideal channel. Only an episode whose Poisson background
-// draw exceeds every earlier one grows a pool; that is why B/op can
-// read a few bytes while allocs/op stays 0.
+// episode's background cross-traffic. Two operating points per policy:
+// the default fabric at 20 pkt/min links and load 20, where queues stay
+// short, and the congested golden point (3 pkt/min links, load 180,
+// retries 2, and for qlearning the routed-degraded fault scenario),
+// where the fabric saturates and the pending-event set is deepest.
+// Packets, delivery envelopes, events and lane rings all come from
+// pools, so after warmup the routed path reads 0 allocs/op under every
+// policy, and ci.sh gates it at that budget alongside the ideal
+// channel. A pool grows only when an episode's in-flight peak exceeds
+// every earlier one; that is why B/op can read a few bytes while
+// allocs/op stays 0.
 func BenchmarkProtocolEpisodeRouted(b *testing.B) {
 	for _, policy := range route.PolicyNames() {
 		b.Run(policy, func(b *testing.B) {
@@ -298,26 +304,46 @@ func BenchmarkProtocolEpisodeRouted(b *testing.B) {
 			rc.TrafficLoadPerMin = 20
 			p := oaq.ReferenceParams(10, qos.SchemeOAQ)
 			p.Route = &rc
-			r, err := oaq.NewRunner(p, stats.NewRNG(1, 0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 300; i++ { // warmup: pools + learned routing state
-				r.Run()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := r.Run()
-				if res.Detected && res.Delivered && res.Level == qos.LevelMiss {
-					b.Fatal("delivered episode scored as miss")
-				}
-			}
-			b.StopTimer()
-			if err := r.RouteStats().CheckInvariant(); err != nil {
-				b.Fatal(err)
-			}
+			benchRoutedEpisode(b, p)
 		})
+	}
+	for _, policy := range route.PolicyNames() {
+		b.Run(policy+"-congested", func(b *testing.B) {
+			rc := route.Default(policy, 10)
+			rc.ISLRatePerMin = 3
+			rc.TrafficLoadPerMin = 180
+			p := oaq.ReferenceParams(10, qos.SchemeOAQ)
+			p.Route = &rc
+			p.RequestRetries = 2
+			if policy == route.PolicyQLearning {
+				p.Faults = validate.RoutedGoldenScenario()
+			}
+			benchRoutedEpisode(b, p)
+		})
+	}
+}
+
+// benchRoutedEpisode times steady-state routed episodes on a warmed-up
+// Runner and checks packet conservation afterwards.
+func benchRoutedEpisode(b *testing.B, p oaq.Params) {
+	r, err := oaq.NewRunner(p, stats.NewRNG(1, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 300; i++ { // warmup: pools + learned routing state
+		r.Run()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := r.Run()
+		if res.Detected && res.Delivered && res.Level == qos.LevelMiss {
+			b.Fatal("delivered episode scored as miss")
+		}
+	}
+	b.StopTimer()
+	if err := r.RouteStats().CheckInvariant(); err != nil {
+		b.Fatal(err)
 	}
 }
 

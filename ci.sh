@@ -88,7 +88,9 @@ if go run ./cmd/goldencheck -only fig9 -perturb 0.05; then
 fi
 
 # Allocation gate: the steady-state episode hot path (on the ideal
-# channel and on the routed ISL fabric under every forwarding policy),
+# channel, and on the routed ISL fabric under every forwarding policy at
+# both the default and the congested golden operating point, faults
+# included),
 # the SoA coverage scan, and the shared read-mostly scanner's concurrent
 # query path all have a committed budget of 0 allocs/op (BENCH_PR5.json /
 # BENCH_PR6.json / BENCH_PR10.json). A single fixed-count bench run is
@@ -109,7 +111,7 @@ awk -v budget="$alloc_budget" '
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 13) { print "expected 13 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 16) { print "expected 16 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 go run ./cmd/benchdiff -require-overlap -max-alloc-regress 0 \
     BENCH_PR5.json BENCH_PR6.json

@@ -3,19 +3,22 @@ package oaq
 import (
 	"testing"
 
+	"satqos/internal/obs/trace"
 	"satqos/internal/qos"
 	"satqos/internal/route"
 	"satqos/internal/stats"
 )
 
-// congestedRouteParams is a deliberately overloaded fabric: 6 pkt/min
-// links under 60 pkt/min of background load queue coordination requests
-// long enough that some arrive after the episode deadline — the regime
-// that used to panic the terminal-responsibility guard with a past-time
-// schedule.
+// congestedRouteParams is a deliberately overloaded fabric: 3 pkt/min
+// links (the golden routed fabric's rate) under 60 pkt/min of background
+// load queue coordination requests long enough that some arrive after
+// the episode deadline — the regime that used to panic the
+// terminal-responsibility guard with a past-time schedule. At 6 pkt/min
+// such arrivals are rare enough (about one in 400 episodes) that a
+// single seed may see none.
 func congestedRouteParams(policy string) Params {
 	rc := route.Default(policy, 10)
-	rc.ISLRatePerMin = 6
+	rc.ISLRatePerMin = 3
 	rc.TrafficLoadPerMin = 60
 	p := ReferenceParams(10, qos.SchemeOAQ)
 	p.Route = &rc
@@ -28,21 +31,39 @@ func congestedRouteParams(policy string) Params {
 // request arrival could schedule at the absolute deadline unchecked.
 // Routed queueing breaks that bound — a request can arrive after τ has
 // expired — and the guard must clamp to "now" instead of panicking the
-// kernel. Seed (1, 0) over 400 episodes reproduced the panic for all
-// three policies before the clamp.
+// kernel. Unclamped, such an episode panicked under every policy. The
+// test is not vacuous: a guard dispatched strictly after the deadline
+// is one that took the clamp, and at least one of the 400 episodes must
+// produce it. Span tracing does not perturb the simulation; here it
+// only timestamps the guard dispatches.
 func TestCongestedRoutedRequestPastDeadline(t *testing.T) {
 	for _, policy := range route.PolicyNames() {
 		t.Run(policy, func(t *testing.T) {
 			p := congestedRouteParams(policy)
+			p.Tracing = &trace.Config{SampleEvery: 1, SpanCap: 1 << 16, Collector: trace.NewCollector()}
 			r, err := NewRunner(p, stats.NewRNG(1, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
+			clamped := 0
 			for ep := 0; ep < 400; ep++ {
 				r.Run()
 				if err := r.RouteStats().CheckInvariant(); err != nil {
 					t.Fatalf("episode %d: %v", ep, err)
 				}
+				for _, tr := range r.r.ep.rec.TakeKept() {
+					if tr.Dropped > 0 {
+						t.Fatalf("episode %d: trace dropped %d spans; raise SpanCap", ep, tr.Dropped)
+					}
+					for _, sp := range tr.Spans {
+						if sp.Kind == trace.KindDispatch && sp.Label == "no-backward-guard" && sp.Start > r.r.ep.deadline {
+							clamped++
+						}
+					}
+				}
+			}
+			if clamped == 0 {
+				t.Fatal("no coordination request arrived after the deadline in 400 congested episodes: the clamp went unexercised")
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"testing"
 
 	"satqos/internal/crosslink"
@@ -446,5 +447,106 @@ func TestConservationUnderCombinedFaults(t *testing.T) {
 				t.Fatalf("faults did not bite: %+v", fs)
 			}
 		})
+	}
+}
+
+// queued counts the packets waiting in egress FIFOs.
+func (f *Fabric) queued() int {
+	n := 0
+	for _, q := range f.queues {
+		n += len(q)
+	}
+	return n
+}
+
+// TestBackgroundArrivalsOnePending: background arrivals are generated in
+// time order, so while a load-180 episode runs on the golden fabric the
+// simulation holds at most one pending arrival besides the packets in
+// transmission or propagation — not the whole window's cross-traffic.
+func TestBackgroundArrivalsOnePending(t *testing.T) {
+	cfg := Default(PolicyStatic, 10)
+	cfg.ISLRatePerMin = 3
+	cfg.TrafficLoadPerMin = 180
+	rig := newTestRig(t, cfg, 37)
+	rig.fab.ArmBackground(0, 15)
+	peak := 0
+	for rig.sim.Step() {
+		fs := rig.fab.Stats()
+		inTransit := fs.InFlight - rig.fab.queued()
+		if p := rig.sim.Pending(); p > 1+inTransit {
+			t.Fatalf("t=%g: %d events pending, %d packets in transmission or propagation", rig.sim.Now(), p, inTransit)
+		}
+		peak = max(peak, rig.sim.Pending())
+	}
+	rig.checkConserved(t)
+	if fs := rig.fab.Stats(); fs.Background < 2000 {
+		t.Fatalf("only %d background arrivals at load 180 over 15 min", fs.Background)
+	}
+	if st := rig.sim.Stats(); st.MaxHeapDepth != peak {
+		t.Fatalf("MaxHeapDepth %d, observed peak %d", st.MaxHeapDepth, peak)
+	}
+}
+
+// TestBackgroundArrivalsArePoisson checks the background process over
+// many seeded windows: the arrival count's mean and variance both match
+// load × window (Poisson), including a window whose mean is far above
+// 500; every arrival lies in [origin, until); and no packet is addressed
+// to its own source. The transmitters are held busy so every injected
+// packet stays queued, with its injection time and endpoints, for
+// inspection.
+func TestBackgroundArrivalsArePoisson(t *testing.T) {
+	cases := []struct {
+		load, origin, window float64
+		windows              int
+	}{
+		{load: 2, origin: 1, window: 3, windows: 4000},
+		{load: 180, origin: 40, window: 15, windows: 400},
+	}
+	for _, c := range cases {
+		cfg := validConfig()
+		cfg.TrafficLoadPerMin = c.load
+		cfg.QueueCap = 1 << 20
+		rig := newTestRig(t, cfg, 41)
+		var sum, sumSq float64
+		for w := 0; w < c.windows; w++ {
+			rig.sim.Reset()
+			if err := rig.fab.Rebind(cfg, stats.NewRNG(41, uint64(w))); err != nil {
+				t.Fatal(err)
+			}
+			for i := range rig.fab.busy {
+				rig.fab.busy[i] = true
+			}
+			until := c.origin + c.window
+			rig.fab.ArmBackground(c.origin, until)
+			rig.sim.Run(until + 1)
+			fs := rig.fab.Stats()
+			if fs.Injected != fs.Background || fs.InFlight != fs.Background || rig.fab.queued() != fs.Background {
+				t.Fatalf("window %d: stats %+v, %d queued; want every arrival queued", w, fs, rig.fab.queued())
+			}
+			for node, q := range rig.fab.queues {
+				for _, p := range q {
+					if p.cur != int32(node) || p.dst == p.cur {
+						t.Fatalf("window %d: packet queued at %d from %d to %d", w, node, p.cur, p.dst)
+					}
+					if p.enq < c.origin || p.enq >= until {
+						t.Fatalf("window %d: arrival at %g outside [%g, %g)", w, p.enq, c.origin, until)
+					}
+				}
+			}
+			n := float64(fs.Background)
+			sum += n
+			sumSq += n * n
+		}
+		m := float64(c.windows)
+		mean := sum / m
+		variance := (sumSq - sum*sum/m) / (m - 1)
+		lambda := c.load * c.window
+		if se := math.Sqrt(lambda / m); math.Abs(mean-lambda) > 4*se {
+			t.Errorf("load %g × %g min: mean count %.2f, want %g ± %.2f", c.load, c.window, mean, lambda, 4*se)
+		}
+		// Standard error of a Poisson sample variance, relative to λ.
+		if rse := math.Sqrt(2/(m-1) + 1/(lambda*m)); math.Abs(variance/lambda-1) > 4*rse {
+			t.Errorf("load %g × %g min: count variance %.1f, want %g (relative tolerance %.3f)", c.load, c.window, variance, lambda, 4*rse)
+		}
 	}
 }

@@ -103,31 +103,3 @@ func (r *RNG) Norm() float64 {
 func (r *RNG) NormSigma(mean, sigma float64) float64 {
 	return mean + sigma*r.Norm()
 }
-
-// Poisson returns a Poisson variate with the given mean, using inversion
-// for small means and the normal approximation above 500 (well past any
-// mean this codebase produces).
-func (r *RNG) Poisson(mean float64) int {
-	if mean < 0 {
-		panic(fmt.Sprintf("stats: Poisson mean %g must be non-negative", mean))
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean > 500 {
-		v := math.Round(r.NormSigma(mean, math.Sqrt(mean)))
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}

@@ -91,27 +91,12 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestRNGPoisson(t *testing.T) {
-	r := NewRNG(11, 0)
-	for _, mean := range []float64{0, 0.3, 4, 50, 800} {
-		var s Summary
-		for i := 0; i < 50000; i++ {
-			s.Observe(float64(r.Poisson(mean)))
-		}
-		tol := 0.05 * (mean + 1)
-		if math.Abs(s.Mean()-mean) > tol {
-			t.Errorf("Poisson(%v) mean = %v", mean, s.Mean())
-		}
-	}
-}
-
 func TestRNGPanics(t *testing.T) {
 	r := NewRNG(1, 0)
 	for name, fn := range map[string]func(){
-		"Intn(0)":       func() { r.Intn(0) },
-		"Exp(0)":        func() { r.Exp(0) },
-		"Exp(-1)":       func() { r.Exp(-1) },
-		"Poisson(-0.5)": func() { r.Poisson(-0.5) },
+		"Intn(0)": func() { r.Intn(0) },
+		"Exp(0)":  func() { r.Exp(0) },
+		"Exp(-1)": func() { r.Exp(-1) },
 	} {
 		func() {
 			defer func() {

@@ -160,10 +160,10 @@ const (
 // exercises queueing, not just the routed delivery path.
 func routedGoldenLoads() []float64 { return []float64{0, 60, 180} }
 
-// routedGoldenScenario is the degraded-mode fault timeline layered on
+// RoutedGoldenScenario is the degraded-mode fault timeline layered on
 // the routed Q-learning snapshot: a loss burst over the early episode
 // (applied per hop on the fabric) plus a fail-silent relay window.
-func routedGoldenScenario() *fault.Scenario {
+func RoutedGoldenScenario() *fault.Scenario {
 	return &fault.Scenario{
 		Name:       "routed-degraded",
 		FailSilent: []fault.FailSilentWindow{{Sat: 3, StartMin: 1, EndMin: 6}},
@@ -243,7 +243,7 @@ func GoldenSpecs() []GoldenSpec {
 		// and fail-silent relays are covered by the corpus too.
 		routedGoldenSpec(route.PolicyStatic, nil),
 		routedGoldenSpec(route.PolicyProbabilistic, nil),
-		routedGoldenSpec(route.PolicyQLearning, routedGoldenScenario()),
+		routedGoldenSpec(route.PolicyQLearning, RoutedGoldenScenario()),
 	}
 }
 
