@@ -1,31 +1,16 @@
-// Command satqosload drives a running satqosd with concurrent
-// mixed-workload clients and records tail latencies, or (with -smoke)
-// runs the short deterministic exchange the CI gate scripts.
+// Command satqosload is the serving smoke client: it drives a running
+// satqosd through one short deterministic exchange and fails on any
+// wrong answer.
 //
-// Load mode:
+//	satqosd -addr 127.0.0.1:0 -ready-file /tmp/addr -mc-budget 50000 &
+//	satqosload -addr-file /tmp/addr -shed-episodes 100000 -metrics-out metrics.json
 //
-//	satqosd -addr 127.0.0.1:0 -ready-file /tmp/addr &
-//	satqosload -addr-file /tmp/addr -clients 1000 -requests 4 -record BENCH_PR8.json
-//
-// Each client issues a fixed rotation of requests — an analytic query,
-// a uniquely-seeded Monte-Carlo run, a shared-seed Monte-Carlo run
-// (exercising the response cache), and an auto query — and every
-// response is validated. The run fails on any transport error, 5xx, or
-// malformed answer; explicit 429 shedding is counted separately
-// (backpressure is an answer, not a failure), and the default sizes
-// keep the mix inside the server's default admission budget so a
-// healthy run sheds nothing. -record writes p50/p90/p99/max per
-// workload class into the committed benchmark record, replacing any
-// previous BenchmarkServe* entries and keeping the rest of the file.
-//
-// Smoke mode (used by ci.sh):
-//
-//	satqosload -smoke -addr-file /tmp/addr -shed-episodes 100000 -metrics-out metrics.json
-//
-// polls the address file, then runs one analytic query, one
-// Monte-Carlo query plus its cache-hit repeat, and one over-budget
-// query that must be shed with 429, then saves /metrics.json for
-// metricscheck.
+// It polls the address file, then runs one analytic query, one
+// Monte-Carlo query plus its repeat (which must be served identically
+// from the response cache), and one over-budget query that must be
+// shed with 429, then saves /metrics.json for metricscheck. Served
+// throughput and latency are measured by perfbench's serve workloads,
+// not here.
 package main
 
 import (
@@ -36,11 +21,15 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
+)
+
+// The exchange's fixed sizes: the episode budget of the Monte-Carlo
+// request and its cached repeat, and the per-request client timeout.
+const (
+	episodes = 2000
+	timeout  = 2 * time.Minute
 )
 
 func main() {
@@ -53,12 +42,6 @@ func main() {
 type options struct {
 	addr         string
 	addrFile     string
-	clients      int
-	requests     int
-	episodes     int
-	timeout      time.Duration
-	record       string
-	smoke        bool
 	shedEpisodes int
 	metricsOut   string
 }
@@ -68,14 +51,8 @@ func run(args []string, stdout io.Writer) error {
 	var o options
 	fs.StringVar(&o.addr, "addr", "", "satqosd address (host:port)")
 	fs.StringVar(&o.addrFile, "addr-file", "", "file to read the address from (polled; written by satqosd -ready-file)")
-	fs.IntVar(&o.clients, "clients", 1000, "concurrent clients")
-	fs.IntVar(&o.requests, "requests", 4, "requests per client (rotating analytic / montecarlo / cached / auto)")
-	fs.IntVar(&o.episodes, "episodes", 2000, "episode budget of each Monte-Carlo request")
-	fs.DurationVar(&o.timeout, "timeout", 2*time.Minute, "per-request client timeout")
-	fs.StringVar(&o.record, "record", "", "merge p50/p90/p99 latency entries into this benchmark record (BENCH_PR8.json)")
-	fs.BoolVar(&o.smoke, "smoke", false, "run the short deterministic CI exchange instead of the load")
-	fs.IntVar(&o.shedEpisodes, "shed-episodes", 100_000, "episode budget of the smoke request that must be shed with 429")
-	fs.StringVar(&o.metricsOut, "metrics-out", "", "smoke mode: save the server's /metrics.json snapshot to this path")
+	fs.IntVar(&o.shedEpisodes, "shed-episodes", 100_000, "episode budget of the request that must be shed with 429")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "save the server's /metrics.json snapshot to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -86,18 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	base := "http://" + addr
-	client := &http.Client{
-		Timeout: o.timeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        o.clients,
-			MaxIdleConnsPerHost: o.clients,
-		},
-	}
-	if o.smoke {
-		return smoke(&o, client, base, stdout)
-	}
-	return load(&o, client, base, stdout)
+	return smoke(&o, &http.Client{Timeout: timeout}, "http://"+addr, stdout)
 }
 
 // resolveAddr returns -addr, or polls -addr-file until satqosd writes
@@ -124,11 +90,9 @@ func resolveAddr(o *options) (string, error) {
 
 // answer is the subset of the server response the client validates.
 type answer struct {
-	Mode      string     `json:"mode"`
-	Degraded  bool       `json:"degraded"`
-	Cached    bool       `json:"cached"`
-	PYGE      [4]float64 `json:"p_y_ge"`
-	MeanLevel float64    `json:"mean_level"`
+	Mode   string     `json:"mode"`
+	Cached bool       `json:"cached"`
+	PYGE   [4]float64 `json:"p_y_ge"`
 }
 
 // evaluate posts one request body and validates the answer shape.
@@ -154,123 +118,6 @@ func evaluate(client *http.Client, base, body string) (answer, int, error) {
 	return a, resp.StatusCode, nil
 }
 
-// Workload classes of the rotation.
-const (
-	classAnalytic = "analytic"
-	classMC       = "montecarlo"
-	classCached   = "cached"
-	classAuto     = "auto"
-)
-
-var classes = []string{classAnalytic, classMC, classCached, classAuto}
-
-// load runs the concurrent mixed workload and reports/records tail
-// latencies.
-func load(o *options, client *http.Client, base string, stdout io.Writer) error {
-	type sample struct {
-		class string
-		d     time.Duration
-	}
-	samples := make([][]sample, o.clients)
-	var failures, shed atomic.Int64
-	var firstErr atomic.Value
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < o.clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < o.requests; i++ {
-				class := classes[(c+i)%len(classes)]
-				var body string
-				switch class {
-				case classAnalytic:
-					body = fmt.Sprintf(`{"mode":"analytic","k":%d}`, 5+(c+i)%10)
-				case classMC:
-					// Unique seed per (client, request): always a cache miss.
-					body = fmt.Sprintf(`{"mode":"montecarlo","episodes":%d,"seed":%d}`,
-						o.episodes, 1_000_000+c*o.requests+i)
-				case classCached:
-					// One shared seed: after the first winner, cache hits.
-					body = fmt.Sprintf(`{"mode":"montecarlo","episodes":%d,"seed":42}`, o.episodes)
-				case classAuto:
-					body = fmt.Sprintf(`{"mode":"auto","episodes":%d,"seed":%d}`, o.episodes, 500+c%7)
-				}
-				t0 := time.Now()
-				a, status, err := evaluate(client, base, body)
-				d := time.Since(t0)
-				switch {
-				case err != nil:
-					failures.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("%s: %w", class, err))
-				case status == http.StatusTooManyRequests:
-					shed.Add(1)
-				case status != http.StatusOK:
-					failures.Add(1)
-					firstErr.CompareAndSwap(nil, fmt.Errorf("%s: status %d", class, status))
-				default:
-					if class == classAnalytic && a.Mode != "analytic" {
-						failures.Add(1)
-						firstErr.CompareAndSwap(nil, fmt.Errorf("analytic answered via %q", a.Mode))
-						continue
-					}
-					samples[c] = append(samples[c], sample{class, d})
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	byClass := make(map[string][]time.Duration)
-	for _, ss := range samples {
-		for _, s := range ss {
-			byClass[s.class] = append(byClass[s.class], s.d)
-		}
-	}
-	total := 0
-	for _, ds := range byClass {
-		total += len(ds)
-	}
-	fmt.Fprintf(stdout, "satqosload: %d clients x %d requests in %v (%.0f req/s), %d ok, %d shed, %d failed\n",
-		o.clients, o.requests, elapsed.Round(time.Millisecond),
-		float64(total)/elapsed.Seconds(), total, shed.Load(), failures.Load())
-
-	var entries []benchEntry
-	for _, class := range classes {
-		ds := byClass[class]
-		if len(ds) == 0 {
-			continue
-		}
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		q := func(p float64) time.Duration { return ds[min(len(ds)-1, int(p*float64(len(ds))))] }
-		p50, p90, p99, max := q(0.50), q(0.90), q(0.99), ds[len(ds)-1]
-		fmt.Fprintf(stdout, "  %-10s n=%5d p50=%-10v p90=%-10v p99=%-10v max=%v\n",
-			class, len(ds), p50.Round(time.Microsecond), p90.Round(time.Microsecond),
-			p99.Round(time.Microsecond), max.Round(time.Microsecond))
-		entries = append(entries, benchEntry{
-			Name: fmt.Sprintf("BenchmarkServe/%s (p50 request latency, %d clients x %d mixed requests)",
-				class, o.clients, o.requests),
-			After: &benchMetrics{NsPerOp: float64(p50.Nanoseconds())},
-			P90MS: float64(p90.Nanoseconds()) / 1e6,
-			P99MS: float64(p99.Nanoseconds()) / 1e6,
-			MaxMS: float64(max.Nanoseconds()) / 1e6,
-			N:     len(ds),
-		})
-	}
-	if f := failures.Load(); f > 0 {
-		return fmt.Errorf("%d failed requests (first: %v)", f, firstErr.Load())
-	}
-	if o.record != "" {
-		if err := mergeRecord(o.record, entries); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "satqosload: latency entries merged into %s\n", o.record)
-	}
-	return nil
-}
-
 // smoke runs the CI exchange: analytic, Monte-Carlo + cached repeat,
 // an over-budget shed, then saves the metrics snapshot.
 func smoke(o *options, client *http.Client, base string, stdout io.Writer) error {
@@ -282,7 +129,7 @@ func smoke(o *options, client *http.Client, base string, stdout io.Writer) error
 		return fmt.Errorf("analytic answered via %q", a.Mode)
 	}
 
-	mcBody := fmt.Sprintf(`{"mode":"montecarlo","episodes":%d,"seed":7}`, o.episodes)
+	mcBody := fmt.Sprintf(`{"mode":"montecarlo","episodes":%d,"seed":7}`, episodes)
 	first, status, err := evaluate(client, base, mcBody)
 	if err != nil || status != http.StatusOK {
 		return fmt.Errorf("montecarlo: status %d err %v", status, err)
@@ -326,70 +173,4 @@ func smoke(o *options, client *http.Client, base string, stdout io.Writer) error
 	}
 	fmt.Fprintln(stdout, "satqosload: smoke ok (analytic, montecarlo, cache hit, 429 shed)")
 	return nil
-}
-
-// benchEntry and benchMetrics mirror the committed BENCH_*.json shape
-// (cmd/benchdiff); the extra percentile fields ride along for readers.
-type benchMetrics struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-type benchEntry struct {
-	Name   string          `json:"name"`
-	Before *benchMetrics   `json:"before,omitempty"`
-	After  *benchMetrics   `json:"after,omitempty"`
-	P90MS  float64         `json:"p90_ms,omitempty"`
-	P99MS  float64         `json:"p99_ms,omitempty"`
-	MaxMS  float64         `json:"max_ms,omitempty"`
-	N      int             `json:"samples,omitempty"`
-	Extra  json.RawMessage `json:"note,omitempty"`
-}
-
-// mergeRecord rewrites path keeping every non-BenchmarkServe entry (and
-// all other record fields) and replacing the served-latency entries
-// with the fresh measurements. A missing file starts a minimal record.
-func mergeRecord(path string, entries []benchEntry) error {
-	record := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &record); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	var kept []json.RawMessage
-	if raw, ok := record["benchmarks"]; ok {
-		var olds []json.RawMessage
-		if err := json.Unmarshal(raw, &olds); err != nil {
-			return fmt.Errorf("%s: benchmarks: %w", path, err)
-		}
-		for _, o := range olds {
-			var e struct {
-				Name string `json:"name"`
-			}
-			if json.Unmarshal(o, &e) == nil && strings.HasPrefix(e.Name, "BenchmarkServe/") {
-				continue
-			}
-			kept = append(kept, o)
-		}
-	}
-	for _, e := range entries {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		kept = append(kept, b)
-	}
-	b, err := json.Marshal(kept)
-	if err != nil {
-		return err
-	}
-	record["benchmarks"] = b
-	out, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -47,9 +47,9 @@ const (
 
 // Response is the /v1/evaluate answer.
 type Response struct {
-	// Mode is the path that actually produced the answer ("analytic" or
-	// "montecarlo") — for auto requests it reveals whether the server
-	// degraded.
+	// Mode is the path that actually produced the answer ("analytic",
+	// "montecarlo" or "stochgeom") — for auto requests it reveals which
+	// backend answered and whether the server degraded.
 	Mode string `json:"mode"`
 	// Degraded is true when an auto request wanted Monte-Carlo but the
 	// admission budget forced the analytic fallback.

@@ -166,11 +166,6 @@ func EvaluateProtocolPaired(a, b ProtocolParams, episodes int, seed uint64, work
 	return oaq.EvaluatePairedParallel(a, b, episodes, seed, workers)
 }
 
-// CapacityCacheStats reports the hit/miss counters of the process-wide
-// memoized capacity-distribution cache behind PlaneCapacity and every
-// sweep driver.
-func CapacityCacheStats() (hits, misses uint64) { return capacity.AnalyticCacheStats() }
-
 // RunEpisodeTraced simulates one episode and returns its span trace
 // alongside the outcome. Span times are absolute simulation minutes; the
 // detection (t0) is the root span's Start plus res.DetectionDelay, the
