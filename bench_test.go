@@ -436,7 +436,9 @@ func BenchmarkCoverageScan(b *testing.B) {
 // cross-validation harness's sampling grid (16 longitudes x 256 times,
 // the grid experiment.StochGeomCheck estimates P(K = k) on). The
 // acceptance target is the analytic query at >= 100x the scan
-// estimate; the committed numbers live in BENCH_PR10.json.
+// estimate; the first committed numbers live in BENCH_PR10.json. The
+// allocs/op column of /pvisible is gated to zero by ci.sh.
+// /evaluate/<preset> times the full visible-count law at 30°.
 func BenchmarkStochGeom(b *testing.B) {
 	d, err := stochgeom.FromPreset(constellation.PresetStarlink)
 	if err != nil {
@@ -456,6 +458,22 @@ func BenchmarkStochGeom(b *testing.B) {
 			}
 		}
 	})
+	// Evaluate allocates the PMF, so these stay out of the allocation
+	// gate.
+	for _, name := range constellation.PresetNames() {
+		pd, err := stochgeom.FromPreset(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("evaluate/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pd.Evaluate(30 * math.Pi / 180); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	b.Run("scan-estimate", func(b *testing.B) {
 		cfg, err := constellation.PresetConfig(constellation.PresetStarlink)
 		if err != nil {

@@ -91,26 +91,30 @@ fi
 # channel, and on the routed ISL fabric under every forwarding policy at
 # both the default and the congested golden operating point, faults
 # included),
-# the SoA coverage scan, and the shared read-mostly scanner's concurrent
-# query path all have a committed budget of 0 allocs/op (BENCH_PR5.json /
-# BENCH_PR6.json / BENCH_PR10.json). A single fixed-count bench run is
-# timing-noisy but its allocation counts are exact, so gate on
+# the SoA coverage scan, the shared read-mostly scanner's concurrent
+# query path, and the stochastic-geometry point query (one cap integral
+# plus one binomial term) all have a committed budget of 0 allocs/op
+# (BENCH_PR5.json / BENCH_PR6.json / BENCH_PR10.json). A single
+# fixed-count bench run is timing-noisy but its allocation counts are exact, so gate on
 # allocs/op only; timing is measured by perfbench/run.sh.
 alloc_budget=0
 go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkProtocolEpisodeRouted$|^BenchmarkCoverageScan$|^BenchmarkSharedScanner$' \
     -benchmem -benchtime 200x . |
     tee "$tmpdir/bench.txt"
+go test -run '^$' -bench '^BenchmarkStochGeom$/^pvisible$' -benchmem -benchtime 200x . |
+    tee -a "$tmpdir/bench.txt"
 awk -v budget="$alloc_budget" '
     /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkProtocolEpisodeRouted\// ||
     /^BenchmarkCoverageScan\// ||
-    /^BenchmarkSharedScanner(-[0-9]+)?[ \t]/ {
+    /^BenchmarkSharedScanner(-[0-9]+)?[ \t]/ ||
+    /^BenchmarkStochGeom\/pvisible(-[0-9]+)?[ \t]/ {
         seen++
         allocs = $(NF - 1) + 0
         if (allocs > budget) {
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 16) { print "expected 16 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 17) { print "expected 17 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 
 # Worker-invariance gate: every experiment's rendered output must be

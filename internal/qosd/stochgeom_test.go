@@ -85,6 +85,24 @@ func TestStochGeomReproducible(t *testing.T) {
 	}
 }
 
+// TestStochGeomKeplerBand: at 20° the kepler shell's sub-satellite
+// band is narrow enough that a quadrature sampling the whole orbit
+// range can miss it and answer "nothing visible". The served law must
+// instead see about 1.84 satellites on average and coverage 84%.
+func TestStochGeomKeplerBand(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, got := post(t, ts, `{"mode":"stochgeom","preset":"kepler","scheme":"oaq","latitude_deg":20}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if math.Abs(got.CoverageFraction-0.843) > 0.001 {
+		t.Errorf("coverage_fraction = %v, want ≈ 0.843", got.CoverageFraction)
+	}
+	if math.Abs(got.VisibleMean-1.84) > 0.01 {
+		t.Errorf("visible_mean = %v, want ≈ 1.84", got.VisibleMean)
+	}
+}
+
 // TestStochGeomShells: an explicit LEO/MEO mixture bypasses the preset
 // geometry and answers from the convolved design.
 func TestStochGeomShells(t *testing.T) {

