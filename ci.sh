@@ -75,6 +75,16 @@ go run ./cmd/constsim -mode protocol -episodes 500 -k 10 -route qlearning \
     -traffic-load 40 -retries 1 -faults cmd/constsim/testdata/faults.json \
     -workers 7 -metrics "$tmpdir/r7.json"
 go run ./cmd/metricscheck -in "$tmpdir/r1.json" -diff "$tmpdir/r7.json" des oaq crosslink route
+# The same gate at the congested golden point (3 pkt/min links, load
+# 180): egress rings fill, wrap and drop at their QueueCap, so queue
+# order and drop accounting are under the determinism gate too.
+go run ./cmd/constsim -mode protocol -episodes 500 -k 10 -route qlearning \
+    -isl-capacity 3 -traffic-load 180 -retries 1 \
+    -faults cmd/constsim/testdata/faults.json -workers 1 -metrics "$tmpdir/rc1.json"
+go run ./cmd/constsim -mode protocol -episodes 500 -k 10 -route qlearning \
+    -isl-capacity 3 -traffic-load 180 -retries 1 \
+    -faults cmd/constsim/testdata/faults.json -workers 7 -metrics "$tmpdir/rc7.json"
+go run ./cmd/metricscheck -in "$tmpdir/rc1.json" -diff "$tmpdir/rc7.json" des oaq crosslink route
 
 # Golden-corpus gate: the committed experiment snapshots (figures 7-9
 # and the degraded-mode sweeps) must regenerate identically at both

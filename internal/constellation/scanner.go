@@ -2,6 +2,7 @@ package constellation
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +24,12 @@ type SatRef struct {
 // product of unit position vectors against the precomputed cos ψ — zero
 // per-satellite transcendental calls, with a latitude-band rejection
 // (the satellite's z-coordinate outside [sin(φ−ψ), sin(φ+ψ)] cannot
-// cover a target at latitude φ) ahead of the dot product.
+// cover a target at latitude φ) ahead of the dot product. Each plane's
+// recurrence is a serial chain of multiply-adds, so the scan advances
+// two adjacent planes with the same satellite count (at most 64) and
+// footprint together and overlaps their chains; a plane without such a
+// partner (an odd one out, or a degraded plane with a different k)
+// scans alone.
 //
 // The covering set it produces is identical to filtering
 // AppendCoveringSatellites on Covers, in the same plane-major order
@@ -162,44 +168,103 @@ func latBand(lat, half float64) (lo, hi float64) {
 	return lo, hi
 }
 
+// pairMaxK bounds the plane size scanned two planes at a time: each
+// plane of a pair records its hits in one 64-bit mask so the pair can
+// still emit them in plane-major order.
+const pairMaxK = 64
+
+// pairable reports whether plane b can be scanned alongside plane a: the
+// same satellite count (hence the same angle-addition step) and the same
+// footprint.
+func pairable(a, b *planeScan) bool {
+	return a.k == b.k && a.k <= pairMaxK && a.half == b.half
+}
+
 // scan is the one coverage loop behind AppendCovering and
 // CoverageCount. It counts every active satellite covering the target
-// at time t and, when collect is set, appends its reference to dst. The
-// latitude band is recomputed only when the footprint half-angle
-// changes between planes (never, within one constellation).
+// at time t and, when collect is set, appends its reference to dst in
+// plane-major order. The loop is bound by the latency of each plane's
+// angle-addition recurrence, a serial chain of multiply-adds, so it
+// advances two adjacent planes' chains together whenever they are
+// pairable; otherwise it scans one plane alone. Either way each plane
+// runs exactly the same floating-point operations, so the covering set
+// does not depend on the pairing. The latitude band is recomputed only
+// when the footprint half-angle changes between planes (never, within
+// one constellation).
 func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float64) ([]SatRef, int) {
 	n := 0
 	u := target.UnitECI(t)
 	bandHalf, zLo, zHi := math.NaN(), 0.0, 0.0
 	planes := s.snapshot()
-	for pi := range planes {
-		ps := &planes[pi]
-		k := ps.k
+	for pi := 0; pi < len(planes); pi++ {
+		a := &planes[pi]
+		k := a.k
 		if k == 0 {
 			continue
 		}
-		if ps.half != bandHalf {
-			bandHalf = ps.half
-			zLo, zHi = latBand(target.Lat, ps.half)
+		if a.half != bandHalf {
+			bandHalf = a.half
+			zLo, zHi = latBand(target.Lat, a.half)
 		}
-		sin, cos := math.Sincos(ps.phaseRef + ps.n*t)
-		px, py := ps.frame.P.X, ps.frame.P.Y
-		qx, qy, qz := ps.frame.Q.X, ps.frame.Q.Y, ps.frame.Q.Z
+		// The loops read each plane's frame and step through its
+		// pointer rather than hoisting them into locals: with two planes
+		// in flight the hoisted values outnumber the registers, and the
+		// spills would put a store and a load on each recurrence chain.
+		as, ac := math.Sincos(a.phaseRef + a.n*t)
+		if pi+1 < len(planes) && pairable(a, &planes[pi+1]) {
+			b := &planes[pi+1]
+			bs, bc := math.Sincos(b.phaseRef + b.n*t)
+			var hitA, hitB uint64
+			for i := 0; i < k; i++ {
+				if z := a.frame.Q.Z * as; z >= zLo && z <= zHi {
+					x := a.frame.P.X*ac + a.frame.Q.X*as
+					y := a.frame.P.Y*ac + a.frame.Q.Y*as
+					if x*u.X+y*u.Y+z*u.Z >= a.cosHalf {
+						hitA |= 1 << i
+					}
+				}
+				if z := b.frame.Q.Z * bs; z >= zLo && z <= zHi {
+					x := b.frame.P.X*bc + b.frame.Q.X*bs
+					y := b.frame.P.Y*bc + b.frame.Q.Y*bs
+					if x*u.X+y*u.Y+z*u.Z >= b.cosHalf {
+						hitB |= 1 << i
+					}
+				}
+				ac, as = ac*a.cosD-as*a.sinD, as*a.cosD+ac*a.sinD
+				bc, bs = bc*b.cosD-bs*b.sinD, bs*b.cosD+bc*b.sinD
+			}
+			n += bits.OnesCount64(hitA) + bits.OnesCount64(hitB)
+			if collect {
+				dst = appendHits(dst, pi, hitA)
+				dst = appendHits(dst, pi+1, hitB)
+			}
+			pi++
+			continue
+		}
 		for i := 0; i < k; i++ {
-			if z := qz * sin; z >= zLo && z <= zHi {
-				x := px*cos + qx*sin
-				y := py*cos + qy*sin
-				if x*u.X+y*u.Y+z*u.Z >= ps.cosHalf {
+			if z := a.frame.Q.Z * as; z >= zLo && z <= zHi {
+				x := a.frame.P.X*ac + a.frame.Q.X*as
+				y := a.frame.P.Y*ac + a.frame.Q.Y*as
+				if x*u.X+y*u.Y+z*u.Z >= a.cosHalf {
 					n++
 					if collect {
 						dst = append(dst, SatRef{Plane: pi, Index: i})
 					}
 				}
 			}
-			cos, sin = cos*ps.cosD-sin*ps.sinD, sin*ps.cosD+cos*ps.sinD
+			ac, as = ac*a.cosD-as*a.sinD, as*a.cosD+ac*a.sinD
 		}
 	}
 	return dst, n
+}
+
+// appendHits appends a reference for every set bit of a plane's hit
+// mask, in index order.
+func appendHits(dst []SatRef, plane int, hits uint64) []SatRef {
+	for ; hits != 0; hits &= hits - 1 {
+		dst = append(dst, SatRef{Plane: plane, Index: bits.TrailingZeros64(hits)})
+	}
+	return dst
 }
 
 // AppendCovering appends a reference to every active satellite whose

@@ -128,6 +128,85 @@ func TestScannerMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestScannerPairingMatchesBruteForce covers the plane layouts that
+// decide how scan pairs planes: an odd plane count and a single plane
+// (the last plane scans alone), degraded planes whose shrunk k breaks
+// the pairing next to full planes, a 64-satellite plane whose hits fill
+// the whole pair mask, and 70-satellite planes too large to pair. Every
+// layout must match the per-orbit path exactly, in plane-major order.
+func TestScannerPairingMatchesBruteForce(t *testing.T) {
+	odd := DefaultConfig()
+	odd.Planes = 5
+	single := DefaultConfig()
+	single.Planes = 1
+	wide := DefaultConfig()
+	wide.Planes, wide.ActivePerPlane, wide.CoverageTimeMin = 4, 64, 40
+	big := wide
+	big.ActivePerPlane = 70
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		degrade []int // planes failed past their spares
+	}{
+		{"odd-planes", odd, nil},
+		{"single-plane", single, nil},
+		{"degraded-neighbors", DefaultConfig(), []int{1, 4}},
+		{"degraded-odd", odd, []int{2}},
+		{"wide-64", wide, nil},
+		{"wide-70", big, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pi := range tc.degrade {
+				p, err := c.Plane(pi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fails := p.SpareCount() + 2
+				for f := 0; f < fails; f++ {
+					if err := p.FailActive(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if p.ActiveCount() == tc.cfg.ActivePerPlane {
+					t.Fatalf("plane %d still has %d active satellites", pi, p.ActiveCount())
+				}
+			}
+			s := NewScanner(c)
+			rng := stats.NewRNG(0x9a12, 0)
+			prefix := SatRef{Plane: -1, Index: -1}
+			maxHits := 0
+			for i := 0; i < 400; i++ {
+				target := orbit.LatLon{
+					Lat: (rng.Float64() - 0.5) * math.Pi,
+					Lon: (rng.Float64() - 0.5) * 2 * math.Pi,
+				}
+				tm := rng.Float64() * 3000
+				want := bruteCovering(c, target, tm)
+				got := s.AppendCovering([]SatRef{prefix}, target, tm)
+				if len(got) != len(want)+1 || got[0] != prefix {
+					t.Fatalf("trial %d: %d refs after the prefix, brute force %d", i, len(got)-1, len(want))
+				}
+				for j := range want {
+					if got[j+1] != want[j] {
+						t.Fatalf("trial %d: ref %d = %+v, want %+v", i, j, got[j+1], want[j])
+					}
+				}
+				if n := s.CoverageCount(target, tm); n != len(want) {
+					t.Fatalf("trial %d: CoverageCount %d, want %d", i, n, len(want))
+				}
+				maxHits = max(maxHits, len(want))
+			}
+			if maxHits == 0 {
+				t.Fatal("no trial found a covering satellite")
+			}
+		})
+	}
+}
+
 // TestScannerTracksDegradation: a scanner built before failures picks up
 // re-phased rings (and restores) via the plane version counter, without
 // being rebuilt.

@@ -565,6 +565,12 @@ type episodeRunner struct {
 	// groundHandler is the ground station's receive closure, created
 	// once and re-registered after each Reset.
 	groundHandler crosslink.Handler
+	// fab is the runner's routed fabric, built on the first routed
+	// parameters and kept while the runner is rebound to unrouted ones
+	// (ep.fab is nil then): every fabric registers two lanes on the
+	// simulation for good, so building a new one per routed rebind
+	// would grow the lane set the event loop scans.
+	fab *route.Fabric
 }
 
 // newEpisodeRunner validates the parameters and builds the reusable
@@ -618,7 +624,7 @@ func newEpisodeRunner(p Params, rng *stats.RNG) (*episodeRunner, error) {
 		net.SetRouter(fab)
 		ground.SetRouter(fab)
 	}
-	r := &episodeRunner{}
+	r := &episodeRunner{fab: fab}
 	r.ep = episode{
 		p:       p,
 		sim:     sim,
@@ -816,23 +822,25 @@ func (r *episodeRunner) rebind(p Params, rng *stats.RNG) error {
 	}
 	switch {
 	case p.Route == nil:
+		// Detach the fabric but keep it for the next routed rebind.
 		e.fab = nil
 		e.net.SetRouter(nil)
 		e.ground.SetRouter(nil)
-	case e.fab != nil:
-		if err := e.fab.Rebind(*p.Route, rng); err != nil {
+	case r.fab != nil:
+		if err := r.fab.Rebind(*p.Route, rng); err != nil {
 			return err
 		}
-		e.net.SetRouter(e.fab)
-		e.ground.SetRouter(e.fab)
 	default:
 		fab, err := route.NewFabric(e.sim, *p.Route, rng)
 		if err != nil {
 			return err
 		}
-		e.fab = fab
-		e.net.SetRouter(fab)
-		e.ground.SetRouter(fab)
+		r.fab = fab
+	}
+	if p.Route != nil {
+		e.fab = r.fab
+		e.net.SetRouter(r.fab)
+		e.ground.SetRouter(r.fab)
 	}
 	e.p = p
 	e.rng = rng

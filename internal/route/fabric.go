@@ -98,17 +98,22 @@ type Fabric struct {
 	cfg  Config
 	topo *Topology
 	pol  Policy
-	// isStatic short-circuits next-hop choice through the precomputed
-	// table — the static policy needs no candidate list and no RNG.
-	isStatic bool
 	// txLane carries transmission completions (delay 1/ISLRatePerMin)
 	// and propLane hop arrivals and same-node deliveries (delay
 	// PropDelayMin): both delays are constant, so these events skip the
 	// simulation's heap.
 	txLane, propLane *des.Lane
 	gateway          int32
-	queues           [][]*packet
-	busy             []bool
+	// ring holds every node's egress FIFO: node u's queue occupies
+	// ring[u*slots:(u+1)*slots], qlen[u] packets long with its oldest at
+	// offset qhead[u], wrapping around the end of its slots. Dequeue
+	// moves no memory. slots starts at min(QueueCap, initialSlots) and
+	// doubles, up to QueueCap, whenever a queue fills its slots, so a
+	// generous QueueCap costs memory only for the depth queues reach.
+	ring        []*packet
+	qhead, qlen []int
+	slots       int
+	busy        []bool
 	// silent counts fail-silent marks per node: both backing networks
 	// mirror their transitions here, so a node is silent while any
 	// overlapping mark is up.
@@ -117,11 +122,14 @@ type Fabric struct {
 	// bgUntil ends the current background-arrival window (ArmBackground).
 	bgUntil float64
 	// epoch fences packet events across Reset, mirroring crosslink.
-	epoch   uint64
-	free    []*packet
-	candBuf []int32
-	qhist   *obs.LocalHistogram
+	epoch uint64
+	free  []*packet
+	qhist *obs.LocalHistogram
 }
+
+// initialSlots is the per-node ring size a fabric starts with (the
+// Default queue capacity), when its QueueCap is at least that large.
+const initialSlots = 16
 
 // NewFabric builds a fabric for the configuration on the given
 // simulation. The topology (with its all-pairs hop tables) is shared
@@ -161,26 +169,34 @@ func (f *Fabric) Rebind(cfg Config, rng *stats.RNG) error {
 	if err != nil {
 		return err
 	}
+	// Recycle queued packets under the current ring layout before the
+	// new node count and queue capacity reshape it.
+	f.clearQueues()
 	f.rng = rng
 	f.cfg = cfg
 	f.topo = topo
 	f.pol = newPolicy(cfg, topo)
-	f.isStatic = cfg.Policy == PolicyStatic
 	f.txLane.SetDelay(1 / cfg.ISLRatePerMin)
 	f.propLane.SetDelay(cfg.PropDelayMin)
 	f.gateway = int32(cfg.Gateway())
 	n := topo.n
-	if cap(f.queues) < n {
-		f.queues = make([][]*packet, n)
-		f.busy = make([]bool, n)
-		f.silent = make([]int16, n)
-	} else {
-		f.queues = f.queues[:n]
-		f.busy = f.busy[:n]
-		f.silent = f.silent[:n]
-	}
+	f.slots = min(cfg.QueueCap, initialSlots)
+	f.ring = resize(f.ring, n*f.slots)
+	f.qhead = resize(f.qhead, n)
+	f.qlen = resize(f.qlen, n)
+	f.busy = resize(f.busy, n)
+	f.silent = resize(f.silent, n)
 	f.Reset()
 	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Reset clears the queues (recycling their packets), transmitter and
@@ -190,17 +206,47 @@ func (f *Fabric) Rebind(cfg Config, rng *stats.RNG) error {
 // across a shard's episodes, and because episode shards are a pure
 // function of episode index, so does determinism.
 func (f *Fabric) Reset() {
-	for i, q := range f.queues {
-		for j, p := range q {
-			f.recycle(p)
-			q[j] = nil
-		}
-		f.queues[i] = q[:0]
-	}
+	f.clearQueues()
 	clear(f.busy)
 	clear(f.silent)
 	f.stats = Stats{}
 	f.epoch++
+}
+
+// clearQueues empties every egress FIFO under the current ring layout,
+// recycling the queued packets.
+func (f *Fabric) clearQueues() {
+	for u, n := range f.qlen {
+		for j := 0; j < n; j++ {
+			i := f.slot(u, j)
+			f.recycle(f.ring[i])
+			f.ring[i] = nil
+		}
+		f.qhead[u], f.qlen[u] = 0, 0
+	}
+}
+
+// slot returns the ring index of the j-th oldest packet of node u's
+// FIFO (or of the free slot after it, for j == qlen[u]).
+func (f *Fabric) slot(u, j int) int {
+	if j += f.qhead[u]; j >= f.slots {
+		j -= f.slots
+	}
+	return u*f.slots + j
+}
+
+// growRing doubles every node's ring, up to QueueCap slots, moving each
+// FIFO to the front of its new slots in order.
+func (f *Fabric) growRing() {
+	slots := min(2*f.slots, f.cfg.QueueCap)
+	ring := make([]*packet, len(f.qlen)*slots)
+	for u, n := range f.qlen {
+		for j := 0; j < n; j++ {
+			ring[u*slots+j] = f.ring[f.slot(u, j)]
+		}
+		f.qhead[u] = 0
+	}
+	f.ring, f.slots = ring, slots
 }
 
 // Config returns the bound configuration.
@@ -240,7 +286,7 @@ func (f *Fabric) physNode(id crosslink.NodeID) int32 {
 // backlog is the queued-plus-transmitting packet count at a node — the
 // congestion signal the probabilistic policy weighs.
 func (f *Fabric) backlog(v int32) int {
-	b := len(f.queues[v])
+	b := f.qlen[v]
 	if f.busy[v] {
 		b++
 	}
@@ -361,13 +407,18 @@ func (f *Fabric) enqueue(p *packet, node int32, now float64) {
 		f.drop(p, now, crosslink.DropFailSilent)
 		return
 	}
-	if len(f.queues[node]) >= f.cfg.QueueCap {
+	u := int(node)
+	if f.qlen[u] >= f.cfg.QueueCap {
 		f.drop(p, now, crosslink.DropQueue)
 		return
 	}
+	if f.qlen[u] == f.slots {
+		f.growRing()
+	}
 	p.cur = node
 	p.enq = now
-	f.queues[node] = append(f.queues[node], p)
+	f.ring[f.slot(u, f.qlen[u])] = p
+	f.qlen[u]++
 	if !f.busy[node] {
 		f.startTx(node, now)
 	}
@@ -377,19 +428,17 @@ func (f *Fabric) enqueue(p *packet, node int32, now float64) {
 // hop among the strictly-closer neighbors, and schedules the
 // transmission completion.
 func (f *Fabric) startTx(node int32, now float64) {
-	q := f.queues[node]
-	p := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	f.queues[node] = q[:len(q)-1]
-	p.qdelay += now - p.enq
-	var ai int32
-	if f.isStatic {
-		ai = f.topo.nextIdx[int(node)*f.topo.n+int(p.dst)]
-	} else {
-		f.candBuf = f.topo.appendCandidates(f.candBuf[:0], node, p.dst)
-		ai = f.candBuf[f.pol.Choose(f, node, p.dst, f.candBuf)]
+	u := int(node)
+	i := f.slot(u, 0)
+	p := f.ring[i]
+	f.ring[i] = nil
+	if f.qhead[u]++; f.qhead[u] == f.slots {
+		f.qhead[u] = 0
 	}
+	f.qlen[u]--
+	p.qdelay += now - p.enq
+	cands := f.topo.candidates(node, p.dst)
+	ai := cands[f.pol.Choose(f, node, p.dst, cands)]
 	p.txFrom = node
 	p.txAI = ai
 	p.via = f.topo.nbrs[node][ai]
@@ -414,7 +463,7 @@ func (f *Fabric) txDone(now float64, p *packet) {
 		f.sim.ScheduleLane(f.propLane, labelArrive, arriveEvent, p)
 	}
 	f.busy[node] = false
-	if len(f.queues[node]) > 0 {
+	if f.qlen[node] > 0 {
 		f.startTx(node, now)
 	}
 }

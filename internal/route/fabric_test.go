@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -453,10 +454,19 @@ func TestConservationUnderCombinedFaults(t *testing.T) {
 // queued counts the packets waiting in egress FIFOs.
 func (f *Fabric) queued() int {
 	n := 0
-	for _, q := range f.queues {
-		n += len(q)
+	for _, l := range f.qlen {
+		n += l
 	}
 	return n
+}
+
+// queue returns node u's egress FIFO, oldest packet first.
+func (f *Fabric) queue(u int) []*packet {
+	q := make([]*packet, f.qlen[u])
+	for j := range q {
+		q[j] = f.ring[f.slot(u, j)]
+	}
+	return q
 }
 
 // TestBackgroundArrivalsOnePending: background arrivals are generated in
@@ -523,8 +533,8 @@ func TestBackgroundArrivalsArePoisson(t *testing.T) {
 			if fs.Injected != fs.Background || fs.InFlight != fs.Background || rig.fab.queued() != fs.Background {
 				t.Fatalf("window %d: stats %+v, %d queued; want every arrival queued", w, fs, rig.fab.queued())
 			}
-			for node, q := range rig.fab.queues {
-				for _, p := range q {
+			for node := range rig.fab.qlen {
+				for _, p := range rig.fab.queue(node) {
 					if p.cur != int32(node) || p.dst == p.cur {
 						t.Fatalf("window %d: packet queued at %d from %d to %d", w, node, p.cur, p.dst)
 					}
@@ -549,4 +559,157 @@ func TestBackgroundArrivalsArePoisson(t *testing.T) {
 			t.Errorf("load %g × %g min: count variance %.1f, want %g (relative tolerance %.3f)", c.load, c.window, variance, lambda, 4*rse)
 		}
 	}
+}
+
+// TestRingQueueWrapDropsResetAndRebind drives one egress FIFO through
+// its ring: a QueueCap-3 queue fills, drops the overflow, wraps its tail
+// past the end of its slots and still delivers in FIFO order; Reset and
+// a Rebind to another QueueCap recycle every queued packet onto the
+// freelist; and a queue deeper than the initial ring grows it without
+// reordering.
+func TestRingQueueWrapDropsResetAndRebind(t *testing.T) {
+	cfg := validConfig()
+	cfg.Planes, cfg.PerPlane = 1, 4
+	cfg.ISLRatePerMin = 0.01 // 100-minute transmissions
+	cfg.QueueCap = 3
+	sim := &des.Simulation{}
+	rng := stats.NewRNG(5, 0)
+	net, err := crosslink.NewNetwork(sim, crosslink.Config{MaxDelayMin: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.EnableMessagePooling()
+	fab, err := NewFabric(sim, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetRouter(fab)
+	var order []int
+	register := func() {
+		t.Helper()
+		if err := net.Register(1, func(_ float64, msg crosslink.Message) {
+			order = append(order, msg.Payload.(int))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register()
+	send := func(payloads ...int) {
+		t.Helper()
+		for _, pl := range payloads {
+			if err := net.Send(0, 1, "alert", pl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	conserved := func() {
+		t.Helper()
+		if err := fab.Stats().CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+		if fs := fab.Stats(); fs.InFlight != fab.queued()+btoi(fab.busy[0]) {
+			t.Fatalf("in flight %d, queued %d", fs.InFlight, fab.queued())
+		}
+	}
+
+	// 0 transmits, 1-3 fill the queue, 4 bounces.
+	send(0, 1, 2, 3, 4)
+	if fab.qlen[0] != 3 || fab.Stats().DroppedQueue != 1 {
+		t.Fatalf("qlen %d, stats %+v; want a full queue and one drop", fab.qlen[0], fab.Stats())
+	}
+	conserved()
+	// Packet 0 passed through slot 0 and 1 through slot 1, so the head is
+	// at slot 2 and 5 lands in slot 1: the queue wraps past the end of
+	// its slots. 6 finds the queue full again.
+	sim.ScheduleCallAt(150, "send", func(float64, any) { send(5, 6) }, nil)
+	sim.Run(150)
+	if fab.qhead[0] != 2 || fab.qlen[0] != 3 || fab.slot(0, 2) != 1 {
+		t.Fatalf("head %d len %d tail slot %d; want a wrapped ring", fab.qhead[0], fab.qlen[0], fab.slot(0, 2))
+	}
+	conserved()
+	sim.Run(1000)
+	if want := []int{0, 1, 2, 3, 5}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("delivery order %v, want %v", order, want)
+	}
+	if fs := fab.Stats(); fs.Delivered != 5 || fs.DroppedQueue != 2 || fs.InFlight != 0 {
+		t.Fatalf("stats %+v, want 5 delivered / 2 queue drops", fs)
+	}
+	conserved()
+
+	// Reset recycles the three queued packets; the transmitting one
+	// recycles when its stale completion fires.
+	send(10, 11, 12, 13)
+	free := len(fab.free)
+	net.Reset()
+	fab.Reset()
+	if got := len(fab.free) - free; got != 3 || fab.queued() != 0 {
+		t.Fatalf("Reset recycled %d packets, %d still queued; want 3, 0", got, fab.queued())
+	}
+	for _, p := range fab.ring {
+		if p != nil {
+			t.Fatal("Reset left a packet in the ring")
+		}
+	}
+	sim.Run(2000)
+	if got := len(fab.free) - free; got != 4 {
+		t.Fatalf("%d packets back on the freelist after the stale event, want 4", got)
+	}
+	register()
+
+	// Rebind to QueueCap 5 with three packets queued under the old
+	// layout: all three return to the freelist before the ring reshapes.
+	order = order[:0]
+	send(20, 21, 22, 23)
+	free = len(fab.free)
+	sim.Reset()
+	net.Reset()
+	cfg.QueueCap = 5
+	if err := fab.Rebind(cfg, rng); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(fab.free) - free; got != 3 || len(fab.ring) != 4*5 {
+		t.Fatalf("Rebind recycled %d packets, ring %d slots; want 3, 20", got, len(fab.ring))
+	}
+	register()
+	send(30, 31, 32, 33, 34, 35, 36)
+	conserved()
+	sim.Run(5000)
+	if want := []int{30, 31, 32, 33, 34, 35}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("delivery order after rebind %v, want %v", order, want)
+	}
+	if fs := fab.Stats(); fs.Delivered != 6 || fs.DroppedQueue != 1 || fs.InFlight != 0 {
+		t.Fatalf("stats after rebind %+v, want 6 delivered / 1 queue drop", fs)
+	}
+
+	// A queue deeper than the initial ring doubles it in place, keeping
+	// FIFO order across the move.
+	order = order[:0]
+	sim.Reset()
+	net.Reset()
+	cfg.QueueCap = 40
+	if err := fab.Rebind(cfg, rng); err != nil {
+		t.Fatal(err)
+	}
+	register()
+	want := make([]int, 30)
+	for i := range want {
+		want[i] = 100 + i
+		send(want[i])
+	}
+	if fab.slots != 2*initialSlots || fab.qlen[0] != 29 {
+		t.Fatalf("ring slots %d, qlen %d; want %d, 29", fab.slots, fab.qlen[0], 2*initialSlots)
+	}
+	conserved()
+	sim.Run(1e5)
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("delivery order across ring growth %v, want %v", order, want)
+	}
+	conserved()
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
