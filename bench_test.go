@@ -605,6 +605,24 @@ func BenchmarkEvaluateParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluatePairedParallel sweeps the worker count of the paired
+// common-random-numbers engine (4096 episodes = 4 shards, OAQ vs BAQ at
+// k = 10); each shard draws both of its runners from the runner pool.
+func BenchmarkEvaluatePairedParallel(b *testing.B) {
+	pa := oaq.ReferenceParams(10, qos.SchemeOAQ)
+	pb := oaq.ReferenceParams(10, qos.SchemeBAQ)
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := oaq.EvaluatePairedParallel(pa, pb, 4096, 1, w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkProtocolEpisodeParallel measures episode throughput with one
 // protocol evaluator per benchmark goroutine (b.RunParallel), each on
 // its own RNG substream.

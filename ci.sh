@@ -161,20 +161,25 @@ qosd_pid=""
 # Pooled-shard allocation gate: a whole EvaluateParallel batch (4096
 # episodes = 4 shards) draws its runners from the shared pool and
 # costs tens of allocations, not the ~1000 the per-shard construction
-# used to. The budget leaves headroom for sync.Pool/GC variance while
-# still catching any return of per-shard stack rebuilding.
-go test -run '^$' -bench '^BenchmarkEvaluateParallel$' \
+# used to; a paired batch draws two runners per shard from the same
+# pool and costs ~60, not the ~400 of two fresh runners per shard. Each
+# budget is about four times the measured count: headroom for
+# sync.Pool/GC variance that still catches any return of per-shard
+# stack rebuilding.
+go test -run '^$' -bench '^BenchmarkEvaluateParallel$|^BenchmarkEvaluatePairedParallel$' \
     -benchmem -benchtime 50x . |
     tee "$tmpdir/bench_pool.txt"
 awk '
-    /^BenchmarkEvaluateParallel\// {
+    /^BenchmarkEvaluateParallel\// { budget = 160 }
+    /^BenchmarkEvaluatePairedParallel\// { budget = 240 }
+    /^BenchmarkEvaluate(Paired)?Parallel\// {
         seen++
         allocs = $(NF - 1) + 0
-        if (allocs > 160) {
-            print $1, "allocs/op", allocs, "exceeds budget 160"; bad = 1
+        if (allocs > budget) {
+            print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 3) { print "expected 3 pooled-shard benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 6) { print "expected 6 pooled-shard benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench_pool.txt"
 
 # Span-trace gates. First determinism: the same lossy workload traced

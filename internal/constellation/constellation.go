@@ -79,8 +79,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("constellation: negative spares per plane %d", c.SparesPerPlane)
 	case c.PeriodMin <= 0 || math.IsNaN(c.PeriodMin):
 		return fmt.Errorf("constellation: period %g min must be positive", c.PeriodMin)
-	case c.CoverageTimeMin <= 0 || c.CoverageTimeMin >= c.PeriodMin:
-		return fmt.Errorf("constellation: coverage time %g min must be in (0, period)", c.CoverageTimeMin)
+	case !c.footprintFits():
+		return fmt.Errorf("constellation: coverage time %g min must be in (0, period/2)", c.CoverageTimeMin)
 	case c.InclinationDeg < 0 || c.InclinationDeg > 180:
 		return fmt.Errorf("constellation: inclination %g° outside [0, 180]", c.InclinationDeg)
 	case c.InterPlanePhaseFrac < 0 || c.InterPlanePhaseFrac >= 1:
@@ -89,6 +89,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("constellation: unknown Walker kind %d", int(c.Walker))
 	}
 	return nil
+}
+
+// footprintFits reports whether the coverage time gives the footprint
+// half-angle ψ = π·Tc/θ a value in (0, π/2), that is 0 < Tc < θ/2. It
+// derives ψ with the arithmetic newPlane uses, so a Tc one rounding
+// below θ/2 cannot pass here and fail there.
+func (c Config) footprintFits() bool {
+	if !(c.CoverageTimeMin > 0) {
+		return false // also NaN, which the footprint check would pass
+	}
+	_, err := orbit.FootprintFromCoverageTime(orbit.CircularOrbit{PeriodMin: c.PeriodMin}, c.CoverageTimeMin)
+	return err == nil
 }
 
 // TotalSatellites returns the fully populated satellite count (actives

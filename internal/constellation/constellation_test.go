@@ -46,6 +46,60 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestValidatedConfigsBuild: every config Validate accepts builds with
+// New without a panic. The footprint half-angle π·Tc/θ reaches π/2 at
+// Tc = θ/2, and one rounding below that boundary can already reach it.
+func TestValidatedConfigsBuild(t *testing.T) {
+	// check reports whether Validate accepted (θ, Tc), and fails the test
+	// when it did but New then panicked or failed.
+	check := func(period, tc float64) (valid bool) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.PeriodMin, cfg.CoverageTimeMin = period, tc
+		if cfg.Validate() != nil {
+			return false
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("θ=%g, Tc=%g: Validate accepted, New panicked: %v", period, tc, r)
+			}
+		}()
+		if _, err := New(cfg); err != nil {
+			t.Errorf("θ=%g, Tc=%g: Validate accepted, New failed: %v", period, tc, err)
+		}
+		return true
+	}
+	for _, c := range []struct {
+		name       string
+		period, tc float64
+		valid      bool
+	}{
+		{"reference", 90, 9, true},
+		{"tc=0.4θ", 90, 36, true},
+		{"tc=0.5θ", 90, 45, false},
+		{"tc=0.6θ", 90, 54, false},
+		{"tc=θ", 90, 90, false},
+		{"tc NaN", 90, math.NaN(), false},
+		{"period +Inf", math.Inf(1), 9, false},
+		{"tc one ulp under θ/2, ψ rounds to π/2", 1578, math.Nextafter(789, 0), false},
+		{"tc one ulp under θ/2, ψ below π/2", 90, math.Nextafter(45, 0), true},
+	} {
+		if got := check(c.period, c.tc); got != c.valid {
+			t.Errorf("%s (θ=%g, Tc=%g): Validate accepted %v, want %v", c.name, c.period, c.tc, got, c.valid)
+		}
+	}
+	// One ulp under θ/2, ψ rounds to π/2 for some periods and not others.
+	accepted := 0
+	for period := 1.0; period <= 400; period++ {
+		if check(period, math.Nextafter(period/2, 0)) {
+			accepted++
+		}
+	}
+	if accepted == 0 || accepted == 400 {
+		t.Fatalf("%d of 400 one-ulp-under configs accepted: boundary not exercised", accepted)
+	}
+}
+
 func TestReferenceConstellationShape(t *testing.T) {
 	c := mustNew(t)
 	// §2: 98 active satellites and 14 in-orbit spares, 112 total.

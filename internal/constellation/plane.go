@@ -59,8 +59,8 @@ func newPlane(cfg Config, index int) *Plane {
 	o := p.referenceOrbit(0)
 	fp, err := orbit.FootprintFromCoverageTime(o, cfg.CoverageTimeMin)
 	if err != nil {
-		// Config was validated at construction: 0 < Tc < period implies a
-		// legal half-angle.
+		// Config was validated at construction, and footprintFits
+		// derives this same footprint.
 		panic(fmt.Sprintf("constellation: invalid footprint from validated config: %v", err))
 	}
 	p.fp = fp

@@ -13,6 +13,11 @@
 // The loss probability can be overridden at runtime (SetLossProb), which
 // is the hook the fault-injection engine (package fault) uses to script
 // time-windowed loss bursts; Reset restores the configured base value.
+//
+// Message envelopes are always pooled, so the steady-state send path
+// allocates nothing. Recycling never changes behaviour: an epoch fence
+// keeps a dead Reset generation's envelope from delivering, and
+// handlers receive Message by value.
 package crosslink
 
 import (
@@ -122,10 +127,8 @@ type Network struct {
 	// epoch fences delivery events across Reset: a message emitted before
 	// a Reset must neither deliver nor touch the fresh epoch's books.
 	epoch uint64
-	// pooling recycles fired delivery envelopes through free (see
-	// EnableMessagePooling); kindLabels memoizes the per-kind event label
-	// so the hot path never rebuilds the string.
-	pooling    bool
+	// free recycles finished delivery envelopes; kindLabels memoizes the
+	// per-kind event label so the hot path never rebuilds the string.
 	free       []*delivery
 	kindLabels []kindLabelEntry
 	// tracer, when non-nil, records message-lifetime spans and drop
@@ -176,11 +179,9 @@ func (h RouteHandle) LossProb() float64 { return h.n.lossProb }
 func (h RouteHandle) Complete(now float64, hops int, cause int) {
 	n, d := h.n, h.d
 	msg, live, span := d.msg, d.epoch == n.epoch, d.span
-	if n.pooling {
-		d.msg = Message{} // drop the payload reference before recycling
-		d.span = 0
-		n.free = append(n.free, d)
-	}
+	d.msg = Message{} // drop the payload reference before recycling
+	d.span = 0
+	n.free = append(n.free, d)
 	if !live {
 		return
 	}
@@ -282,38 +283,15 @@ type Config struct {
 	LossProb float64
 }
 
-// NewNetwork builds a network on the given simulation. The RNG drives
-// delay jitter and losses.
+// NewNetwork builds a network on the given simulation, configured by
+// Reconfigure. The RNG drives delay jitter and losses.
 func NewNetwork(sim *des.Simulation, cfg Config, rng *stats.RNG) (*Network, error) {
-	if sim == nil {
-		return nil, fmt.Errorf("crosslink: simulation is required")
+	n := &Network{sim: sim}
+	if err := n.Reconfigure(cfg, rng); err != nil {
+		return nil, err
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("crosslink: RNG is required")
-	}
-	if cfg.MaxDelayMin <= 0 || math.IsNaN(cfg.MaxDelayMin) {
-		return nil, fmt.Errorf("crosslink: max delay δ = %g must be positive", cfg.MaxDelayMin)
-	}
-	if cfg.LossProb < 0 || cfg.LossProb > 1 || math.IsNaN(cfg.LossProb) {
-		return nil, fmt.Errorf("crosslink: loss probability %g outside [0, 1]", cfg.LossProb)
-	}
-	return &Network{
-		sim:          sim,
-		rng:          rng,
-		delta:        cfg.MaxDelayMin,
-		lossProb:     cfg.LossProb,
-		baseLossProb: cfg.LossProb,
-	}, nil
+	return n, nil
 }
-
-// EnableMessagePooling turns on recycling of fired delivery envelopes:
-// each message's in-flight storage returns to a freelist that Send draws
-// from, making the steady-state send path allocation-free. Pooling never
-// changes behavior — the epoch fence already guarantees that a recycled
-// envelope of a dead epoch cannot deliver — so pooled and unpooled runs
-// produce identical Stats (see TestPoolingConservation). It is opt-in
-// for symmetry with des.EnableEventReuse.
-func (n *Network) EnableMessagePooling() { n.pooling = true }
 
 // slot maps a NodeID to its dense index. IDs below the ground station's
 // -1 would need a second offset rebase; no caller uses them, so they are
@@ -371,11 +349,14 @@ func (n *Network) SetLossProb(p float64) {
 // Reconfigure rebinds the network to a new parameter set and RNG without
 // discarding its storage — the hook that lets a pooled simulation stack
 // (package oaq recycles whole episode runners across one-shot calls)
-// serve configurations it was not built with. It applies the same
-// validation as NewNetwork and implies a Reset: the previous epoch's
-// in-flight messages are fenced off, and the new loss probability
-// becomes the base that future Resets restore.
+// serve configurations it was not built with. It is the network's only
+// validation, and it implies a Reset: the previous epoch's in-flight
+// messages are fenced off, and the new loss probability becomes the
+// base that future Resets restore.
 func (n *Network) Reconfigure(cfg Config, rng *stats.RNG) error {
+	if n.sim == nil {
+		return fmt.Errorf("crosslink: simulation is required")
+	}
 	if rng == nil {
 		return fmt.Errorf("crosslink: RNG is required")
 	}
@@ -547,18 +528,15 @@ func (n *Network) kindLabel(kind string) string {
 }
 
 // deliver completes (or drops) one in-flight message and recycles its
-// envelope when pooling is enabled. A delivery whose epoch predates the
-// last Reset belongs to a dead generation: it must neither reach a
-// handler nor touch the fresh epoch's counters — but its envelope is
-// still returned to the freelist (the envelope belongs to the network,
-// not the epoch).
+// envelope. A delivery whose epoch predates the last Reset belongs to a
+// dead generation: it must neither reach a handler nor touch the fresh
+// epoch's counters — but its envelope is still returned to the freelist
+// (the envelope belongs to the network, not the epoch).
 func (n *Network) deliver(now float64, d *delivery) {
 	msg, live, span := d.msg, d.epoch == n.epoch, d.span
-	if n.pooling {
-		d.msg = Message{} // drop the payload reference before recycling
-		d.span = 0
-		n.free = append(n.free, d)
-	}
+	d.msg = Message{} // drop the payload reference before recycling
+	d.span = 0
+	n.free = append(n.free, d)
 	if !live {
 		return
 	}

@@ -14,6 +14,11 @@
 // the kernel always fires the least key among the heap head and the lane
 // heads, so routing an event through a lane never changes the firing
 // order.
+//
+// The scheduling form decides recycling: ScheduleCall events (Agenda
+// entries too) return to a freelist when they fire or on Reset, so
+// their handles are valid only while pending; Schedule closure events
+// are never recycled, so their handles may be canceled at any time.
 package des
 
 import (
@@ -67,9 +72,7 @@ type Simulation struct {
 	seq         uint64
 	fired       uint64
 	halted      bool
-	// reuse enables the fired-event freelist (see EnableEventReuse).
-	reuse bool
-	free  []*Event
+	free        []*Event // recycled ScheduleCall events
 	// tracer, when non-nil, records a dispatch span around every fired
 	// event (see SetTracer). The kernel pays one nil check when tracing
 	// is off.
@@ -111,18 +114,13 @@ func (s *Simulation) Stats() Stats {
 // Reset returns the simulation to time zero with an empty event queue
 // and empty lanes, keeping their backing storage and the recycled-event
 // pool so a caller can run many short simulations back to back without
-// reallocating. Any *Event previously returned by Schedule is invalid
-// after a Reset.
+// reallocating. Pending ScheduleCall events are recycled. Any *Event
+// previously returned by Schedule or ScheduleCall is invalid after a
+// Reset.
 func (s *Simulation) Reset() {
 	for _, q := range s.queue {
-		e := q.ev
-		e.index = -1
-		if s.reuse {
-			e.handler = nil
-			e.argFn = nil
-			e.arg = nil
-			s.free = append(s.free, e)
-		}
+		q.ev.index = -1
+		s.recycle(q.ev)
 	}
 	clear(s.queue)
 	s.queue = s.queue[:0]
@@ -139,22 +137,25 @@ func (s *Simulation) Reset() {
 	s.maxDepth = 0
 }
 
-// EnableEventReuse turns on recycling of fired events: Step returns each
-// event's storage to a freelist that Schedule draws from. This is safe
-// only for callers that never Cancel an event after it has fired and
-// never retain the *Event returned by Schedule past its firing — a
-// recycled pointer would then refer to an unrelated live event. The OAQ
-// episode engine qualifies (it discards every schedule handle);
-// package membership does not (its Ticker stop function cancels a
-// possibly-fired event).
-func (s *Simulation) EnableEventReuse() { s.reuse = true }
+// recycle returns a fired or reset ScheduleCall event to the freelist
+// that both scheduling forms draw from. Closure events are never
+// recycled, so a Schedule handle stays safe to Cancel after its event
+// fired (Ticker's stop function relies on that).
+func (s *Simulation) recycle(e *Event) {
+	if e.argFn == nil {
+		return
+	}
+	e.argFn = nil
+	e.arg = nil
+	s.free = append(s.free, e)
+}
 
 // ClearEventFreelist discards the recycled-event pool (keeping its
-// backing array). The sharded evaluators call it when they draw a
-// pooled runner for a fresh shard: the freelist hit/miss counters are
-// published metrics, and they must be a function of the shard alone —
-// not of how warm a pool the shard happened to inherit — for snapshots
-// to stay bit-identical at any worker count.
+// backing array). The episode engine calls it whenever it draws a
+// pooled runner: the freelist hit/miss counters are published metrics,
+// and they must be a function of the work alone — not of how warm a
+// pool the runner happened to inherit — for snapshots to stay
+// bit-identical at any worker count.
 func (s *Simulation) ClearEventFreelist() {
 	clear(s.free)
 	s.free = s.free[:0]
@@ -178,7 +179,9 @@ func (s *Simulation) Pending() int { return len(s.queue) + s.lanePending }
 
 // Schedule registers handler to run after delay units of simulation time.
 // The label is for diagnostics. Scheduling into the past is a programming
-// error and panics; simultaneous events run in scheduling order.
+// error and panics; simultaneous events run in scheduling order. The
+// returned event is never recycled, so canceling it is safe even after
+// it fired.
 func (s *Simulation) Schedule(delay float64, label string, handler Handler) *Event {
 	if handler == nil {
 		panic("des: Schedule with nil handler")
@@ -189,8 +192,13 @@ func (s *Simulation) Schedule(delay float64, label string, handler Handler) *Eve
 // ScheduleCall registers fn to run after delay units of simulation time,
 // passing arg back at dispatch. It is the allocation-free counterpart of
 // Schedule: when fn is a package-level function and arg is a pointer, no
-// per-event closure is heap-allocated, which keeps hot simulation loops
+// per-event closure is heap-allocated, and the event's storage is
+// recycled once it fires (or on Reset), which keeps hot simulation loops
 // (the OAQ episode engine) free of steady-state allocations.
+//
+// The returned handle is valid only until the event fires: afterwards
+// it may already stand for an unrelated event, so Cancel it only while
+// it is pending.
 func (s *Simulation) ScheduleCall(delay float64, label string, fn ArgHandler, arg any) *Event {
 	if fn == nil {
 		panic("des: ScheduleCall with nil handler")
@@ -332,14 +340,9 @@ func (s *Simulation) fireHeap() {
 	} else {
 		e.argFn(s.now, e.arg)
 	}
-	if s.reuse {
-		// Recycled after the handler so a handler scheduling new
-		// events cannot be handed its own in-flight event.
-		e.handler = nil
-		e.argFn = nil
-		e.arg = nil
-		s.free = append(s.free, e)
-	}
+	// Recycled after the handler so a handler scheduling new events
+	// cannot be handed its own in-flight event.
+	s.recycle(e)
 }
 
 // nextLane returns the lane whose head is the next event to fire, or nil

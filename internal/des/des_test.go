@@ -241,6 +241,41 @@ func TestTickerStopFromWithinHandler(t *testing.T) {
 	}
 }
 
+// A Ticker stopped from inside its own tick keeps the handle of the
+// event that just fired, and a second stop cancels it again. Were that
+// closure event recycled like ScheduleCall events are, the second stop
+// would cancel whichever unrelated event reused its storage.
+func TestTickerStopSparesRecycledEvents(t *testing.T) {
+	var s Simulation
+	var stop func()
+	stop = s.Ticker(1, "tick", func(float64) { stop() })
+	s.ScheduleCall(0.5, "churn", func(float64, any) {}, nil)
+	s.Run(1.5)
+	fired := 0
+	count := func(float64, any) { fired++ }
+	for i := 0; i < 4; i++ {
+		s.ScheduleCall(1, "live", count, nil)
+	}
+	stop()
+	s.Run(10)
+	if fired != 4 {
+		t.Fatalf("%d of 4 live events fired after the second stop", fired)
+	}
+
+	// Cancel on a fired Schedule handle stays a no-op.
+	e := s.Schedule(1, "once", func(float64) {})
+	s.Run(s.Now() + 2)
+	s.ScheduleCall(1, "live", count, nil)
+	s.Cancel(e)
+	if s.Pending() != 1 {
+		t.Fatalf("Cancel of a fired Schedule handle left %d pending, want 1", s.Pending())
+	}
+	s.Run(s.Now() + 2)
+	if fired != 5 {
+		t.Fatalf("live event canceled through a fired Schedule handle")
+	}
+}
+
 func TestEventAccessors(t *testing.T) {
 	var s Simulation
 	e := s.Schedule(2.5, "hello", func(float64) {})

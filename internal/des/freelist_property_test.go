@@ -24,7 +24,6 @@ func TestFreelistNeverAliasesLiveEvent(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := stats.NewRNG(seed, 0)
 			sim := &Simulation{}
-			sim.EnableEventReuse()
 
 			live := make(map[*Event]bool)
 			issued := 0
@@ -74,8 +73,9 @@ func TestFreelistNeverAliasesLiveEvent(t *testing.T) {
 				burst(sim.Now())
 				sim.Run(sim.Now() + rng.Float64()*4)
 				if rng.Float64() < 0.15 {
-					// Reset recycles every still-pending event; all live
-					// pointers become legitimately reusable.
+					// Reset recycles every still-pending ScheduleCall
+					// event; all live pointers become legitimately
+					// reusable.
 					sim.Reset()
 					clear(live)
 				}
@@ -97,7 +97,6 @@ func TestFreelistNeverAliasesLiveEvent(t *testing.T) {
 // the freelist retains nothing.
 func TestScheduleCallDispatch(t *testing.T) {
 	sim := &Simulation{}
-	sim.EnableEventReuse()
 	var order []string
 	type payload struct{ name string }
 	p := &payload{name: "arg1"}

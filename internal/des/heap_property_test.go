@@ -16,12 +16,14 @@ type oracleEvent struct {
 }
 
 // TestHeapMatchesSortedOracle is the property test for the event heap:
-// seeded random interleavings of ScheduleCall, Cancel of an arbitrary
-// pending event, Step, and Reset — with event reuse on and off — are
-// mirrored into a reference model that keeps the pending set as a plain
-// slice sorted by (time, seq). After every operation the kernel must
-// agree with the model on the fired event, the clock, the pending
-// count, and every Stats counter, and each queued event's index must
+// seeded random interleavings of scheduling, Cancel of an arbitrary
+// pending event, Step, and Reset — scheduling through ScheduleCall,
+// whose events recycle (reuse=true), or through Schedule, whose
+// closure events never do (reuse=false) — are mirrored into a
+// reference model that keeps the pending set as a plain slice sorted by
+// (time, seq). After every operation the kernel must agree with the
+// model on the fired event, the clock, the pending count, the freelist
+// length and every Stats counter, and each queued event's index must
 // equal its heap slot.
 func TestHeapMatchesSortedOracle(t *testing.T) {
 	for _, reuse := range []bool{false, true} {
@@ -36,9 +38,6 @@ func TestHeapMatchesSortedOracle(t *testing.T) {
 func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 	rng := stats.NewRNG(seed, 0)
 	sim := &Simulation{}
-	if reuse {
-		sim.EnableEventReuse()
-	}
 
 	var (
 		pending []oracleEvent // model pending set
@@ -74,10 +73,15 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 			delay := float64(rng.Intn(8))
 			id := nextID
 			nextID++
-			e := sim.ScheduleCall(delay, "prop", onFire, &id)
+			var e *Event
+			if reuse {
+				e = sim.ScheduleCall(delay, "prop", onFire, &id)
+			} else {
+				e = sim.Schedule(delay, "prop", func(now float64) { onFire(now, &id) })
+			}
 			handles[id] = e
 			want.Scheduled++
-			if reuse && free > 0 {
+			if free > 0 {
 				free--
 				want.FreelistHits++
 			} else {
@@ -132,7 +136,7 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 		if got := sim.Pending(); got != len(pending) {
 			t.Fatalf("op %d (%s): Pending = %d, oracle %d", op, what, got, len(pending))
 		}
-		if reuse && len(sim.free) != free {
+		if len(sim.free) != free {
 			t.Fatalf("op %d (%s): freelist holds %d events, oracle %d", op, what, len(sim.free), free)
 		}
 		for i, q := range sim.queue {
@@ -185,15 +189,17 @@ type laneRec struct {
 }
 
 // TestLanesMatchAllHeapReference is the property test for fixed-delay
-// lanes: seeded random interleavings of ScheduleCall, Cancel, Ticker,
+// lanes: seeded random interleavings of heap scheduling, Cancel, Ticker,
 // ScheduleLane on one to three lanes (with delays drawn so lane and heap
 // events often tie in time), lane retiming while empty, Step, Run and
-// Reset — with event reuse on and off — run against a reference
-// simulation that schedules every lane event through ScheduleCall with
-// the lane's delay. After every operation the two must have fired the
-// same (label, time) sequence, sit at the same clock, and agree on
-// Pending and on the Scheduled, Fired and MaxHeapDepth counters; no Run
-// may fire an event past its horizon.
+// Reset — heap events scheduled through ScheduleCall, whose events
+// recycle (reuse=true), or through Schedule, whose closure events never
+// do (reuse=false) — run against a reference simulation that schedules
+// every lane event through ScheduleCall with the lane's delay. After
+// every operation the two must have fired the same (label, time)
+// sequence, sit at the same clock, and agree on Pending and on the
+// Scheduled, Fired and MaxHeapDepth counters; no Run may fire an event
+// past its horizon.
 func TestLanesMatchAllHeapReference(t *testing.T) {
 	for _, reuse := range []bool{false, true} {
 		for seed := uint64(1); seed <= 12; seed++ {
@@ -211,9 +217,6 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 	var lr, ref laneTwin
 	for _, w := range []*laneTwin{&lr, &ref} {
 		w.sim = &Simulation{}
-		if reuse {
-			w.sim.EnableEventReuse()
-		}
 		w.handles = map[int]*Event{}
 	}
 	for i := 0; i < nLanes; i++ {
@@ -238,7 +241,11 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 			delay := float64(rng.Intn(8)) / 2
 			rec := newRec("heap")
 			for _, w := range []*laneTwin{&lr, &ref} {
-				w.handles[rec.id] = w.sim.ScheduleCall(delay, rec.label, w.onFire, rec)
+				if reuse {
+					w.handles[rec.id] = w.sim.ScheduleCall(delay, rec.label, w.onFire, rec)
+				} else {
+					w.handles[rec.id] = w.sim.Schedule(delay, rec.label, func(now float64) { w.onFire(now, rec) })
+				}
 			}
 		case r < 0.55:
 			what = "lane"

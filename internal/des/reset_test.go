@@ -26,22 +26,31 @@ func TestResetClearsStateKeepsStorage(t *testing.T) {
 	}
 }
 
-// With event reuse on, a long sequence of schedule/fire cycles recycles
-// the same Event structs while preserving (time, seq) ordering.
+// A long sequence of ScheduleCall schedule/fire cycles recycles the
+// same Event structs while preserving the (time, seq) ordering that
+// never-recycled Schedule events follow.
 func TestEventReuseKeepsDeterministicOrder(t *testing.T) {
 	run := func(reuse bool) []int {
 		s := &Simulation{}
-		if reuse {
-			s.EnableEventReuse()
-		}
 		var log []int
+		logID := func(_ float64, arg any) { log = append(log, arg.(int)) }
+		at := func(delay float64, label string, id int) {
+			if reuse {
+				s.ScheduleCall(delay, label, logID, id)
+			} else {
+				s.Schedule(delay, label, func(now float64) { logID(now, id) })
+			}
+		}
 		for round := 0; round < 5; round++ {
 			id := round * 10
-			s.Schedule(1, "x", func(float64) { log = append(log, id) })
-			s.Schedule(1, "y", func(float64) { log = append(log, id+1) })
-			s.Schedule(0.5, "z", func(float64) { log = append(log, id+2) })
+			at(1, "x", id)
+			at(1, "y", id+1)
+			at(0.5, "z", id+2)
 			s.Run(s.Now() + 2)
 			s.Reset()
+		}
+		if got := len(s.free) > 0; got != reuse {
+			t.Fatalf("reuse=%v: freelist holds %d events", reuse, len(s.free))
 		}
 		return log
 	}
@@ -56,20 +65,24 @@ func TestEventReuseKeepsDeterministicOrder(t *testing.T) {
 	}
 }
 
-// A handler scheduling new events while reuse is on must never receive
-// its own in-flight event back.
+// A ScheduleCall handler scheduling new events must never receive its
+// own in-flight event back.
 func TestEventReuseHandlerScheduling(t *testing.T) {
 	s := &Simulation{}
-	s.EnableEventReuse()
 	depth := 0
-	var grow Handler
-	grow = func(float64) {
+	var firing *Event // the event whose handler is running
+	var grow ArgHandler
+	grow = func(float64, any) {
 		depth++
 		if depth < 100 {
-			s.Schedule(0.1, "grow", grow)
+			e := s.ScheduleCall(0.1, "grow", grow, nil)
+			if e == firing {
+				t.Fatalf("depth %d: handler was handed its own in-flight event", depth)
+			}
+			firing = e
 		}
 	}
-	s.Schedule(0.1, "grow", grow)
+	firing = s.ScheduleCall(0.1, "grow", grow, nil)
 	s.Run(1000)
 	if depth != 100 {
 		t.Fatalf("chain depth %d, want 100", depth)

@@ -4,9 +4,9 @@ import "testing"
 
 func TestStatsCountersAndReset(t *testing.T) {
 	sim := &Simulation{}
-	sim.EnableEventReuse()
+	nop := func(float64, any) {}
 	for i := 0; i < 3; i++ {
-		sim.Schedule(float64(i+1), "e", func(float64) {})
+		sim.ScheduleCall(float64(i+1), "e", nop, nil)
 	}
 	st := sim.Stats()
 	if st.Scheduled != 3 || st.Fired != 0 {
@@ -29,8 +29,8 @@ func TestStatsCountersAndReset(t *testing.T) {
 	if st := sim.Stats(); st != (Stats{}) {
 		t.Fatalf("Stats after Reset = %+v, want zero", st)
 	}
-	sim.Schedule(1, "e", func(float64) {})
-	sim.Schedule(2, "e", func(float64) {})
+	sim.ScheduleCall(1, "e", nop, nil)
+	sim.ScheduleCall(2, "e", nop, nil)
 	st = sim.Stats()
 	if st.FreelistHits != 2 || st.FreelistMisses != 0 {
 		t.Fatalf("freelist hits/misses after reuse = %d/%d, want 2/0", st.FreelistHits, st.FreelistMisses)

@@ -160,26 +160,10 @@ func EvaluateParallelCtx(ctx context.Context, p Params, episodes int, seed uint6
 	out, err := parallel.MonteCarloCtx(ctx, workers, episodes, 0,
 		func(s parallel.Shard) (shardOut, error) {
 			begin := time.Now()
-			rng := stats.NewRNG(seed, uint64(s.Index))
-			// Draw the runner from the shared pool (the same one RunEpisode
-			// recycles through) instead of rebuilding the whole simulation
-			// stack per shard — the construction was most of the ~241 allocs
-			// a shard batch used to pay.
-			r, _ := runnerPool.Get().(*episodeRunner)
-			if r == nil {
-				var err error
-				r, err = newEpisodeRunner(p, rng)
-				if err != nil {
-					return shardOut{}, err
-				}
-			} else if err := r.rebind(p, rng); err != nil {
-				runnerPool.Put(r)
+			r, err := acquireRunner(p, stats.NewRNG(seed, uint64(s.Index)))
+			if err != nil {
 				return shardOut{}, err
 			}
-			// A pooled runner inherits a warm event freelist; the freelist
-			// hit/miss counters are published, so start the shard cold
-			// exactly as a fresh runner would.
-			r.ep.sim.ClearEventFreelist()
 			// The global episode ordinal (s.Start + i) keys head sampling
 			// and exemplars; it depends only on the budget partition, never
 			// on the worker count.
@@ -197,8 +181,7 @@ func EvaluateParallelCtx(ctx context.Context, p Params, episodes int, seed uint6
 				o.t.add(&res)
 			}
 			detach()
-			r.setMetrics(nil)
-			runnerPool.Put(r)
+			releaseRunner(r)
 			if shardErr != nil {
 				return shardOut{}, shardErr
 			}

@@ -84,14 +84,16 @@ func EvaluatePairedParallel(a, b Params, episodes int, seed uint64, workers int)
 		func(s parallel.Shard) (shardOut, error) {
 			rngA := stats.NewRNG(seed, uint64(s.Start))
 			rngB := stats.NewRNG(seed, uint64(s.Start))
-			ra, err := newEpisodeRunner(a, rngA)
+			ra, err := acquireRunner(a, rngA)
 			if err != nil {
 				return shardOut{}, fmt.Errorf("oaq: config A: %w", err)
 			}
-			rb, err := newEpisodeRunner(b, rngB)
+			defer releaseRunner(ra)
+			rb, err := acquireRunner(b, rngB)
 			if err != nil {
 				return shardOut{}, fmt.Errorf("oaq: config B: %w", err)
 			}
+			defer releaseRunner(rb)
 			o := shardOut{t: &pairedTally{}, ma: maybeShardMetrics(a.Metrics), mb: maybeShardMetrics(b.Metrics)}
 			ra.setMetrics(o.ma)
 			rb.setMetrics(o.mb)

@@ -1,8 +1,11 @@
 package oaq
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
+	"satqos/internal/obs"
 	"satqos/internal/qos"
 	"satqos/internal/stats"
 )
@@ -56,5 +59,85 @@ func TestPooledRunEpisodeRejectsInvalidParams(t *testing.T) {
 	}
 	if _, err := RunEpisode(ReferenceParams(10, qos.SchemeOAQ), stats.NewRNG(1, 3)); err != nil {
 		t.Fatalf("pool unusable after rejected params: %v", err)
+	}
+}
+
+// drainRunnerPool empties runnerPool, so the next acquire builds a
+// fresh runner.
+func drainRunnerPool() {
+	for runnerPool.Get() != nil {
+	}
+}
+
+// warmRunnerPool parks runners that ran a lossy evaluation with other
+// parameters, so their event freelists and envelope pools are warm.
+func warmRunnerPool(t *testing.T) {
+	t.Helper()
+	p := ReferenceParams(10, qos.SchemeOAQ)
+	p.MessageLossProb = 0.2
+	if _, err := EvaluateParallel(p, 2048, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// metricsJSON is the registry's snapshot as JSON.
+func metricsJSON(t *testing.T, r *obs.Registry) []byte {
+	t.Helper()
+	js, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js
+}
+
+// TestRunEpisodeMetricsIndependentOfPool: the snapshot RunEpisode
+// publishes, des_freelist_* included, is a function of its parameters
+// and RNG alone, the same on a cold pool as after an evaluation warmed
+// the pooled runners.
+func TestRunEpisodeMetricsIndependentOfPool(t *testing.T) {
+	run := func() []byte {
+		p := ReferenceParams(12, qos.SchemeOAQ)
+		p.Metrics = obs.NewRegistry()
+		if _, err := RunEpisode(p, stats.NewRNG(3, 0)); err != nil {
+			t.Fatal(err)
+		}
+		return metricsJSON(t, p.Metrics)
+	}
+	drainRunnerPool()
+	cold := run()
+	warmRunnerPool(t)
+	if warm := run(); !bytes.Equal(cold, warm) {
+		t.Fatalf("RunEpisode snapshot depends on the pool:\ncold: %s\nwarm: %s", cold, warm)
+	}
+}
+
+// TestPairedIndependentOfPool: the paired engine draws both runners of
+// a shard from the pool; its comparison and both configurations'
+// snapshots are the same on a cold pool as on a warm one.
+func TestPairedIndependentOfPool(t *testing.T) {
+	type outcome struct {
+		pc     *PairedComparison
+		ma, mb []byte
+	}
+	run := func() outcome {
+		a := ReferenceParams(10, qos.SchemeOAQ)
+		b := ReferenceParams(10, qos.SchemeBAQ)
+		a.Metrics, b.Metrics = obs.NewRegistry(), obs.NewRegistry()
+		pc, err := EvaluatePairedParallel(a, b, 2048, 5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{pc, metricsJSON(t, a.Metrics), metricsJSON(t, b.Metrics)}
+	}
+	drainRunnerPool()
+	cold := run()
+	warmRunnerPool(t)
+	warm := run()
+	if !reflect.DeepEqual(cold.pc, warm.pc) {
+		t.Errorf("paired comparison depends on the pool:\ncold: %+v\nwarm: %+v", cold.pc, warm.pc)
+	}
+	if !bytes.Equal(cold.ma, warm.ma) || !bytes.Equal(cold.mb, warm.mb) {
+		t.Errorf("paired snapshots depend on the pool:\ncold A: %s\nwarm A: %s\ncold B: %s\nwarm B: %s",
+			cold.ma, warm.ma, cold.mb, warm.mb)
 	}
 }

@@ -573,72 +573,20 @@ type episodeRunner struct {
 	fab *route.Fabric
 }
 
-// newEpisodeRunner validates the parameters and builds the reusable
-// simulation state. The runner draws every random variate from rng; to
-// replay a specific substream per episode, Reseed the rng between run
-// calls (the paired evaluator does).
+// newEpisodeRunner builds the parameter-free parts of a runner — the
+// simulation and the ground station's receive closure — and binds it to
+// p and rng through rebind. The runner draws every random variate from
+// rng; to replay a specific substream per episode, Reseed the rng
+// between run calls (the paired evaluator does).
 func newEpisodeRunner(p Params, rng *stats.RNG) (*episodeRunner, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("oaq: RNG is required")
-	}
-	tr, err := p.Geom.Tr(p.K)
-	if err != nil {
-		return nil, err
-	}
-	overlap, err := p.Geom.Overlapping(p.K)
-	if err != nil {
-		return nil, err
-	}
-
-	sim := &des.Simulation{}
-	// The protocol never cancels events and never retains schedule
-	// handles, so fired-event recycling is safe here.
-	sim.EnableEventReuse()
-	net, err := crosslink.NewNetwork(sim, crosslink.Config{
-		MaxDelayMin: p.DeltaMin,
-		LossProb:    p.MessageLossProb,
-	}, rng)
-	if err != nil {
-		return nil, err
-	}
-	ground, err := crosslink.NewNetwork(sim, crosslink.Config{MaxDelayMin: p.DeltaMin}, rng)
-	if err != nil {
-		return nil, err
-	}
-	// The protocol's payloads live in pooled satellite structs and every
-	// delivery is dispatched through the networks themselves, so envelope
-	// recycling is safe — and keeps steady-state sends allocation-free.
-	net.EnableMessagePooling()
-	ground.EnableMessagePooling()
-	var fab *route.Fabric
-	if p.Route != nil {
-		fab, err = route.NewFabric(sim, *p.Route, rng)
-		if err != nil {
-			return nil, err
-		}
-		// One fabric backs both networks: protocol crosslinks and alert
-		// downlinks share the ISL queues.
-		net.SetRouter(fab)
-		ground.SetRouter(fab)
-	}
-	r := &episodeRunner{fab: fab}
-	r.ep = episode{
-		p:       p,
-		sim:     sim,
-		net:     net,
-		ground:  ground,
-		fab:     fab,
-		rng:     rng,
-		l1:      tr,
-		tc:      p.Geom.TcMin,
-		overlap: overlap,
-	}
+	r := &episodeRunner{}
 	e := &r.ep
+	e.sim = &des.Simulation{}
 	r.groundHandler = func(now float64, msg crosslink.Message) {
 		e.recordAlert(msg)
+	}
+	if err := r.rebind(p, rng); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -786,12 +734,12 @@ func (r *episodeRunner) run() EpisodeResult {
 	return res
 }
 
-// rebind retargets an existing runner at new parameters and a new RNG,
-// keeping every allocation — the event queue, the crosslink fabrics and
-// their freelists, the satellite pool, the scan buffers. It performs
-// exactly the derivations of newEpisodeRunner; a rebound runner is
-// outcome-for-outcome identical to a freshly built one because neither
-// construction path consumes the RNG.
+// rebind binds the runner to new parameters and a new RNG, keeping
+// every allocation — the event queue, the crosslink networks and their
+// freelists, the routed fabric, the satellite pool, the scan buffers. It
+// is the only code that validates Params and derives the runner's
+// parameter state, so a rebound runner is outcome-for-outcome identical
+// to a freshly built one (neither path consumes the RNG).
 func (r *episodeRunner) rebind(p Params, rng *stats.RNG) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -811,14 +759,23 @@ func (r *episodeRunner) rebind(p Params, rng *stats.RNG) error {
 	// Drop the previous episode's leftovers past its run horizon before
 	// the fabric retimes its lanes (run resets the simulation anyway).
 	e.sim.Reset()
-	if err := e.net.Reconfigure(crosslink.Config{
-		MaxDelayMin: p.DeltaMin,
-		LossProb:    p.MessageLossProb,
-	}, rng); err != nil {
-		return err
-	}
-	if err := e.ground.Reconfigure(crosslink.Config{MaxDelayMin: p.DeltaMin}, rng); err != nil {
-		return err
+	linkCfg := crosslink.Config{MaxDelayMin: p.DeltaMin, LossProb: p.MessageLossProb}
+	groundCfg := crosslink.Config{MaxDelayMin: p.DeltaMin}
+	if e.net == nil {
+		// The first bind builds the networks.
+		if e.net, err = crosslink.NewNetwork(e.sim, linkCfg, rng); err != nil {
+			return err
+		}
+		if e.ground, err = crosslink.NewNetwork(e.sim, groundCfg, rng); err != nil {
+			return err
+		}
+	} else {
+		if err := e.net.Reconfigure(linkCfg, rng); err != nil {
+			return err
+		}
+		if err := e.ground.Reconfigure(groundCfg, rng); err != nil {
+			return err
+		}
 	}
 	switch {
 	case p.Route == nil:
@@ -838,6 +795,8 @@ func (r *episodeRunner) rebind(p Params, rng *stats.RNG) error {
 		r.fab = fab
 	}
 	if p.Route != nil {
+		// One fabric backs both networks: protocol crosslinks and alert
+		// downlinks share the ISL queues.
 		e.fab = r.fab
 		e.net.SetRouter(r.fab)
 		e.ground.SetRouter(r.fab)
@@ -850,39 +809,52 @@ func (r *episodeRunner) rebind(p Params, rng *stats.RNG) error {
 	return nil
 }
 
-// runnerPool recycles episode runners across one-shot RunEpisode calls.
-// A cold RunEpisode used to pay the full ~50-allocation construction of
-// the simulation stack per call; with the pool, one-shot callers reuse a
-// parked runner via rebind and only the first call on a quiet process
-// builds one. The pool holds runners between calls only — a runner is
-// never in the pool while running, so the single-goroutine discipline of
-// episodeRunner is preserved.
+// runnerPool parks episode runners between uses, so only the first
+// evaluation on a quiet process pays the construction of the
+// simulation stack. acquireRunner and releaseRunner are its only users;
+// a runner is never in the pool while running, so the single-goroutine
+// discipline of episodeRunner is preserved.
 var runnerPool sync.Pool
+
+// acquireRunner draws a parked runner (or builds one) bound to p and
+// rng. Whatever the pool held, the runner starts as a fresh one would:
+// an empty event freelist (its hit/miss counters are published) and
+// episode ordinal 0 (it keys exemplars and trace sampling).
+func acquireRunner(p Params, rng *stats.RNG) (*episodeRunner, error) {
+	r, ok := runnerPool.Get().(*episodeRunner)
+	if !ok {
+		return newEpisodeRunner(p, rng)
+	}
+	if err := r.rebind(p, rng); err != nil {
+		// The next acquire rebinds it in full; park it again.
+		runnerPool.Put(r)
+		return nil, err
+	}
+	r.ep.sim.ClearEventFreelist()
+	r.ep.ord = 0
+	return r, nil
+}
+
+// releaseRunner detaches the runner's metrics accumulator and parks it.
+func releaseRunner(r *episodeRunner) {
+	r.setMetrics(nil)
+	runnerPool.Put(r)
+}
 
 // RunEpisode simulates one signal episode under the given parameters and
 // returns its outcome.
 func RunEpisode(p Params, rng *stats.RNG) (EpisodeResult, error) {
-	r, _ := runnerPool.Get().(*episodeRunner)
-	if r == nil {
-		var err error
-		r, err = newEpisodeRunner(p, rng)
-		if err != nil {
-			return EpisodeResult{}, err
-		}
-	} else if err := r.rebind(p, rng); err != nil {
-		// Validation failed before the runner was touched; park it again.
-		runnerPool.Put(r)
+	r, err := acquireRunner(p, rng)
+	if err != nil {
 		return EpisodeResult{}, err
 	}
 	m := maybeShardMetrics(p.Metrics)
 	r.setMetrics(m)
-	r.ep.ord = 0
 	detach := r.attachShardTracer(p.Tracing, 0)
 	res := r.run()
 	detach()
 	m.publish(p.Metrics)
-	r.setMetrics(nil)
-	runnerPool.Put(r)
+	releaseRunner(r)
 	return res, nil
 }
 

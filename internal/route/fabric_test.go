@@ -24,13 +24,11 @@ type testRig struct {
 func newTestRig(t *testing.T, cfg Config, seed uint64) *testRig {
 	t.Helper()
 	sim := &des.Simulation{}
-	sim.EnableEventReuse()
 	rng := stats.NewRNG(seed, 0)
 	net, err := crosslink.NewNetwork(sim, crosslink.Config{MaxDelayMin: 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.EnableMessagePooling()
 	fab, err := NewFabric(sim, cfg, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +576,6 @@ func TestRingQueueWrapDropsResetAndRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.EnableMessagePooling()
 	fab, err := NewFabric(sim, cfg, rng)
 	if err != nil {
 		t.Fatal(err)

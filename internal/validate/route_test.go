@@ -30,12 +30,10 @@ func TestPropertyRouteConservation(t *testing.T) {
 			cfg.Policy = policy
 			rng := stats.NewRNG(seed, uint64(100*trial+1))
 			sim := &des.Simulation{}
-			sim.EnableEventReuse()
 			net, err := crosslink.NewNetwork(sim, crosslink.Config{MaxDelayMin: 0.5}, rng)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, policy, err)
 			}
-			net.EnableMessagePooling()
 			fab, err := route.NewFabric(sim, cfg, rng)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v (config %+v)", trial, policy, err, cfg)
