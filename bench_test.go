@@ -160,6 +160,41 @@ func BenchmarkGeometry(b *testing.B) {
 	}
 }
 
+// BenchmarkCapacityAnalytic times capacity.Analytic over Figure 7's λ
+// grid (η = 10, φ = 30000 h), one op being the whole 10-point grid:
+// cold solves with the memo reset each iteration, against memo hits.
+func BenchmarkCapacityAnalytic(b *testing.B) {
+	lambdas := experiment.DefaultLambdas()
+	solveGrid := func(b *testing.B) {
+		for _, lambda := range lambdas {
+			d, err := capacity.ReferenceParams(10, lambda, 30000).Analytic()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if d.P(10) <= 0 {
+				b.Fatalf("P(10) = %v at λ=%g", d.P(10), lambda)
+			}
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			capacity.ResetAnalyticCache()
+			solveGrid(b)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		capacity.ResetAnalyticCache()
+		solveGrid(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			solveGrid(b)
+		}
+	})
+	capacity.ResetAnalyticCache()
+}
+
 // BenchmarkCapacityRoutes cross-checks the three P(k) computation routes
 // at one parameter point (analytic vs SAN; the DES route is exercised in
 // the capacity package's tests).

@@ -212,6 +212,7 @@ go test -run='^$' -fuzz='^FuzzConditionalPMF$' -fuzztime=5s ./internal/qos
 go test -run='^$' -fuzz='^FuzzGeometry$' -fuzztime=5s ./internal/qos
 go test -run='^$' -fuzz='^FuzzSnapshotDiff$' -fuzztime=5s ./cmd/metricscheck
 go test -run='^$' -fuzz='^FuzzRouteConfigJSON$' -fuzztime=5s ./internal/route
+go test -run='^$' -fuzz='^FuzzAnalytic$' -fuzztime=5s ./internal/capacity
 
 # Coverage floor on the validation harness, its statistical machinery,
 # the observability layer (metrics + span tracing), the routed ISL

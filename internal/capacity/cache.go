@@ -3,7 +3,6 @@ package capacity
 import (
 	"sync"
 
-	"satqos/internal/numeric"
 	"satqos/internal/obs"
 )
 
@@ -33,15 +32,10 @@ var (
 		"Analytic capacity solves performed (cache misses).")
 )
 
-// stepperPool recycles RK4 stage buffers across transient solves (the
-// cache makes solves rare, but sweeps over distinct λ still do one per
-// grid point, possibly concurrently).
-var stepperPool = sync.Pool{New: func() any { return numeric.NewRK4Stepper(0) }}
-
 // analyticCached consults the memo before solving. Under a concurrent
 // first miss for the same Params both goroutines solve, but only one
 // result is installed and both return it — the loser's duplicate work is
-// the price of not holding a lock across an RK4 solve.
+// the price of not holding a lock across a solve.
 func (p Params) analyticCached() (*Distribution, error) {
 	analyticCache.RLock()
 	d, ok := analyticCache.m[p]
@@ -50,7 +44,7 @@ func (p Params) analyticCached() (*Distribution, error) {
 		cacheHits.Inc()
 		return d, nil
 	}
-	d, err := p.analyticUncached()
+	d, _, err := p.uniformized()
 	if err != nil {
 		// Invalid Params fail fast on every call; not worth caching.
 		return nil, err

@@ -46,7 +46,7 @@ func TestAnalyticCacheMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := p.analyticUncached()
+	fresh, _, err := p.uniformized()
 	if err != nil {
 		t.Fatal(err)
 	}

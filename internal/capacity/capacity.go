@@ -24,13 +24,17 @@
 // distribution P(k) — which, by PASTA, is also what a Poisson-arriving
 // signal observes — equals the time average of the transient
 // distribution over one period [0, φ]. The package computes P(k) by
-// three independent routes that are cross-checked in tests:
+// three routes that are cross-checked in tests:
 //
-//  1. Analytic: transient solve of the pure-birth failure chain (RK4)
-//     plus an exact flow-balance recursion for the time integrals;
+//  1. Analytic: uniformization of the birth chain, the pure-birth
+//     failure chain stepped directly, without a reachability graph;
 //  2. SAN: reachability + uniformization renewal average via package
 //     san (the UltraSAN route);
 //  3. Simulation: discrete-event simulation of the same SAN.
+//
+// Routes 1 and 2 build their chains independently but share the series
+// of san.Uniformize; the tests also hold route 1 to an RK4 solve of the
+// forward equations, which shares nothing with it.
 //
 // Time is measured in hours throughout this package, matching the
 // paper's units for λ and φ.
@@ -42,7 +46,6 @@ import (
 	"sort"
 	"strings"
 
-	"satqos/internal/numeric"
 	"satqos/internal/san"
 	"satqos/internal/stats"
 )
@@ -196,77 +199,67 @@ func (d *Distribution) String() string {
 	return strings.TrimSpace(b.String())
 }
 
+// analyticEps bounds the Poisson truncation of both exact routes and the
+// transient mass left when their series stops at absorption; each such
+// stop errs by at most that mass.
+const analyticEps = 1e-15
+
 // Analytic computes P(k) from the pure-birth failure chain without going
-// through the SAN engine: the transient distribution p(φ) is obtained by
-// integrating the Kolmogorov forward equations with RK4, and the time
-// integrals I_f = ∫₀^φ p_f(t) dt follow exactly from flow balance,
-//
-//	p_f(φ) − p_f(0) = r_{f−1} I_{f−1} − r_f I_f,
-//
-// which needs no further quadrature. P(K=k) = Σ_{f : k(f)=k} I_f / φ.
+// through the SAN engine: the chain is uniformized at Λ = Nλ, its
+// fastest rate, and the time average (1/φ)∫₀^φ p(t) dt is summed by
+// san.Uniformize. P(K=k) = Σ_{f : k(f)=k} of that average. The chain is
+// bidiagonal, so a DTMC step costs O(F), and the series stops once all
+// but analyticEps of the mass sits in the absorbing state F: a few
+// hundred steps at most, however large λφ is.
 //
 // Results are memoized per Params value (see cache.go): across a sweep
-// the transient solve runs once per distinct (N, S, η, λ, φ) and repeat
-// calls return the shared, immutable Distribution.
+// the solve runs once per distinct (N, S, η, λ, φ) and repeat calls
+// return the shared, immutable Distribution.
 func (p Params) Analytic() (*Distribution, error) {
 	return p.analyticCached()
 }
 
-// analyticUncached performs the actual transient solve; Analytic wraps
-// it with the memoization layer.
-func (p Params) analyticUncached() (*Distribution, error) {
+// uniformized performs the actual solve, returning its DTMC step count
+// too; Analytic wraps it with the memoization layer.
+func (p Params) uniformized() (*Distribution, int, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	nStates := p.maxFailures() + 1
-	rates := make([]float64, nStates) // r_f, with r_F = 0 (absorbing)
-	for f := 0; f < nStates-1; f++ {
-		rates[f] = float64(p.capacityAt(f)) * p.LambdaPerHour
+	nf := p.maxFailures()
+	// From f the uniformized chain moves on with probability
+	// r_f/Λ = k(f)/N and stays otherwise; r_F = 0 (absorbing).
+	up := make([]float64, nf+1)
+	for f := 0; f < nf; f++ {
+		up[f] = float64(p.capacityAt(f)) / float64(p.ActivePerPlane)
 	}
-
-	// Transient p(φ) by RK4 on p' = pQ for the bidiagonal birth chain.
-	deriv := func(t float64, y, dydt []float64) {
-		for f := range y {
-			dydt[f] = -rates[f] * y[f]
-			if f > 0 {
-				dydt[f] += rates[f-1] * y[f-1]
+	p0 := make([]float64, nf+1)
+	p0[0] = 1
+	mean := float64(p.ActivePerPlane) * p.LambdaPerHour * p.PhiHours
+	avg, steps, err := san.Uniformize(p0, mean, analyticEps, true,
+		func(v, next []float64) {
+			for f := range next {
+				next[f] = v[f] * (1 - up[f])
+				if f > 0 {
+					next[f] += v[f-1] * up[f-1]
+				}
 			}
-		}
-	}
-	pT := make([]float64, nStates)
-	pT[0] = 1
-	// Step resolution: resolve both the fastest rate and the horizon.
-	maxRate := rates[0]
-	step := math.Min(p.PhiHours/2000, 0.05/maxRate)
-	st := stepperPool.Get().(*numeric.RK4Stepper)
-	_, err := st.Integrate(deriv, pT, 0, p.PhiHours, step)
-	stepperPool.Put(st)
+		},
+		func(v []float64) float64 {
+			var s float64
+			for _, x := range v[:nf] {
+				s += x
+			}
+			return s
+		})
 	if err != nil {
-		return nil, fmt.Errorf("capacity: transient solve: %w", err)
+		return nil, steps, fmt.Errorf("capacity: uniformization: %w", err)
 	}
-
-	// Flow-balance recursion for the integrals.
-	integrals := make([]float64, nStates)
-	var consumed float64
-	for f := 0; f < nStates-1; f++ {
-		inflow := 0.0
-		if f > 0 {
-			inflow = rates[f-1] * integrals[f-1]
-		}
-		p0 := 0.0
-		if f == 0 {
-			p0 = 1
-		}
-		integrals[f] = (inflow + p0 - pT[f]) / rates[f]
-		consumed += integrals[f]
-	}
-	integrals[nStates-1] = p.PhiHours - consumed
-
 	probs := make(map[int]float64)
-	for f, integral := range integrals {
-		probs[p.capacityAt(f)] += integral / p.PhiHours
+	for f, x := range avg {
+		probs[p.capacityAt(f)] += x
 	}
-	return NewDistribution(p.Eta, p.ActivePerPlane, probs)
+	d, err := NewDistribution(p.Eta, p.ActivePerPlane, probs)
+	return d, steps, err
 }
 
 // placeActives and placeSpares index the SAN marking.
@@ -335,7 +328,7 @@ func (p Params) SAN() (*Distribution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	ctmc, avg, err := san.RenewalAverage(p.Model(), p.PhiHours, 0, 1e-12)
+	ctmc, avg, err := san.RenewalAverage(p.Model(), p.PhiHours, 0, analyticEps)
 	if err != nil {
 		return nil, fmt.Errorf("capacity: SAN solution: %w", err)
 	}

@@ -29,8 +29,9 @@ func TestParamsValidate(t *testing.T) {
 		{ActivePerPlane: 14, Spares: 2, Eta: 10, LambdaPerHour: 0, PhiHours: 1},
 		{ActivePerPlane: 14, Spares: 2, Eta: 10, LambdaPerHour: 1e-5, PhiHours: 0},
 		{ActivePerPlane: 14, Spares: 2, Eta: 10, LambdaPerHour: math.NaN(), PhiHours: 1},
-		// Fuzz regressions: λ = +Inf broke the RK4 step selection with a
-		// confusing error, and φ = +Inf made Analytic integrate forever.
+		// Fuzz regressions from the RK4 solve: λ = +Inf broke its step
+		// selection and φ = +Inf made it integrate forever. Both stay
+		// rejected: neither is a rate or a period.
 		{ActivePerPlane: 14, Spares: 2, Eta: 10, LambdaPerHour: math.Inf(1), PhiHours: 1},
 		{ActivePerPlane: 14, Spares: 2, Eta: 10, LambdaPerHour: 1e-5, PhiHours: math.Inf(1)},
 		{ActivePerPlane: 14, Spares: 2, Eta: 10, LambdaPerHour: 1e-5, PhiHours: math.NaN()},
@@ -291,4 +292,87 @@ func BenchmarkSANRoute(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The uniformized solve agrees with the SAN route to 1e-12 over five
+// decades of λ and nine of φ, at the threshold extremes, in at most a
+// few hundred DTMC steps. It agrees with the RK4 referee too where that
+// is well conditioned and quick: its flow balance divides by r_f·φ, so
+// below λφ = 1e-2 its own rounding nears 1e-12, and its cost grows as
+// 20·N·λ·φ steps, about 50 ms at λφ = 100.
+func TestAnalyticMatchesSANGrid(t *testing.T) {
+	for _, lambda := range []float64{1e-6, 1e-4, 1e-2, 1, 10} {
+		for _, phi := range []float64{1, 2160, 30000, 1e6, 1e9} {
+			for _, eta := range []int{1, 10, 14} {
+				p := ReferenceParams(eta, lambda, phi)
+				a, steps, err := p.uniformized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if steps > 300 {
+					t.Errorf("%+v: %d DTMC steps", p, steps)
+				}
+				refs := map[string]*Distribution{}
+				if refs["SAN"], err = p.SAN(); err != nil {
+					t.Fatal(err)
+				}
+				if lambda*phi >= 1e-2 && lambda*phi <= 100 {
+					if refs["RK4"], err = analyticRK4(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for name, ref := range refs {
+					for k := eta; k <= 14; k++ {
+						if d := math.Abs(a.P(k) - ref.P(k)); d > 1e-12 {
+							t.Errorf("λ=%g φ=%g η=%d k=%d: uniformized %v vs %s %v (Δ %.3g)",
+								lambda, phi, eta, k, a.P(k), name, ref.P(k), d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzAnalytic: over any plane with N + S ≤ 64, the uniformized solve
+// never panics, every accepted Params gives a PMF that is non-negative
+// and sums to 1 within 1e-12, and the DTMC series stops within 1e4
+// steps whatever λ and φ are. The solve is called uncached so fuzzing
+// does not grow the memo.
+func FuzzAnalytic(f *testing.F) {
+	f.Add(uint8(14), uint8(2), uint8(10), 1e-4, 30000.0)
+	f.Add(uint8(14), uint8(2), uint8(1), 1e-4, 1.0)
+	f.Add(uint8(14), uint8(2), uint8(10), 1.0, 1e9)
+	f.Add(uint8(63), uint8(1), uint8(1), 10.0, 1e9)
+	f.Add(uint8(1), uint8(0), uint8(1), 5e-324, 1e-300)
+	f.Add(uint8(40), uint8(24), uint8(1), 1e300, 1e300)
+	f.Fuzz(func(t *testing.T, n, s, eta uint8, lambda, phi float64) {
+		if int(n)+int(s) > 64 {
+			return
+		}
+		p := Params{ActivePerPlane: int(n), Spares: int(s), Eta: int(eta), LambdaPerHour: lambda, PhiHours: phi}
+		d, steps, err := p.uniformized()
+		if p.Validate() != nil {
+			if err == nil {
+				t.Fatalf("%+v: invalid params solved", p)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		if steps > 1e4 {
+			t.Errorf("%+v: %d DTMC steps", p, steps)
+		}
+		var sum float64
+		for k := p.Eta; k <= p.ActivePerPlane; k++ {
+			if d.P(k) < 0 {
+				t.Errorf("%+v: P(%d) = %g", p, k, d.P(k))
+			}
+			sum += d.P(k)
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Errorf("%+v: total mass %.17g", p, sum)
+		}
+	})
 }

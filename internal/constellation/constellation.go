@@ -81,9 +81,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("constellation: period %g min must be positive", c.PeriodMin)
 	case !c.footprintFits():
 		return fmt.Errorf("constellation: coverage time %g min must be in (0, period/2)", c.CoverageTimeMin)
-	case c.InclinationDeg < 0 || c.InclinationDeg > 180:
+	case !(0 <= c.InclinationDeg && c.InclinationDeg <= 180):
 		return fmt.Errorf("constellation: inclination %g° outside [0, 180]", c.InclinationDeg)
-	case c.InterPlanePhaseFrac < 0 || c.InterPlanePhaseFrac >= 1:
+	case !(0 <= c.InterPlanePhaseFrac && c.InterPlanePhaseFrac < 1):
 		return fmt.Errorf("constellation: inter-plane phase fraction %g outside [0, 1)", c.InterPlanePhaseFrac)
 	case !c.Walker.Valid():
 		return fmt.Errorf("constellation: unknown Walker kind %d", int(c.Walker))

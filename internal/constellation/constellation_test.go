@@ -33,6 +33,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.InclinationDeg = 181 },
 		func(c *Config) { c.InterPlanePhaseFrac = 1 },
 		func(c *Config) { c.InterPlanePhaseFrac = -0.1 },
+		// NaN fails both range comparisons of a `x < lo || x > hi` test.
+		func(c *Config) { c.InclinationDeg = math.NaN() },
+		func(c *Config) { c.InterPlanePhaseFrac = math.NaN() },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"satqos/internal/oaq"
 	"satqos/internal/obs"
@@ -90,6 +91,24 @@ func TestAnalyticComposesDeployment(t *testing.T) {
 	}
 	if got.PYGE == fixedAns.PYGE {
 		t.Error("deployment composition returned the fixed-k answer")
+	}
+}
+
+// TestHostileDeploymentAnswersPromptly: the capacity solve behind a
+// deployment is bounded by the steps to absorption, not by λ·φ, so a
+// deployment with a huge failure count per period answers at once.
+func TestHostileDeploymentAnswersPromptly(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, phi := range []string{"1e4", "1e9"} {
+		start := time.Now()
+		resp, _ := post(t, ts, `{"mode":"analytic","timeout_ms":100,
+			"deployment":{"eta":10,"lambda_per_hour":1,"phi_hours":`+phi+`}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("phi_hours %s: status %d, want 200", phi, resp.StatusCode)
+		}
+		if took := time.Since(start); took > 250*time.Millisecond {
+			t.Errorf("phi_hours %s: answered after %v", phi, took)
+		}
 	}
 }
 

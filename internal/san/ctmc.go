@@ -142,38 +142,6 @@ func (c *CTMC) dtmcStep(lambda float64, x, y []float64) {
 	}
 }
 
-// poissonTerms returns the number of uniformization terms needed for
-// truncation error below eps at Poisson mean m, via a simple tail bound.
-func poissonTerms(m, eps float64) int {
-	if m <= 0 {
-		return 1
-	}
-	// Mean + 8 standard deviations covers any eps ≥ 1e-12 for m ≥ 1;
-	// grow adaptively for tiny eps or tiny m.
-	n := int(m + 8*math.Sqrt(m) + 10)
-	// Verify by explicit tail mass, extending if necessary.
-	for {
-		if poissonTail(m, n) < eps || n > 20_000_000 {
-			return n
-		}
-		n += n/2 + 10
-	}
-}
-
-// poissonTail returns P(Pois(m) > n).
-func poissonTail(m float64, n int) float64 {
-	logTerm := -m // log of e^{-m} (k = 0 term)
-	cdf := math.Exp(logTerm)
-	for k := 1; k <= n; k++ {
-		logTerm += math.Log(m / float64(k))
-		cdf += math.Exp(logTerm)
-	}
-	if cdf > 1 {
-		cdf = 1
-	}
-	return 1 - cdf
-}
-
 // TransientAt returns the state distribution at time t starting from p0,
 // computed by uniformization with truncation error below eps (1e-12 when
 // eps <= 0).
@@ -181,39 +149,10 @@ func (c *CTMC) TransientAt(p0 []float64, t, eps float64) ([]float64, error) {
 	if err := c.checkDist(p0); err != nil {
 		return nil, err
 	}
-	if t < 0 {
+	if !(t >= 0) {
 		return nil, fmt.Errorf("san: TransientAt negative time %g", t)
 	}
-	if eps <= 0 {
-		eps = 1e-12
-	}
-	lambda := c.uniformizationRate()
-	mean := lambda * t
-	nTerms := poissonTerms(mean, eps)
-
-	n := len(p0)
-	cur := append([]float64(nil), p0...)
-	next := make([]float64, n)
-	result := make([]float64, n)
-
-	// Poisson weights computed iteratively in linear space with log
-	// rescaling for large means.
-	logW := -mean // log weight of term 0
-	for k := 0; k <= nTerms; k++ {
-		if k > 0 {
-			logW += math.Log(mean / float64(k))
-			c.dtmcStep(lambda, cur, next)
-			cur, next = next, cur
-		}
-		w := math.Exp(logW)
-		if w > 0 {
-			for i := range result {
-				result[i] += w * cur[i]
-			}
-		}
-	}
-	normalize(result)
-	return result, nil
+	return c.uniformize(p0, t, eps, false)
 }
 
 // TransientAverage returns the time-averaged state distribution
@@ -229,44 +168,29 @@ func (c *CTMC) TransientAverage(p0 []float64, t, eps float64) ([]float64, error)
 	if err := c.checkDist(p0); err != nil {
 		return nil, err
 	}
-	if t <= 0 {
+	if !(t > 0) {
 		return nil, fmt.Errorf("san: TransientAverage non-positive horizon %g", t)
 	}
+	return c.uniformize(p0, t, eps, true)
+}
+
+func (c *CTMC) uniformize(p0 []float64, t, eps float64, average bool) ([]float64, error) {
 	if eps <= 0 {
 		eps = 1e-12
 	}
 	lambda := c.uniformizationRate()
-	mean := lambda * t
-	nTerms := poissonTerms(mean, eps)
-
-	n := len(p0)
-	cur := append([]float64(nil), p0...)
-	next := make([]float64, n)
-	result := make([]float64, n)
-
-	// tail_k = P(Pois(mean) > k), maintained incrementally:
-	// tail_{-1} = 1; tail_k = tail_{k-1} − pmf(k).
-	logPmf := -mean
-	tail := 1 - math.Exp(logPmf) // after subtracting pmf(0)
-	for k := 0; k <= nTerms; k++ {
-		if k > 0 {
-			logPmf += math.Log(mean / float64(k))
-			tail -= math.Exp(logPmf)
-			if tail < 0 {
-				tail = 0
+	v, _, err := Uniformize(p0, lambda*t, eps, average,
+		func(x, y []float64) { c.dtmcStep(lambda, x, y) },
+		func(x []float64) float64 {
+			var s float64
+			for i, xi := range x {
+				if c.exit[i] > 0 {
+					s += xi
+				}
 			}
-			c.dtmcStep(lambda, cur, next)
-			cur, next = next, cur
-		}
-		w := tail / mean
-		if w > 0 {
-			for i := range result {
-				result[i] += w * cur[i]
-			}
-		}
-	}
-	normalize(result)
-	return result, nil
+			return s
+		})
+	return v, err
 }
 
 // SteadyState returns the stationary distribution of an irreducible CTMC

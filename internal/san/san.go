@@ -11,7 +11,8 @@
 //     exponential-only models;
 //   - transient solution by uniformization, plus exact time-averaged
 //     occupancy over a horizon (the quantity the renewal argument needs
-//     for deterministic restart activities);
+//     for deterministic restart activities), both weighted by Fox–Glynn
+//     Poisson probabilities and stopped once the chain is absorbed;
 //   - steady-state solution by power iteration on the uniformized chain;
 //   - a discrete-event simulator that also supports deterministic
 //     activities, used to validate the analytic paths; and

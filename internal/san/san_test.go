@@ -245,6 +245,14 @@ func TestTransientValidation(t *testing.T) {
 	if _, err := c.TransientAverage([]float64{1, 0}, 0, 0); err == nil {
 		t.Error("expected non-positive-horizon error")
 	}
+	// NaN fails every comparison, so a `t < 0` test would let it through
+	// to a Poisson window whose right point is never found.
+	if _, err := c.TransientAt([]float64{1, 0}, math.NaN(), 0); err == nil {
+		t.Error("expected NaN-time error")
+	}
+	if _, err := c.TransientAverage([]float64{1, 0}, math.NaN(), 0); err == nil {
+		t.Error("expected NaN-horizon error")
+	}
 	if _, err := c.InitialDistribution(Marking{42}); err == nil {
 		t.Error("expected unreachable-marking error")
 	}
@@ -265,6 +273,16 @@ func TestExpectedReward(t *testing.T) {
 	}
 }
 
+// poissonTail returns P(Pois(m) > n) from the average weights, which
+// are that tail divided by m.
+func poissonTail(m float64, n int) float64 {
+	w, ok := newPoisson(m, 1e-15, true).at(n)
+	if !ok {
+		return 0
+	}
+	return w * m
+}
+
 func TestPoissonTail(t *testing.T) {
 	// P(Pois(2) > 1) = 1 − e^{-2}(1 + 2).
 	want := 1 - math.Exp(-2)*3
@@ -273,6 +291,97 @@ func TestPoissonTail(t *testing.T) {
 	}
 	if got := poissonTail(5, 1000); got != 0 {
 		t.Errorf("deep tail = %v, want 0", got)
+	}
+}
+
+// logPoissonPMF is log P(Pois(m) = n) in Loader's saddle-point form
+// ("Fast and accurate computation of binomial probabilities", 2000),
+// which keeps full relative precision at large means, where
+// −m + n·log m − lgamma(n+1) cancels away about log10(m) digits.
+func logPoissonPMF(m float64, n int) float64 {
+	if n == 0 {
+		return -m
+	}
+	x := float64(n)
+	var stirlerr float64 // log n! − log(√(2πx)·(x/e)^x)
+	if n <= 15 {
+		lg, _ := math.Lgamma(x + 1)
+		stirlerr = lg - (x+0.5)*math.Log(x) + x - 0.5*math.Log(2*math.Pi)
+	} else {
+		x2 := x * x
+		stirlerr = (1.0/12 - (1.0/360-(1.0/1260-1/(1680*x2))/x2)/x2) / x
+	}
+	// bd0 = x·log(x/m) + m − x, by its series when x ≈ m.
+	var bd0 float64
+	if math.Abs(x-m) < 0.1*(x+m) {
+		v := (x - m) / (x + m)
+		bd0 = (x - m) * v
+		ej := 2 * x * v
+		for j := 1; ; j++ {
+			ej *= v * v
+			next := bd0 + ej/float64(2*j+1)
+			if next == bd0 {
+				break
+			}
+			bd0 = next
+		}
+	} else {
+		bd0 = x*math.Log(x/m) + m - x
+	}
+	return -stirlerr - bd0 - 0.5*math.Log(2*math.Pi*x)
+}
+
+// The Fox–Glynn weights match a direct sum of log-space probabilities,
+// both the PMF and the tails, from tiny to large means; tails are
+// compared relative to their own size, so a deep tail lost to 1 − cdf
+// cancellation would fail.
+func TestPoissonMatchesLogSpaceSum(t *testing.T) {
+	const eps = 1e-14
+	for _, m := range []float64{1e-3, 0.1, 1, 7.5, 100, 4284, 1e5, 1e6, 1e7} {
+		pmf := newPoisson(m, eps, false)
+		avg := newPoisson(m, eps, true)
+		// The reference tail P(N > n) for every n in the window, summed
+		// from far beyond it.
+		hi := int(m + 60*math.Sqrt(m) + 60)
+		ref := make([]float64, hi+2)
+		for n := hi; n >= 0; n-- {
+			ref[n] = ref[n+1] + math.Exp(logPoissonPMF(m, n+1))
+		}
+		var worstPMF, worstTail float64
+		for n := pmf.left; ; n++ {
+			w, ok := pmf.at(n)
+			if !ok {
+				break
+			}
+			worstPMF = math.Max(worstPMF, math.Abs(w-math.Exp(logPoissonPMF(m, n))))
+		}
+		for n := avg.left; ; n++ {
+			a, ok := avg.at(n)
+			if !ok {
+				break
+			}
+			// Relative to the tail itself, beyond the truncated mass.
+			worstTail = math.Max(worstTail, (math.Abs(a*m-ref[n])-avg.eps)/ref[n])
+		}
+		if worstPMF > 1e-14 || worstTail > 1e-13 {
+			t.Errorf("m=%g: max |ΔP(N=n)| %.3g, max relative Δtail %.3g", m, worstPMF, worstTail)
+		}
+	}
+}
+
+// A chain that never absorbs needs about ΛT steps; past maxSteps the
+// series is refused with an error instead of being cut short, and an
+// absorbed chain stops at once whatever the mean.
+func TestUniformizeRefusesUnboundedSeries(t *testing.T) {
+	stay := func(v, next []float64) { next[0] = v[0] }
+	never := func([]float64) float64 { return 1 }
+	if _, steps, err := Uniformize([]float64{1}, 1e12, 1e-12, false, stay, never); err == nil {
+		t.Errorf("a never-absorbing series at mean 1e12 ran %d steps without error", steps)
+	}
+	absorbed := func([]float64) float64 { return 0 }
+	v, steps, err := Uniformize([]float64{1}, math.Inf(1), 1e-12, true, stay, absorbed)
+	if err != nil || steps != 0 || v[0] != 1 {
+		t.Errorf("absorbed at infinite mean: %v after %d steps, %v", v, steps, err)
 	}
 }
 
