@@ -213,6 +213,7 @@ go test -run='^$' -fuzz='^FuzzGeometry$' -fuzztime=5s ./internal/qos
 go test -run='^$' -fuzz='^FuzzSnapshotDiff$' -fuzztime=5s ./cmd/metricscheck
 go test -run='^$' -fuzz='^FuzzRouteConfigJSON$' -fuzztime=5s ./internal/route
 go test -run='^$' -fuzz='^FuzzAnalytic$' -fuzztime=5s ./internal/capacity
+go test -run='^$' -fuzz='^FuzzEvaluateRequest$' -fuzztime=5s ./internal/qosd
 
 # Coverage floor on the validation harness, its statistical machinery,
 # the observability layer (metrics + span tracing), the routed ISL

@@ -254,7 +254,7 @@ func runStochGeomCapacity(w io.Writer, preset string, cfg constellation.Config, 
 	}
 	fmt.Fprintf(w, "  mean visible %.3f, coverage fraction %.4f, localizability P(K>=4) %.4f\n",
 		v.Mean(), v.CoverageFraction(), v.Localizability(4))
-	fmt.Fprintf(w, "  availability at threshold η=%d: P(K>=η) = %.4f\n", eta, v.CCDF(eta))
+	fmt.Fprintf(w, "  visible-count tail at η=%d: P(K>=η) = %.4f\n", eta, v.CCDF(eta))
 	return nil
 }
 

@@ -37,28 +37,6 @@ func (p Params) MeanTimeToThreshold() (float64, error) {
 	return mtta[start], nil
 }
 
-// ThresholdDwellFraction returns the long-run fraction of time the
-// plane spends at the threshold capacity η — P(K = η) — directly from
-// the renewal structure: the cycle has length φ of which the tail
-// beyond the (capped) first-passage time is spent at η.
-func (p Params) ThresholdDwellFraction() (float64, error) {
-	dist, err := p.Analytic()
-	if err != nil {
-		return 0, err
-	}
-	return dist.P(p.Eta), nil
-}
-
-// ExpectedCapacity returns E[K], the mean number of active satellites
-// in the plane under the deployment policies.
-func (p Params) ExpectedCapacity() (float64, error) {
-	dist, err := p.Analytic()
-	if err != nil {
-		return 0, err
-	}
-	return dist.Mean(), nil
-}
-
 // ConstellationDistribution composes nPlanes independent, identically
 // protected planes into the distribution of the total active satellite
 // count (the paper's planes share no spares, making independence exact
@@ -103,20 +81,4 @@ func ConstellationAtLeast(p Params, nPlanes, m int) (float64, error) {
 		s = 1
 	}
 	return s, nil
-}
-
-// SurvivalFunction returns P(K >= k) for each capacity in the plane's
-// support, descending from N — the per-plane availability curve.
-func (d *Distribution) SurvivalFunction() map[int]float64 {
-	out := make(map[int]float64, d.N-d.Eta+1)
-	var acc float64
-	for k := d.N; k >= d.Eta; k-- {
-		acc += d.P(k)
-		v := acc
-		if v > 1 {
-			v = 1
-		}
-		out[k] = v
-	}
-	return out
 }

@@ -103,12 +103,6 @@ func (c Config) footprintFits() bool {
 	return err == nil
 }
 
-// TotalSatellites returns the fully populated satellite count (actives
-// plus in-orbit spares across all planes); 112 for the reference design.
-func (c Config) TotalSatellites() int {
-	return c.Planes * (c.ActivePerPlane + c.SparesPerPlane)
-}
-
 // Constellation is a mutable constellation whose planes degrade as
 // satellites fail and recover as deployment policies fire.
 type Constellation struct {
@@ -128,9 +122,6 @@ func New(cfg Config) (*Constellation, error) {
 	}
 	return c, nil
 }
-
-// Config returns the configuration the constellation was built with.
-func (c *Constellation) Config() Config { return c.cfg }
 
 // Planes returns the number of planes.
 func (c *Constellation) Planes() int { return len(c.planes) }
@@ -153,15 +144,6 @@ func (c *Constellation) ActiveSatellites() int {
 	return n
 }
 
-// DeployScheduled restores every plane to full capacity — the paper's
-// scheduled ground-spare deployment, which launches by calendar (period
-// φ) to restore the constellation to its original 112 satellites.
-func (c *Constellation) DeployScheduled() {
-	for _, p := range c.planes {
-		p.RestoreFull()
-	}
-}
-
 // SatView describes one satellite's relationship to a ground target at a
 // queried time.
 type SatView struct {
@@ -173,16 +155,9 @@ type SatView struct {
 	TimeToRevisit float64 // minutes until this plane's next footprint-center passage
 }
 
-// CoveringSatellites reports, for every active satellite, its view of the
-// target at time t, ordered plane-major. Callers filter on Covers for
-// simultaneous-coverage questions.
-func (c *Constellation) CoveringSatellites(target orbit.LatLon, t float64) []SatView {
-	return c.AppendCoveringSatellites(nil, target, t)
-}
-
 // AppendCoveringSatellites appends every active satellite's view of the
-// target at time t to dst and returns the extended slice, in the same
-// plane-major order as CoveringSatellites. Passing a reused buffer
+// target at time t to dst and returns the extended slice, in
+// plane-major order. Passing a reused buffer
 // (dst[:0]) makes repeated coverage scans — the mission engine queries
 // every coverScanStep — allocation-free once the buffer has grown to
 // the fleet size.

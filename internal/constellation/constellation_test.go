@@ -461,3 +461,36 @@ func BenchmarkCoveringSatellites(b *testing.B) {
 		_ = c.CoveringSatellites(target, float64(i%90))
 	}
 }
+
+// TotalSatellites returns the fully populated satellite count (actives
+// plus in-orbit spares across all planes); 112 for the reference design.
+func (c Config) TotalSatellites() int {
+	return c.Planes * (c.ActivePerPlane + c.SparesPerPlane)
+}
+
+// Config returns the configuration the constellation was built with.
+func (c *Constellation) Config() Config { return c.cfg }
+
+// DeployScheduled restores every plane to full capacity — the paper's
+// scheduled ground-spare deployment, which launches by calendar (period
+// φ) to restore the constellation to its original 112 satellites.
+func (c *Constellation) DeployScheduled() {
+	for _, p := range c.planes {
+		p.RestoreFull()
+	}
+}
+
+// CoveringSatellites reports, for every active satellite, its view of the
+// target at time t, ordered plane-major. Callers filter on Covers for
+// simultaneous-coverage questions.
+func (c *Constellation) CoveringSatellites(target orbit.LatLon, t float64) []SatView {
+	return c.AppendCoveringSatellites(nil, target, t)
+}
+
+// Failures returns the number of satellite failures the plane has
+// absorbed since construction or the last reset.
+func (p *Plane) Failures() int { return p.failures }
+
+// GroundDeploys returns how many ground-spare deployments restored this
+// plane.
+func (p *Plane) GroundDeploys() int { return p.groundDeploys }

@@ -3,7 +3,6 @@ package constellation
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"satqos/internal/orbit"
 )
@@ -28,15 +27,6 @@ type Plane struct {
 	active int
 	spares int
 
-	// version counts geometry-visible state changes (capacity drops and
-	// restores, which re-phase the ring). Scanner snapshots per-plane
-	// recurrence state keyed by this counter. It is atomic so that
-	// concurrent Scanner queries can detect staleness race-free while a
-	// writer reconfigures the constellation; the other plane fields are
-	// guarded by Scanner.Update's lock (or by mutating only while no
-	// query runs).
-	version atomic.Uint64
-
 	// Counters for reporting.
 	failures        int
 	spareSwaps      int
@@ -55,7 +45,6 @@ func newPlane(cfg Config, index int) *Plane {
 		active:   cfg.ActivePerPlane,
 		spares:   cfg.SparesPerPlane,
 	}
-	p.version.Store(1)
 	o := p.referenceOrbit(0)
 	fp, err := orbit.FootprintFromCoverageTime(o, cfg.CoverageTimeMin)
 	if err != nil {
@@ -67,39 +56,14 @@ func newPlane(cfg Config, index int) *Plane {
 	return p
 }
 
-// Index returns the plane's position within the constellation.
-func (p *Plane) Index() int { return p.index }
-
-// RAAN returns the plane's right ascension of the ascending node in
-// radians.
-func (p *Plane) RAAN() float64 { return p.raan }
-
-// Frame returns the plane's cached rotation frame (the in-plane basis of
-// orbit.Frame), computed once at construction.
-func (p *Plane) Frame() orbit.Frame { return p.frame }
-
-// Version returns a counter that advances whenever the plane's satellite
-// geometry changes (a capacity drop with re-phasing, or a restore).
-// Callers caching derived per-plane state — the fast coverage scanner —
-// use it to detect staleness without recomputing anything.
-func (p *Plane) Version() uint64 { return p.version.Load() }
-
 // ActiveCount returns k, the number of active operational satellites.
 func (p *Plane) ActiveCount() int { return p.active }
 
 // SpareCount returns the remaining in-orbit spares.
 func (p *Plane) SpareCount() int { return p.spares }
 
-// Failures returns the number of satellite failures the plane has
-// absorbed since construction or the last reset.
-func (p *Plane) Failures() int { return p.failures }
-
 // SpareSwaps returns how many failures were absorbed by in-orbit spares.
 func (p *Plane) SpareSwaps() int { return p.spareSwaps }
-
-// GroundDeploys returns how many ground-spare deployments restored this
-// plane.
-func (p *Plane) GroundDeploys() int { return p.groundDeploys }
 
 // PhasingAdjustments returns how many times survivors were re-phased.
 func (p *Plane) PhasingAdjustments() int { return p.phasingAdjusted }
@@ -180,7 +144,6 @@ func (p *Plane) FailActive() error {
 	}
 	p.active--
 	p.phasingAdjusted++
-	p.version.Add(1)
 	return nil
 }
 
@@ -190,9 +153,6 @@ func (p *Plane) FailActive() error {
 func (p *Plane) RestoreFull() {
 	if p.active == p.cfg.ActivePerPlane && p.spares == p.cfg.SparesPerPlane {
 		return
-	}
-	if p.active != p.cfg.ActivePerPlane {
-		p.version.Add(1)
 	}
 	p.active = p.cfg.ActivePerPlane
 	p.spares = p.cfg.SparesPerPlane

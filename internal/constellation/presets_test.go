@@ -120,3 +120,7 @@ func TestWalkerKindStrings(t *testing.T) {
 		t.Error("Validate should reject unknown Walker kind")
 	}
 }
+
+// RAAN returns the plane's right ascension of the ascending node in
+// radians.
+func (p *Plane) RAAN() float64 { return p.raan }

@@ -3,8 +3,6 @@ package constellation
 import (
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"satqos/internal/orbit"
 )
@@ -38,27 +36,19 @@ type SatRef struct {
 // query performs no heap allocations once dst has grown to the covering
 // set's high-water mark.
 //
-// Any number of goroutines may query one Scanner concurrently: queries
-// read an immutable snapshot of the per-plane scan state published
-// through an atomic pointer. Reconfiguration — satellite failures,
-// ground-spare restores — goes through Update, which mutates the
-// constellation under a lock and publishes a fresh snapshot
-// (copy-on-reconfigure); readers switch to it on their next query and
-// never observe a half-updated plane. Mutations made directly on the
-// constellation while no query runs are picked up too: every query
-// compares the snapshot against the planes' atomic version counters
-// and rebuilds it when a plane has re-phased. The mission engine and
-// satqosd keep one Scanner per constellation and share it across
-// goroutines.
+// A Scanner is a snapshot of the constellation taken at NewScanner:
+// queries read per-plane scan state captured then and never the live
+// planes, so any number of goroutines may query one Scanner
+// concurrently. Failing or restoring satellites afterwards does not
+// change its answers; build a new Scanner after reconfiguring. The
+// mission engine and satqosd keep one Scanner per constellation and
+// share it across goroutines.
 type Scanner struct {
-	c    *Constellation
-	mu   sync.Mutex // serializes Update and snapshot rebuilds
-	snap atomic.Pointer[[]planeScan]
+	planes []planeScan
 }
 
-// planeScan is one plane's scan state, immutable once published.
+// planeScan is one plane's scan state.
 type planeScan struct {
-	version    uint64
 	k          int
 	frame      orbit.Frame
 	phaseRef   float64
@@ -68,83 +58,25 @@ type planeScan struct {
 	cosHalf    float64
 }
 
-// newPlaneScan captures plane p's current scan state.
-func newPlaneScan(p *Plane) planeScan {
-	ps := planeScan{
-		version:  p.version.Load(),
-		k:        p.active,
-		frame:    p.frame,
-		phaseRef: p.phaseRef,
-		n:        2 * math.Pi / p.cfg.PeriodMin,
-		half:     p.fp.HalfAngle,
-		cosHalf:  math.Cos(p.fp.HalfAngle),
-		cosD:     1,
-	}
-	if p.active > 0 {
-		ps.sinD, ps.cosD = math.Sincos(2 * math.Pi / float64(p.active))
-	}
-	return ps
-}
-
-// NewScanner builds a fast scanner over the constellation and publishes
-// the initial snapshot. The scanner reads the constellation's planes;
-// it mutates them only through Update.
+// NewScanner captures the scan state of every plane of c as it is now.
 func NewScanner(c *Constellation) *Scanner {
-	s := &Scanner{c: c}
-	s.mu.Lock()
-	s.rebuild()
-	s.mu.Unlock()
-	return s
-}
-
-// rebuild publishes a fresh snapshot from the live planes and returns
-// it. Callers hold s.mu.
-func (s *Scanner) rebuild() []planeScan {
-	planes := make([]planeScan, len(s.c.planes))
-	for i, p := range s.c.planes {
-		planes[i] = newPlaneScan(p)
-	}
-	s.snap.Store(&planes)
-	return planes
-}
-
-// current returns the published snapshot if every plane's version still
-// matches it, else nil.
-func (s *Scanner) current() []planeScan {
-	planes := *s.snap.Load()
-	for i := range planes {
-		if planes[i].version != s.c.planes[i].version.Load() {
-			return nil
+	s := &Scanner{planes: make([]planeScan, len(c.planes))}
+	for i, p := range c.planes {
+		ps := planeScan{
+			k:        p.active,
+			frame:    p.frame,
+			phaseRef: p.phaseRef,
+			n:        2 * math.Pi / p.cfg.PeriodMin,
+			half:     p.fp.HalfAngle,
+			cosHalf:  math.Cos(p.fp.HalfAngle),
+			cosD:     1,
 		}
+		if p.active > 0 {
+			ps.sinD, ps.cosD = math.Sincos(2 * math.Pi / float64(p.active))
+		}
+		s.planes[i] = ps
 	}
-	return planes
-}
-
-// snapshot returns the scan state of the live constellation, rebuilding
-// the published snapshot first if a plane changed since it was built.
-// A query that observes an Update mid-mutation waits for the snapshot
-// that Update publishes.
-func (s *Scanner) snapshot() []planeScan {
-	if planes := s.current(); planes != nil {
-		return planes
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if planes := s.current(); planes != nil {
-		return planes
-	}
-	return s.rebuild()
-}
-
-// Update applies a mutation to the underlying constellation — fail
-// planes, restore them, anything reachable from *Constellation — and
-// publishes the rebuilt snapshot before returning. Concurrent queries
-// keep reading the previous snapshot until the new one lands.
-func (s *Scanner) Update(mutate func(*Constellation)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mutate(s.c)
-	s.rebuild()
+	return s
 }
 
 // latBandPad widens the latitude band in z-space so floating-point
@@ -195,7 +127,7 @@ func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float6
 	n := 0
 	u := target.UnitECI(t)
 	bandHalf, zLo, zHi := math.NaN(), 0.0, 0.0
-	planes := s.snapshot()
+	planes := s.planes
 	for pi := 0; pi < len(planes); pi++ {
 		a := &planes[pi]
 		k := a.k
@@ -283,25 +215,6 @@ func (s *Scanner) AppendCovering(dst []SatRef, target orbit.LatLon, t float64) [
 func (s *Scanner) CoverageCount(target orbit.LatLon, t float64) int {
 	_, n := s.scan(nil, false, target, t)
 	return n
-}
-
-// Separation returns the great-circle angle (radians) between satellite
-// ref's sub-point and the target at time t, computed from the scanner's
-// unit-vector geometry. It is the validation hook that pins the fast
-// scan's positions to the per-orbit path (the one acos here is off the
-// scan hot path).
-func (s *Scanner) Separation(ref SatRef, target orbit.LatLon, t float64) float64 {
-	ps := &s.snapshot()[ref.Plane]
-	u := ps.phaseRef + 2*math.Pi*float64(ref.Index)/float64(ps.k) + ps.n*t
-	sin, cos := math.Sincos(u)
-	pos := ps.frame.UnitPosition(cos, sin)
-	d := pos.Dot(target.UnitECI(t))
-	if d > 1 {
-		d = 1
-	} else if d < -1 {
-		d = -1
-	}
-	return math.Acos(d)
 }
 
 // SharedScanner is the former name of the concurrent scanner.

@@ -329,9 +329,6 @@ func (n *Network) handlerOf(id NodeID) Handler {
 	return nil
 }
 
-// MaxDelay returns δ.
-func (n *Network) MaxDelay() float64 { return n.delta }
-
 // LossProb returns the loss probability currently in effect.
 func (n *Network) LossProb() float64 { return n.lossProb }
 

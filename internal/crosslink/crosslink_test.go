@@ -385,3 +385,6 @@ func TestGroundStationConstant(t *testing.T) {
 		t.Error("ground station did not receive the alert")
 	}
 }
+
+// MaxDelay returns δ.
+func (n *Network) MaxDelay() float64 { return n.delta }

@@ -57,9 +57,6 @@ func (a *Agenda) Reset() {
 	a.entries = a.entries[:0]
 }
 
-// Len returns the number of entries on the agenda.
-func (a *Agenda) Len() int { return len(a.entries) }
-
 // Arm schedules every entry onto the simulation at absolute time
 // origin + entry.At. Entries landing before the simulation's current
 // time fire immediately instead (scenario times are clamped, never

@@ -75,3 +75,6 @@ func TestAgendaAddValidation(t *testing.T) {
 		a.Add(1, "x", nil, nil)
 	}()
 }
+
+// Len returns the number of entries on the agenda.
+func (a *Agenda) Len() int { return len(a.entries) }

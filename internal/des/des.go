@@ -51,15 +51,6 @@ type Event struct {
 	label    string
 }
 
-// Time returns the simulation time at which the event is scheduled.
-func (e *Event) Time() float64 { return e.time }
-
-// Label returns the diagnostic label given at scheduling time.
-func (e *Event) Label() string { return e.label }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Simulation is a single-threaded event-driven simulator. The zero value
 // is a simulation positioned at time 0 with no events; it is ready to
 // use.
@@ -170,9 +161,6 @@ func (s *Simulation) SetTracer(r *trace.Recorder) { s.tracer = r }
 // Now returns the current simulation time.
 func (s *Simulation) Now() float64 { return s.now }
 
-// Fired returns the number of events executed so far.
-func (s *Simulation) Fired() uint64 { return s.fired }
-
 // Pending returns the number of scheduled, non-canceled events, heap and
 // lanes together.
 func (s *Simulation) Pending() int { return len(s.queue) + s.lanePending }
@@ -265,10 +253,6 @@ func (s *Simulation) Cancel(e *Event) {
 	}
 	e.canceled = true
 }
-
-// Halt stops the run loop after the current event completes. It is the
-// mechanism by which an event handler ends a Run early.
-func (s *Simulation) Halt() { s.halted = true }
 
 // Step fires the next pending event, advancing the clock, and reports
 // whether an event was fired.

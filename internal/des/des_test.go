@@ -331,3 +331,19 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		s.Run(100)
 	}
 }
+
+// Time returns the simulation time at which the event is scheduled.
+func (e *Event) Time() float64 { return e.time }
+
+// Label returns the diagnostic label given at scheduling time.
+func (e *Event) Label() string { return e.label }
+
+// Canceled reports whether Cancel was called on the event.
+func (e *Event) Canceled() bool { return e.canceled }
+
+// Fired returns the number of events executed so far.
+func (s *Simulation) Fired() uint64 { return s.fired }
+
+// Halt stops the run loop after the current event completes. It is the
+// mechanism by which an event handler ends a Run early.
+func (s *Simulation) Halt() { s.halted = true }

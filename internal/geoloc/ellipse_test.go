@@ -160,3 +160,68 @@ func TestEllipseShapeAcrossCoverageClasses(t *testing.T) {
 		t.Errorf("dual CEP %v should beat single %v", dual.CEP50(), single.CEP50())
 	}
 }
+
+// ErrorEllipse returns the 1σ position-uncertainty ellipse of the
+// estimate in the local north/east plane: semi-major and semi-minor
+// axis lengths (km) and the orientation of the major axis measured from
+// north toward east (radians, in [0, π)). It is the eigenstructure of
+// the 2×2 position block of the posterior covariance.
+//
+// Single-pass Doppler fixes produce strongly elongated ellipses (the
+// cross-track direction is weakly observable); a second pass from a
+// different geometry collapses the major axis — the geometric reason
+// sequential and simultaneous multiple coverage improve QoS.
+func (e Estimate) ErrorEllipse() (majorKm, minorKm, orientation float64) {
+	if e.Covariance == nil {
+		return math.Inf(1), math.Inf(1), 0
+	}
+	a := e.Covariance.At(0, 0) // var(north)
+	b := e.Covariance.At(0, 1) // cov(north, east)
+	c := e.Covariance.At(1, 1) // var(east)
+	// Eigenvalues of [[a b] [b c]].
+	tr := a + c
+	d := math.Sqrt((a-c)*(a-c)/4 + b*b)
+	l1 := tr/2 + d
+	l2 := tr/2 - d
+	if l2 < 0 {
+		l2 = 0
+	}
+	// Major-axis direction: eigenvector of l1.
+	var theta float64
+	switch {
+	case b == 0 && a >= c:
+		theta = 0
+	case b == 0:
+		theta = math.Pi / 2
+	default:
+		theta = math.Atan2(l1-a, b)
+		// Convert from (north, east) component angle to bearing from
+		// north: the eigenvector is (x_n, x_e) ∝ (b, l1 − a); bearing =
+		// atan2(east, north).
+		theta = math.Atan2(l1-a, b)
+	}
+	for theta < 0 {
+		theta += math.Pi
+	}
+	for theta >= math.Pi {
+		theta -= math.Pi
+	}
+	return math.Sqrt(l1), math.Sqrt(l2), theta
+}
+
+// CEP50 returns the radius (km) of the circle centered on the estimate
+// that contains the true position with probability 0.5, using the
+// standard Rayleigh-family approximation
+//
+//	CEP ≈ 0.562 σ_major + 0.617 σ_minor,
+//
+// accurate to a few percent for aspect ratios up to about 3, and a
+// conservative overestimate beyond (the usual practice for elongated
+// Doppler fixes).
+func (e Estimate) CEP50() float64 {
+	major, minor, _ := e.ErrorEllipse()
+	if math.IsInf(major, 1) {
+		return math.Inf(1)
+	}
+	return 0.562*major + 0.617*minor
+}

@@ -1,6 +1,6 @@
 // Package mat implements the small dense linear-algebra substrate needed
-// by the geolocation estimator: matrices, vectors, LU and Cholesky
-// factorizations, and QR-based least squares.
+// by the geolocation estimator: matrices, vectors, and LU and Cholesky
+// factorizations.
 //
 // The paper's sequential-localization mechanism ([4] Levanon 1998, [5]
 // Chan & Towers 1992) rests on an iterative weighted least-squares
@@ -10,7 +10,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -54,21 +53,6 @@ func Identity(n int) *Matrix {
 	}
 	return m
 }
-
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, v)
-	}
-	return m
-}
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns the element at (i, j).
 func (m *Matrix) At(i, j int) float64 {
@@ -151,61 +135,6 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// Plus returns m + b as a new matrix.
-func (m *Matrix) Plus(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("mat: Plus dimension mismatch: %dx%d + %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// Minus returns m − b as a new matrix.
-func (m *Matrix) Minus(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("mat: Minus dimension mismatch: %dx%d - %dx%d", m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() (float64, error) {
-	if m.rows != m.cols {
-		return 0, fmt.Errorf("mat: Trace of non-square %dx%d matrix", m.rows, m.cols)
-	}
-	var s float64
-	for i := 0; i < m.rows; i++ {
-		s += m.data[i*m.cols+i]
-	}
-	return s, nil
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -220,48 +149,4 @@ func (m *Matrix) String() string {
 		b.WriteString("]\n")
 	}
 	return b.String()
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("mat: Dot length mismatch: %d vs %d", len(a), len(b))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
-// Norm2 returns the Euclidean norm of v, guarding against overflow by
-// scaling.
-func Norm2(v []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// AXPY computes y ← a·x + y in place.
-func AXPY(a float64, x, y []float64) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("mat: AXPY length mismatch: %d vs %d", len(x), len(y))
-	}
-	for i := range x {
-		y[i] += a * x[i]
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,4 +215,90 @@ func TestMulTransposeProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Rows returns the number of rows.
+func (m *Matrix) Rows() int { return m.rows }
+
+// Cols returns the number of columns.
+func (m *Matrix) Cols() int { return m.cols }
+
+// Plus returns m + b as a new matrix.
+func (m *Matrix) Plus(b *Matrix) (*Matrix, error) {
+	if m.rows != b.rows || m.cols != b.cols {
+		return nil, fmt.Errorf("mat: Plus dimension mismatch: %dx%d + %dx%d", m.rows, m.cols, b.rows, b.cols)
+	}
+	out := m.Clone()
+	for i := range out.data {
+		out.data[i] += b.data[i]
+	}
+	return out, nil
+}
+
+// Minus returns m − b as a new matrix.
+func (m *Matrix) Minus(b *Matrix) (*Matrix, error) {
+	if m.rows != b.rows || m.cols != b.cols {
+		return nil, fmt.Errorf("mat: Minus dimension mismatch: %dx%d - %dx%d", m.rows, m.cols, b.rows, b.cols)
+	}
+	out := m.Clone()
+	for i := range out.data {
+		out.data[i] -= b.data[i]
+	}
+	return out, nil
+}
+
+// Trace returns the sum of diagonal elements of a square matrix.
+func (m *Matrix) Trace() (float64, error) {
+	if m.rows != m.cols {
+		return 0, fmt.Errorf("mat: Trace of non-square %dx%d matrix", m.rows, m.cols)
+	}
+	var s float64
+	for i := 0; i < m.rows; i++ {
+		s += m.data[i*m.cols+i]
+	}
+	return s, nil
+}
+
+// Dot returns the inner product of two equal-length vectors.
+func Dot(a, b []float64) (float64, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("mat: Dot length mismatch: %d vs %d", len(a), len(b))
+	}
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s, nil
+}
+
+// Norm2 returns the Euclidean norm of v, guarding against overflow by
+// scaling.
+func Norm2(v []float64) float64 {
+	var scale, ssq float64 = 0, 1
+	for _, x := range v {
+		if x == 0 {
+			continue
+		}
+		ax := math.Abs(x)
+		if scale < ax {
+			r := scale / ax
+			ssq = 1 + ssq*r*r
+			scale = ax
+		} else {
+			r := ax / scale
+			ssq += r * r
+		}
+	}
+	return scale * math.Sqrt(ssq)
+}
+
+// AXPY computes y ← a·x + y in place.
+func AXPY(a float64, x, y []float64) error {
+	if len(x) != len(y) {
+		return fmt.Errorf("mat: AXPY length mismatch: %d vs %d", len(x), len(y))
+	}
+	for i := range x {
+		y[i] += a * x[i]
+	}
+	return nil
 }

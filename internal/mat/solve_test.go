@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -346,3 +347,148 @@ func BenchmarkSolve10(b *testing.B) {
 }
 
 var _ = math.Pi // keep math imported even if tolerance helpers change
+
+// Diag returns a square matrix with d on the diagonal.
+func Diag(d []float64) *Matrix {
+	m := New(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
+}
+
+// Scale multiplies every element by s, in place, and returns m.
+func (m *Matrix) Scale(s float64) *Matrix {
+	for i := range m.data {
+		m.data[i] *= s
+	}
+	return m
+}
+
+// MaxAbs returns the largest absolute element value.
+func (m *Matrix) MaxAbs() float64 {
+	var mx float64
+	for _, v := range m.data {
+		if a := math.Abs(v); a > mx {
+			mx = a
+		}
+	}
+	return mx
+}
+
+// Det returns the determinant of the factored matrix.
+func (f *LU) Det() float64 {
+	d := float64(f.sign)
+	for i := 0; i < f.lu.rows; i++ {
+		d *= f.lu.At(i, i)
+	}
+	return d
+}
+
+// Solve solves Ax = b using the Cholesky factor.
+func (c *Cholesky) Solve(b []float64) ([]float64, error) {
+	n := c.l.rows
+	if len(b) != n {
+		return nil, fmt.Errorf("mat: Cholesky.Solve: rhs length %d, want %d", len(b), n)
+	}
+	// Ly = b.
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for j := 0; j < i; j++ {
+			s -= c.l.At(i, j) * y[j]
+		}
+		y[i] = s / c.l.At(i, i)
+	}
+	// Lᵀx = y.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for j := i + 1; j < n; j++ {
+			s -= c.l.At(j, i) * x[j]
+		}
+		x[i] = s / c.l.At(i, i)
+	}
+	return x, nil
+}
+
+// LeastSquares solves the (possibly weighted, by pre-scaling rows)
+// overdetermined system min ‖Ax − b‖₂ via QR factorization with
+// Householder reflections. A must have at least as many rows as columns
+// and full column rank.
+func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
+	m, n := a.rows, a.cols
+	if m < n {
+		return nil, fmt.Errorf("mat: LeastSquares: underdetermined %dx%d system", m, n)
+	}
+	if len(b) != m {
+		return nil, fmt.Errorf("mat: LeastSquares: rhs length %d, want %d", len(b), m)
+	}
+	r := a.Clone()
+	rhs := make([]float64, m)
+	copy(rhs, b)
+	// Columns whose remaining norm falls below this relative threshold are
+	// numerically dependent on earlier columns (rank deficiency).
+	tiny := 1e-12 * math.Max(1, a.MaxAbs()) * math.Sqrt(float64(m))
+	// Householder QR, applying reflections to rhs as we go.
+	for k := 0; k < n; k++ {
+		// Norm of the k-th column below the diagonal.
+		var alpha float64
+		for i := k; i < m; i++ {
+			alpha += r.At(i, k) * r.At(i, k)
+		}
+		alpha = math.Sqrt(alpha)
+		if alpha <= tiny {
+			return nil, fmt.Errorf("%w: rank-deficient at column %d", ErrSingular, k)
+		}
+		if r.At(k, k) > 0 {
+			alpha = -alpha
+		}
+		v := make([]float64, m-k)
+		v[0] = r.At(k, k) - alpha
+		for i := k + 1; i < m; i++ {
+			v[i-k] = r.At(i, k)
+		}
+		vnorm2, err := Dot(v, v)
+		if err != nil {
+			return nil, err
+		}
+		if vnorm2 == 0 {
+			continue
+		}
+		// Apply H = I − 2vvᵀ/‖v‖² to the trailing block of R.
+		for c := k; c < n; c++ {
+			var dot float64
+			for i := k; i < m; i++ {
+				dot += v[i-k] * r.At(i, c)
+			}
+			f := 2 * dot / vnorm2
+			for i := k; i < m; i++ {
+				r.Add(i, c, -f*v[i-k])
+			}
+		}
+		// ... and to the right-hand side.
+		var dot float64
+		for i := k; i < m; i++ {
+			dot += v[i-k] * rhs[i]
+		}
+		f := 2 * dot / vnorm2
+		for i := k; i < m; i++ {
+			rhs[i] -= f * v[i-k]
+		}
+	}
+	// Back substitution on the upper-triangular n×n block.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := rhs[i]
+		for j := i + 1; j < n; j++ {
+			s -= r.At(i, j) * x[j]
+		}
+		d := r.At(i, i)
+		if math.Abs(d) <= tiny {
+			return nil, fmt.Errorf("%w: negligible diagonal in R at %d", ErrSingular, i)
+		}
+		x[i] = s / d
+	}
+	return x, nil
+}

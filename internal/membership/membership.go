@@ -220,14 +220,6 @@ func (g *Group) Start() {
 	}
 }
 
-// Stop cancels all heartbeat tickers.
-func (g *Group) Stop() {
-	for _, stop := range g.stops {
-		stop()
-	}
-	g.stops = nil
-}
-
 // Fail makes the node fail-silent: it stops heartbeating and processing
 // (driven through the crosslink fail-silent mechanism).
 func (g *Group) Fail(id crosslink.NodeID) error {
@@ -274,22 +266,6 @@ func (g *Group) ViewOf(id crosslink.NodeID) (View, error) {
 		return View{}, fmt.Errorf("membership: unknown node %d", id)
 	}
 	return m.view, nil
-}
-
-// HistoryOf returns the node's installed view sequence.
-func (g *Group) HistoryOf(id crosslink.NodeID) ([]View, error) {
-	m, ok := g.members[id]
-	if !ok {
-		return nil, fmt.Errorf("membership: unknown node %d", id)
-	}
-	out := make([]View, len(m.history))
-	copy(out, m.history)
-	return out, nil
-}
-
-// Candidates returns the (sorted) candidate set.
-func (g *Group) Candidates() []crosslink.NodeID {
-	return append([]crosslink.NodeID(nil), g.candidates...)
 }
 
 // tick runs one heartbeat round at a member.

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"fmt"
 	"testing"
 
 	"satqos/internal/crosslink"
@@ -295,4 +296,28 @@ func BenchmarkMembershipRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Run(sim.Now() + 1)
 	}
+}
+
+// Stop cancels all heartbeat tickers.
+func (g *Group) Stop() {
+	for _, stop := range g.stops {
+		stop()
+	}
+	g.stops = nil
+}
+
+// HistoryOf returns the node's installed view sequence.
+func (g *Group) HistoryOf(id crosslink.NodeID) ([]View, error) {
+	m, ok := g.members[id]
+	if !ok {
+		return nil, fmt.Errorf("membership: unknown node %d", id)
+	}
+	out := make([]View, len(m.history))
+	copy(out, m.history)
+	return out, nil
+}
+
+// Candidates returns the (sorted) candidate set.
+func (g *Group) Candidates() []crosslink.NodeID {
+	return append([]crosslink.NodeID(nil), g.candidates...)
 }

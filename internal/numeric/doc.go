@@ -1,6 +1,5 @@
 // Package numeric provides the small numerical-analysis substrate used by
-// the analytic QoS model: adaptive quadrature, root finding, and
-// interpolation.
+// the analytic QoS model: adaptive quadrature and evaluation grids.
 //
 // The paper's evaluation (Tai et al., DSN 2003, §4.2) was originally
 // carried out in Mathematica; this package supplies the equivalent

@@ -1,66 +1,8 @@
 package numeric
 
 import (
-	"fmt"
 	"math"
-	"sort"
 )
-
-// Linear performs piecewise-linear interpolation of the points (xs, ys)
-// at x. xs must be strictly increasing. Outside the range of xs the
-// nearest endpoint value is returned (constant extrapolation), which is
-// the safe behavior for probability curves.
-type Linear struct {
-	xs, ys []float64
-}
-
-// NewLinear builds a linear interpolant over the given knots. It copies
-// both slices so that later mutation by the caller cannot corrupt the
-// interpolant.
-func NewLinear(xs, ys []float64) (*Linear, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("numeric: interp: %d xs vs %d ys", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return nil, fmt.Errorf("numeric: interp: need at least 2 knots, got %d", len(xs))
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, fmt.Errorf("numeric: interp: xs not strictly increasing at index %d", i)
-		}
-	}
-	l := &Linear{xs: make([]float64, len(xs)), ys: make([]float64, len(ys))}
-	copy(l.xs, xs)
-	copy(l.ys, ys)
-	return l, nil
-}
-
-// At evaluates the interpolant at x.
-func (l *Linear) At(x float64) float64 {
-	n := len(l.xs)
-	if x <= l.xs[0] {
-		return l.ys[0]
-	}
-	if x >= l.xs[n-1] {
-		return l.ys[n-1]
-	}
-	i := sort.SearchFloat64s(l.xs, x)
-	// xs[i-1] < x <= xs[i]
-	x0, x1 := l.xs[i-1], l.xs[i]
-	y0, y1 := l.ys[i-1], l.ys[i]
-	return y0 + (y1-y0)*(x-x0)/(x1-x0)
-}
-
-// Clamp restricts v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
 
 // ApproxEqual reports whether a and b agree to within tol, absolutely or
 // relatively (whichever is looser). NaNs never compare equal.
@@ -74,25 +16,6 @@ func ApproxEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= tol*scale
-}
-
-// Logspace returns n points logarithmically spaced between a and b
-// inclusive. Both endpoints must be positive. It is used for
-// failure-rate sweeps (λ axes in the paper's figures are linear, but the
-// harness supports both spacings).
-func Logspace(a, b float64, n int) []float64 {
-	if n == 1 {
-		return []float64{a}
-	}
-	la, lb := math.Log(a), math.Log(b)
-	out := make([]float64, n)
-	for i := range out {
-		f := float64(i) / float64(n-1)
-		out[i] = math.Exp(la + f*(lb-la))
-	}
-	// Pin endpoints exactly to avoid round-off surprises in sweep labels.
-	out[0], out[n-1] = a, b
-	return out
 }
 
 // Linspace returns n points uniformly spaced between a and b inclusive.

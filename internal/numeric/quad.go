@@ -47,17 +47,6 @@ func Integrate(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return sign * v, err
 }
 
-// MustIntegrate is Integrate with DefaultTol; it panics on failure. It is
-// intended for integrands that are known smooth (the closed-form
-// cross-checks in package qos).
-func MustIntegrate(f func(float64) float64, a, b float64) float64 {
-	v, err := Integrate(f, a, b, DefaultTol)
-	if err != nil {
-		panic(fmt.Sprintf("numeric: MustIntegrate(%g, %g): %v", a, b, err))
-	}
-	return v
-}
-
 func simpson(a, b, fa, fm, fb float64) float64 {
 	return (b - a) / 6 * (fa + 4*fm + fb)
 }
@@ -83,34 +72,4 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 		return lv + rv, lerr
 	}
 	return lv + rv, rerr
-}
-
-// IntegrateToInfinity computes the improper integral of f over
-// [a, +inf). It maps the tail onto a finite interval via t = a + x/(1-x)
-// and applies adaptive Simpson quadrature. The integrand must decay at
-// infinity (as all the survival-function integrands in this codebase do).
-func IntegrateToInfinity(f func(float64) float64, a, tol float64) (float64, error) {
-	g := func(x float64) float64 {
-		if x >= 1 {
-			return 0
-		}
-		d := 1 - x
-		return f(a+x/d) / (d * d)
-	}
-	return Integrate(g, 0, 1, tol)
-}
-
-// Trapezoid computes the integral of samples ys taken at uniformly spaced
-// points with step h using the composite trapezoid rule. It is used for
-// time-averaging transient CTMC solutions, where the solution is already
-// available only on a grid.
-func Trapezoid(ys []float64, h float64) float64 {
-	if len(ys) < 2 {
-		return 0
-	}
-	sum := (ys[0] + ys[len(ys)-1]) / 2
-	for _, y := range ys[1 : len(ys)-1] {
-		sum += y
-	}
-	return sum * h
 }

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -82,4 +83,96 @@ func TestBrentInversionProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Brent finds a root of f in the bracketing interval [a, b] using Brent's
+// method (inverse quadratic interpolation with bisection fallback). f(a)
+// and f(b) must have opposite signs.
+func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
+	fa, fb := f(a), f(b)
+	if fa == 0 {
+		return a, nil
+	}
+	if fb == 0 {
+		return b, nil
+	}
+	if (fa > 0) == (fb > 0) {
+		return 0, fmt.Errorf("numeric: Brent: f(%g)=%g and f(%g)=%g do not bracket a root", a, fa, b, fb)
+	}
+	if math.Abs(fa) < math.Abs(fb) {
+		a, b, fa, fb = b, a, fb, fa
+	}
+	c, fc := a, fa
+	var d float64
+	mflag := true
+	for i := 0; i < 200; i++ {
+		if fb == 0 || math.Abs(b-a) < tol {
+			return b, nil
+		}
+		var s float64
+		if fa != fc && fb != fc {
+			// Inverse quadratic interpolation.
+			s = a*fb*fc/((fa-fb)*(fa-fc)) +
+				b*fa*fc/((fb-fa)*(fb-fc)) +
+				c*fa*fb/((fc-fa)*(fc-fb))
+		} else {
+			// Secant step.
+			s = b - fb*(b-a)/(fb-fa)
+		}
+		lo, hi := (3*a+b)/4, b
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		bad := s < lo || s > hi ||
+			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
+			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
+			(mflag && math.Abs(b-c) < tol) ||
+			(!mflag && math.Abs(c-d) < tol)
+		if bad {
+			s = (a + b) / 2
+			mflag = true
+		} else {
+			mflag = false
+		}
+		fs := f(s)
+		d, c, fc = c, b, fb
+		if (fa > 0) != (fs > 0) {
+			b, fb = s, fs
+		} else {
+			a, fa = s, fs
+		}
+		if math.Abs(fa) < math.Abs(fb) {
+			a, b, fa, fb = b, a, fb, fa
+		}
+	}
+	return b, ErrNoConvergence
+}
+
+// Bisect finds a root of f in [a, b] by bisection. It is slower than
+// Brent but unconditionally robust; it is used where f may be
+// discontinuous (e.g. inverting empirical CDFs).
+func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
+	fa, fb := f(a), f(b)
+	if fa == 0 {
+		return a, nil
+	}
+	if fb == 0 {
+		return b, nil
+	}
+	if (fa > 0) == (fb > 0) {
+		return 0, fmt.Errorf("numeric: Bisect: interval [%g, %g] does not bracket a root", a, b)
+	}
+	for i := 0; i < 200 && math.Abs(b-a) > tol; i++ {
+		m := (a + b) / 2
+		fm := f(m)
+		if fm == 0 {
+			return m, nil
+		}
+		if (fa > 0) != (fm > 0) {
+			b = m
+		} else {
+			a, fa = m, fm
+		}
+	}
+	return (a + b) / 2, nil
 }

@@ -369,3 +369,15 @@ func BenchmarkRunEpisodeOAQ(b *testing.B) {
 		}
 	}
 }
+
+// CCDF returns the empirical P(Y >= y).
+func (e *Evaluation) CCDF(y qos.Level) float64 { return e.PMF.CCDF(y) }
+
+// CI95 returns the 95% half-width for the empirical P(Y >= y).
+func (e *Evaluation) CI95(y qos.Level) float64 {
+	p := e.CCDF(y)
+	if e.Episodes == 0 {
+		return math.Inf(1)
+	}
+	return 1.96 * math.Sqrt(p*(1-p)/float64(e.Episodes))
+}

@@ -107,20 +107,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Load()
 }
 
-// Reset zeroes counts, sum, and exemplar, keeping the bucket layout.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.exMu.Lock()
-	h.exID, h.exVal, h.exSet = "", 0, false
-	h.exMu.Unlock()
-}
-
 // SetExemplar links the histogram to the trace ID of an observation,
 // keeping the exemplar with the largest value across calls (ties keep
 // the incumbent, so folding shards in order is deterministic).
@@ -296,8 +282,7 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
+func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // DurationBuckets is the default bucket layout for wall-clock seconds:
 // half-decade steps from 100µs to 100s. Callers must not mutate it.

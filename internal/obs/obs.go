@@ -108,13 +108,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() {
-	if g != nil {
-		g.v.Store(0)
-	}
-}
-
 // metricKind discriminates the registry's metric union.
 type metricKind uint8
 
@@ -237,24 +230,6 @@ func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.byName)
-}
-
-// Reset zeroes every registered metric, keeping the registrations. It
-// exists for tests; nil receiver is a no-op.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	for _, m := range r.metrics() {
-		switch m.kind {
-		case kindCounter:
-			m.c.Reset()
-		case kindGauge:
-			m.g.Reset()
-		case kindHistogram:
-			m.h.Reset()
-		}
-	}
 }
 
 // Merge folds every metric of src into r, creating missing metrics with

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -218,5 +219,46 @@ func TestTimerObservesIntoHistogram(t *testing.T) {
 func TestDefaultRegistryIsSingleton(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default must return the same registry")
+	}
+}
+
+// Reset zeroes counts, sum, and exemplar, keeping the bucket layout.
+func (h *Histogram) Reset() {
+	if h == nil {
+		return
+	}
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sum.Store(0)
+	h.exMu.Lock()
+	h.exID, h.exVal, h.exSet = "", 0, false
+	h.exMu.Unlock()
+}
+
+func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
+
+// Reset zeroes the gauge.
+func (g *Gauge) Reset() {
+	if g != nil {
+		g.v.Store(0)
+	}
+}
+
+// Reset zeroes every registered metric, keeping the registrations. It
+// exists for tests; nil receiver is a no-op.
+func (r *Registry) Reset() {
+	if r == nil {
+		return
+	}
+	for _, m := range r.metrics() {
+		switch m.kind {
+		case kindCounter:
+			m.c.Reset()
+		case kindGauge:
+			m.g.Reset()
+		case kindHistogram:
+			m.h.Reset()
+		}
 	}
 }

@@ -82,3 +82,8 @@ func TestKindString(t *testing.T) {
 		t.Errorf("unknown kind renders %q", s)
 	}
 }
+
+// Enabled reports whether any anomaly condition is configured.
+func (p Policy) Enabled() bool {
+	return p.RetriesExhausted || p.Undelivered || p.LatencyAboveMin > 0 || p.Invariant
+}

@@ -22,11 +22,6 @@ type Policy struct {
 	Invariant bool
 }
 
-// Enabled reports whether any anomaly condition is configured.
-func (p Policy) Enabled() bool {
-	return p.RetriesExhausted || p.Undelivered || p.LatencyAboveMin > 0 || p.Invariant
-}
-
 // reasons evaluates the policy against one episode outcome.
 func (p Policy) reasons(o Outcome) Reasons {
 	var r Reasons

@@ -1,6 +1,7 @@
 package orbit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -142,4 +143,111 @@ func TestReferenceOrbitEclipseScale(t *testing.T) {
 	if minutes < 30 || minutes > 40 {
 		t.Errorf("eclipse per orbit = %v min, want ≈36", minutes)
 	}
+}
+
+// Solar and eclipse geometry. The paper's central notion — the
+// continuously changing readiness-to-serve of a mobile resource — has a
+// physical root beyond footprint motion: a LEO satellite spends a third
+// of each orbit in the earth's shadow, constraining power for sensing
+// and crosslink coordination. This file provides the (simplified,
+// circular-ecliptic) sun model, the cylindrical-shadow eclipse test, and
+// the classical beta-angle eclipse-fraction formula used to size that
+// effect.
+
+const (
+	// YearMin is the length of the anomalistic year in minutes.
+	YearMin = 365.25 * 24 * 60
+	// ObliquityRad is the earth's axial tilt.
+	ObliquityRad = 23.439 * math.Pi / 180
+	// SunDistanceKm is the (constant, circular-orbit) earth–sun
+	// distance.
+	SunDistanceKm = 149_597_870.7
+)
+
+// SunDirection returns the unit vector from the earth to the sun in the
+// ECI frame at time t (minutes), for a circular ecliptic sun starting
+// at the vernal equinox at t = 0.
+func SunDirection(t float64) Vec3 {
+	// Ecliptic longitude advances uniformly.
+	l := 2 * math.Pi * t / YearMin
+	cl, sl := math.Cos(l), math.Sin(l)
+	ce, se := math.Cos(ObliquityRad), math.Sin(ObliquityRad)
+	// Rotate the ecliptic-plane direction by the obliquity about +X.
+	return Vec3{X: cl, Y: sl * ce, Z: sl * se}
+}
+
+// Eclipsed reports whether a satellite at the given ECI position is
+// inside the earth's cylindrical shadow for the given sun direction:
+// behind the terminator plane and within one earth radius of the
+// shadow axis. The cylindrical model ignores penumbra, which for LEO
+// changes eclipse times by only a few seconds.
+func Eclipsed(satPos, sunDir Vec3) bool {
+	along := satPos.Dot(sunDir)
+	if along >= 0 {
+		return false // sunlit side
+	}
+	radial := satPos.Sub(sunDir.Scale(along))
+	return radial.Norm() < EarthRadiusKm
+}
+
+// BetaAngle returns the angle between the sun direction and the orbital
+// plane of o at time t — the parameter that controls eclipse duration.
+// |β| = 90° means the orbit rides the terminator and never enters
+// shadow.
+func BetaAngle(o CircularOrbit, t float64) float64 {
+	// Orbit normal from the RAAN/inclination geometry.
+	ci, si := math.Cos(o.Inclination), math.Sin(o.Inclination)
+	cO, sO := math.Cos(o.RAAN), math.Sin(o.RAAN)
+	normal := Vec3{X: sO * si, Y: -cO * si, Z: ci}
+	s := SunDirection(t)
+	return math.Asin(numClamp(normal.Dot(s), -1, 1))
+}
+
+// EclipseFraction returns the fraction of the orbit spent in shadow for
+// a circular orbit with the given beta angle — the classical closed
+// form: the half-angle of the shadow arc satisfies
+//
+//	cos(Δ/2) = √(h² + 2Rh) / (a·cos β),
+//
+// where a = R + h; zero when the orbit never crosses the shadow
+// cylinder (|β| above the critical angle).
+func EclipseFraction(o CircularOrbit, beta float64) float64 {
+	a := o.SemiMajorAxisKm()
+	h := a - EarthRadiusKm
+	if h <= 0 {
+		return 1
+	}
+	num := math.Sqrt(h*h + 2*EarthRadiusKm*h)
+	den := a * math.Cos(beta)
+	if den <= 0 || num >= den {
+		return 0
+	}
+	return math.Acos(num/den) / math.Pi
+}
+
+// EclipseFractionMeasured integrates the eclipse state around one orbit
+// at time t0 (sampling with the given step), for validating the closed
+// form and for use with perturbed trajectories.
+func EclipseFractionMeasured(o CircularOrbit, t0, stepMin float64) (float64, error) {
+	if stepMin <= 0 || stepMin >= o.PeriodMin/8 {
+		return 0, fmt.Errorf("orbit: eclipse sampling step %g must be in (0, period/8)", stepMin)
+	}
+	sun := SunDirection(t0) // the sun barely moves over one LEO orbit
+	var dark float64
+	for t := t0; t < t0+o.PeriodMin; t += stepMin {
+		if Eclipsed(o.PositionECI(t), sun) {
+			dark += stepMin
+		}
+	}
+	return dark / o.PeriodMin, nil
+}
+
+func numClamp(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }

@@ -36,51 +36,13 @@ func FootprintFromCoverageTime(o CircularOrbit, tcMin float64) (Footprint, error
 	return NewFootprint(half)
 }
 
-// Covers reports whether the target is inside the footprint centered at
-// the given sub-satellite point.
-func (f Footprint) Covers(subsat, target LatLon) bool {
-	return GreatCircle(subsat, target) <= f.HalfAngle
-}
-
 // RadiusKm returns the footprint's surface radius in km of arc.
 func (f Footprint) RadiusKm() float64 { return EarthRadiusKm * f.HalfAngle }
-
-// CoverageTime returns the time (minutes) for which a ground point at
-// cross-track angular offset c from the trajectory center line is covered
-// during one pass of a satellite on orbit o. A point with cos c below
-// cos ψ is outside the swath and gets 0. The earth's rotation during a
-// single pass (≤ Tc) is neglected, matching the paper's model.
-func (f Footprint) CoverageTime(o CircularOrbit, crossTrack float64) float64 {
-	cc := math.Cos(crossTrack)
-	cp := math.Cos(f.HalfAngle)
-	if cc <= cp {
-		return 0
-	}
-	// Along-track half-width a of the cap at this offset:
-	// cos(separation) = cos(a)·cos(c) >= cos(ψ).
-	a := math.Acos(cp / cc)
-	return 2 * a / o.MeanMotion()
-}
 
 // MaxCoverageTime returns the center-line coverage time Tc implied by the
 // footprint and orbit — the inverse of FootprintFromCoverageTime.
 func (f Footprint) MaxCoverageTime(o CircularOrbit) float64 {
 	return 2 * f.HalfAngle / o.MeanMotion()
-}
-
-// NadirAngle returns the sensor cone half-angle η (at the satellite)
-// subtending the footprint edge, for a satellite at the orbit's altitude:
-// tan η = sin ψ / (r/Re − cos ψ).
-func (f Footprint) NadirAngle(o CircularOrbit) float64 {
-	ratio := o.SemiMajorAxisKm() / EarthRadiusKm
-	return math.Atan2(math.Sin(f.HalfAngle), ratio-math.Cos(f.HalfAngle))
-}
-
-// EdgeElevation returns the elevation angle ε of the satellite as seen
-// from a point on the footprint edge. The spherical triangle gives
-// η + ψ + (π/2 + ε) = π.
-func (f Footprint) EdgeElevation(o CircularOrbit) float64 {
-	return math.Pi/2 - f.HalfAngle - f.NadirAngle(o)
 }
 
 // SlantRangeKm returns the distance from the satellite to a ground point

@@ -25,11 +25,6 @@ func NewFrame(inclination, raan float64) Frame {
 	}
 }
 
-// Frame returns the orbit's cached-plane basis.
-func (o CircularOrbit) Frame() Frame {
-	return NewFrame(o.Inclination, o.RAAN)
-}
-
 // UnitPosition returns the unit inertial position at the argument of
 // latitude whose cosine and sine are given. Passing precomputed
 // (cos u, sin u) pairs — e.g. advanced by an angle-addition recurrence —

@@ -82,3 +82,8 @@ func TestPeriodFromAltitudeRoundTrip(t *testing.T) {
 		t.Errorf("550 km period = %g min, want ~95.6", p)
 	}
 }
+
+// Frame returns the orbit's cached-plane basis.
+func (o CircularOrbit) Frame() Frame {
+	return NewFrame(o.Inclination, o.RAAN)
+}

@@ -1,6 +1,7 @@
 package orbit
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -149,4 +150,107 @@ func TestRevisitDriftOver(t *testing.T) {
 	if long <= short {
 		t.Error("drift should accumulate with the horizon")
 	}
+}
+
+// J2 is the earth's dominant zonal harmonic coefficient.
+const J2 = 1.08262668e-3
+
+// J2Orbit propagates a circular orbit with the secular first-order J2
+// perturbations: nodal regression (RAAN drift), apsidal/argument drift,
+// and the perturbed mean motion. For the reference constellation's
+// 274 km, 86° orbit the nodal regression is a fraction of a degree per
+// day — negligible over a single OAQ episode (minutes), which is why
+// the paper's model ignores it, but visible over the months between
+// ground-spare deployments. This type quantifies that gap.
+//
+// Secular rates (circular orbit, first order in J2):
+//
+//	Ω̇ = −(3/2) J2 n (Re/a)² cos i
+//	u̇_extra = (3/2) J2 n (Re/a)² (4 cos²i − 1)
+//
+// where u̇_extra combines the apsidal and mean-anomaly corrections into
+// the argument-of-latitude (along-track) drift of a circular orbit; it
+// vanishes at cos²i = 1/4 (i = 60°).
+type J2Orbit struct {
+	Base CircularOrbit
+}
+
+// NewJ2Orbit validates and wraps a circular orbit.
+func NewJ2Orbit(base CircularOrbit) (J2Orbit, error) {
+	if base.PeriodMin <= 0 || math.IsNaN(base.PeriodMin) {
+		return J2Orbit{}, fmt.Errorf("orbit: J2 propagation needs a valid base orbit (period %g)", base.PeriodMin)
+	}
+	return J2Orbit{Base: base}, nil
+}
+
+// ratioSquared returns (Re/a)².
+func (o J2Orbit) ratioSquared() float64 {
+	a := o.Base.SemiMajorAxisKm()
+	r := EarthRadiusKm / a
+	return r * r
+}
+
+// NodalRegressionRate returns Ω̇ in rad/min (negative for prograde
+// orbits below 90° inclination).
+func (o J2Orbit) NodalRegressionRate() float64 {
+	n := o.Base.MeanMotion()
+	return -1.5 * J2 * n * o.ratioSquared() * math.Cos(o.Base.Inclination)
+}
+
+// ArgumentDriftRate returns the secular drift of the argument of
+// latitude beyond the two-body mean motion, in rad/min.
+func (o J2Orbit) ArgumentDriftRate() float64 {
+	n := o.Base.MeanMotion()
+	ci := math.Cos(o.Base.Inclination)
+	return 1.5 * J2 * n * o.ratioSquared() * (4*ci*ci - 1)
+}
+
+// NodalPeriodMin returns the nodal (draconic) period: the time between
+// successive ascending-node crossings under the perturbed argument
+// rate.
+func (o J2Orbit) NodalPeriodMin() float64 {
+	return 2 * math.Pi / (o.Base.MeanMotion() + o.ArgumentDriftRate())
+}
+
+// orbitAt returns the osculating circular orbit at time t, with the
+// secular element drifts applied.
+func (o J2Orbit) orbitAt(t float64) CircularOrbit {
+	return CircularOrbit{
+		PeriodMin:   o.Base.PeriodMin,
+		Inclination: o.Base.Inclination,
+		RAAN:        o.Base.RAAN + o.NodalRegressionRate()*t,
+		Phase0:      o.Base.Phase0 + o.ArgumentDriftRate()*t,
+	}
+}
+
+// PositionECI returns the J2-perturbed inertial position at time t.
+func (o J2Orbit) PositionECI(t float64) Vec3 {
+	return o.orbitAt(t).PositionECI(t)
+}
+
+// SubSatellite returns the J2-perturbed sub-satellite point at time t.
+func (o J2Orbit) SubSatellite(t float64) LatLon {
+	return SubPoint(o.PositionECI(t), t)
+}
+
+// RAANDriftOver returns the accumulated nodal regression over a span of
+// minutes — e.g. the drift between two scheduled ground-spare
+// deployments.
+func (o J2Orbit) RAANDriftOver(spanMin float64) float64 {
+	return o.NodalRegressionRate() * spanMin
+}
+
+// RevisitDriftOver returns how much the along-track revisit timing of a
+// plane shifts over a span due to the J2 argument drift, expressed in
+// minutes of revisit-time error accumulated for a plane with k
+// satellites. It quantifies how far the paper's constant-Tr[k]
+// assumption degrades over long horizons if phasing is not maintained.
+func (o J2Orbit) RevisitDriftOver(spanMin float64, k int) (float64, error) {
+	if k < 1 {
+		return 0, fmt.Errorf("orbit: capacity k = %d must be positive", k)
+	}
+	// Extra argument angle accumulated, converted to time through the
+	// mean motion.
+	extra := math.Abs(o.ArgumentDriftRate()) * spanMin
+	return extra / o.Base.MeanMotion() / float64(k), nil
 }

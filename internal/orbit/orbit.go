@@ -84,20 +84,3 @@ func (o CircularOrbit) perifocalToECI(u float64) Vec3 {
 func (o CircularOrbit) SubSatellite(t float64) LatLon {
 	return SubPoint(o.PositionECI(t), t)
 }
-
-// GroundSpeedKmPerMin returns the speed at which the sub-satellite point
-// sweeps the (non-rotating) earth surface. The analytic model measures
-// footprint geometry in time units using this sweep rate.
-func (o CircularOrbit) GroundSpeedKmPerMin() float64 {
-	return EarthRadiusKm * o.MeanMotion()
-}
-
-// GroundTrack samples the sub-satellite point every step minutes from t0
-// for n samples.
-func (o CircularOrbit) GroundTrack(t0, step float64, n int) []LatLon {
-	out := make([]LatLon, n)
-	for i := range out {
-		out[i] = o.SubSatellite(t0 + float64(i)*step)
-	}
-	return out
-}

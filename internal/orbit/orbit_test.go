@@ -366,3 +366,80 @@ func BenchmarkSubSatellite(b *testing.B) {
 		_ = o.SubSatellite(float64(i % 1000))
 	}
 }
+
+// Covers reports whether the target is inside the footprint centered at
+// the given sub-satellite point.
+func (f Footprint) Covers(subsat, target LatLon) bool {
+	return GreatCircle(subsat, target) <= f.HalfAngle
+}
+
+// CoverageTime returns the time (minutes) for which a ground point at
+// cross-track angular offset c from the trajectory center line is covered
+// during one pass of a satellite on orbit o. A point with cos c below
+// cos ψ is outside the swath and gets 0. The earth's rotation during a
+// single pass (≤ Tc) is neglected, matching the paper's model.
+func (f Footprint) CoverageTime(o CircularOrbit, crossTrack float64) float64 {
+	cc := math.Cos(crossTrack)
+	cp := math.Cos(f.HalfAngle)
+	if cc <= cp {
+		return 0
+	}
+	// Along-track half-width a of the cap at this offset:
+	// cos(separation) = cos(a)·cos(c) >= cos(ψ).
+	a := math.Acos(cp / cc)
+	return 2 * a / o.MeanMotion()
+}
+
+// NadirAngle returns the sensor cone half-angle η (at the satellite)
+// subtending the footprint edge, for a satellite at the orbit's altitude:
+// tan η = sin ψ / (r/Re − cos ψ).
+func (f Footprint) NadirAngle(o CircularOrbit) float64 {
+	ratio := o.SemiMajorAxisKm() / EarthRadiusKm
+	return math.Atan2(math.Sin(f.HalfAngle), ratio-math.Cos(f.HalfAngle))
+}
+
+// GroundSpeedKmPerMin returns the speed at which the sub-satellite point
+// sweeps the (non-rotating) earth surface. The analytic model measures
+// footprint geometry in time units using this sweep rate.
+func (o CircularOrbit) GroundSpeedKmPerMin() float64 {
+	return EarthRadiusKm * o.MeanMotion()
+}
+
+// GroundTrack samples the sub-satellite point every step minutes from t0
+// for n samples.
+func (o CircularOrbit) GroundTrack(t0, step float64, n int) []LatLon {
+	out := make([]LatLon, n)
+	for i := range out {
+		out[i] = o.SubSatellite(t0 + float64(i)*step)
+	}
+	return out
+}
+
+// Add returns v + w.
+func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
+
+// Unit returns v normalized to length 1. The zero vector is returned
+// unchanged.
+func (v Vec3) Unit() Vec3 {
+	n := v.Norm()
+	if n == 0 {
+		return v
+	}
+	return v.Scale(1 / n)
+}
+
+// AngleBetween returns the angle between v and w in radians, in [0, π].
+func AngleBetween(v, w Vec3) float64 {
+	nv, nw := v.Norm(), w.Norm()
+	if nv == 0 || nw == 0 {
+		return 0
+	}
+	c := v.Dot(w) / (nv * nw)
+	// Guard against round-off pushing |c| past 1.
+	if c > 1 {
+		c = 1
+	} else if c < -1 {
+		c = -1
+	}
+	return math.Acos(c)
+}

@@ -17,9 +17,6 @@ type Vec3 struct {
 	X, Y, Z float64
 }
 
-// Add returns v + w.
-func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
-
 // Sub returns v − w.
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 
@@ -40,29 +37,3 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// Unit returns v normalized to length 1. The zero vector is returned
-// unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
-// AngleBetween returns the angle between v and w in radians, in [0, π].
-func AngleBetween(v, w Vec3) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	c := v.Dot(w) / (nv * nw)
-	// Guard against round-off pushing |c| past 1.
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return math.Acos(c)
-}

@@ -1,9 +1,11 @@
 package qos
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"satqos/internal/numeric"
 	"satqos/internal/stats"
 )
 
@@ -226,4 +228,74 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("ParseScheme(%q) does not round-trip: %v, %v", got.String(), back, err)
 		}
 	}
+}
+
+// G0 is the quadrature form of the missing-target probability.
+// Memoized like G3.
+func (m GeneralModel) G0(k int) (float64, error) {
+	return m.gCached(0, k, func() (float64, error) { return m.g0(k) })
+}
+
+func (m GeneralModel) g0(k int) (float64, error) {
+	if err := m.Geom.validCapacity(k); err != nil {
+		return 0, err
+	}
+	ov, err := m.Geom.Overlapping(k)
+	if err != nil {
+		return 0, err
+	}
+	if ov {
+		return 0, nil
+	}
+	l1, _ := m.Geom.L1(k)
+	l2, _ := m.Geom.L2(k)
+	if l2 == 0 {
+		return 0, nil
+	}
+	v, err := numeric.IntegrateFast(m.SignalDuration.CDF, 0, l2, m.tol())
+	if err != nil {
+		return 0, fmt.Errorf("qos: G0 quadrature: %w", err)
+	}
+	return v / l1, nil
+}
+
+// ConditionalPMF mirrors Model.ConditionalPMF through the quadrature
+// path.
+func (m GeneralModel) ConditionalPMF(s Scheme, k int) (PMF, error) {
+	if !s.Valid() {
+		return PMF{}, fmt.Errorf("qos: unknown scheme %d", int(s))
+	}
+	var pmf PMF
+	g0, err := m.G0(k)
+	if err != nil {
+		return PMF{}, err
+	}
+	pmf[LevelMiss] = g0
+	switch s {
+	case SchemeOAQ:
+		g3, err := m.G3(k)
+		if err != nil {
+			return PMF{}, err
+		}
+		g2, err := m.G2(k)
+		if err != nil {
+			return PMF{}, err
+		}
+		pmf[LevelSimultaneousDual] = g3
+		pmf[LevelSequentialDual] = g2
+	case SchemeBAQ:
+		g3, err := m.G3BAQ(k)
+		if err != nil {
+			return PMF{}, err
+		}
+		pmf[LevelSimultaneousDual] = g3
+	}
+	pmf[LevelSingle] = 1 - pmf[LevelMiss] - pmf[LevelSequentialDual] - pmf[LevelSimultaneousDual]
+	if pmf[LevelSingle] < 0 {
+		if pmf[LevelSingle] < -1e-9 {
+			return PMF{}, fmt.Errorf("qos: negative single-coverage mass %g at k = %d", pmf[LevelSingle], k)
+		}
+		pmf[LevelSingle] = 0
+	}
+	return pmf, nil
 }

@@ -92,13 +92,6 @@ func (g Geometry) I(k int) (int, error) {
 	return 0, nil
 }
 
-// MinOverlapCapacity returns the smallest k for which footprints overlap
-// (11 for the reference geometry).
-func (g Geometry) MinOverlapCapacity() int {
-	// Tr[k] < Tc  ⟺  k > θ/Tc.
-	return int(math.Floor(g.ThetaMin/g.TcMin)) + 1
-}
-
 // MaxTwoRegimeCapacity returns the largest plane capacity the paper's
 // two-regime model admits: Tr[k] ≥ Tc/2 ⟺ k ≤ 2θ/Tc. Beyond it, triple
 // simultaneous coverage appears and the analytic level probabilities no
@@ -106,33 +99,6 @@ func (g Geometry) MinOverlapCapacity() int {
 // for a dense Walker preset clamp k here.
 func (g Geometry) MaxTwoRegimeCapacity() int {
 	return int(math.Floor(2 * g.ThetaMin / g.TcMin))
-}
-
-// MaxConsecutive returns M[k] of Eq. (2): the upper bound on the number
-// of satellites that can consecutively capture a signal in the
-// underlapping case (I[k] = 0), given alert deadline τ:
-//
-//	M[k] = 2 + ⌊(τ − L2[k]) / L1[k]⌋  if τ > L2[k], else 1.
-//
-// Calling it for an overlapping capacity is an error, matching the
-// paper's definition.
-func (g Geometry) MaxConsecutive(k int, tau float64) (int, error) {
-	ov, err := g.Overlapping(k)
-	if err != nil {
-		return 0, err
-	}
-	if ov {
-		return 0, fmt.Errorf("qos: M[k] is defined only for underlapping capacities; k = %d overlaps", k)
-	}
-	if tau < 0 || math.IsNaN(tau) {
-		return 0, fmt.Errorf("qos: deadline τ = %g must be non-negative", tau)
-	}
-	l1, _ := g.L1(k)
-	l2, _ := g.L2(k)
-	if tau <= l2 {
-		return 1, nil
-	}
-	return 2 + int(math.Floor((tau-l2)/l1)), nil
 }
 
 // validCapacity checks that the paper's two-regime model applies to

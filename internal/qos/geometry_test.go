@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -191,4 +192,38 @@ func TestMaxConsecutiveMonotoneProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// MinOverlapCapacity returns the smallest k for which footprints overlap
+// (11 for the reference geometry).
+func (g Geometry) MinOverlapCapacity() int {
+	// Tr[k] < Tc  ⟺  k > θ/Tc.
+	return int(math.Floor(g.ThetaMin/g.TcMin)) + 1
+}
+
+// MaxConsecutive returns M[k] of Eq. (2): the upper bound on the number
+// of satellites that can consecutively capture a signal in the
+// underlapping case (I[k] = 0), given alert deadline τ:
+//
+//	M[k] = 2 + ⌊(τ − L2[k]) / L1[k]⌋  if τ > L2[k], else 1.
+//
+// Calling it for an overlapping capacity is an error, matching the
+// paper's definition.
+func (g Geometry) MaxConsecutive(k int, tau float64) (int, error) {
+	ov, err := g.Overlapping(k)
+	if err != nil {
+		return 0, err
+	}
+	if ov {
+		return 0, fmt.Errorf("qos: M[k] is defined only for underlapping capacities; k = %d overlaps", k)
+	}
+	if tau < 0 || math.IsNaN(tau) {
+		return 0, fmt.Errorf("qos: deadline τ = %g must be non-negative", tau)
+	}
+	l1, _ := g.L1(k)
+	l2, _ := g.L2(k)
+	if tau <= l2 {
+		return 1, nil
+	}
+	return 2 + int(math.Floor((tau-l2)/l1)), nil
 }

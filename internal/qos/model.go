@@ -287,32 +287,6 @@ func (m Model) Compose(s Scheme, dist *capacity.Distribution) (PMF, error) {
 	return out, nil
 }
 
-// ExpectedLevel returns E[Y], the mean QoS level under the given scheme
-// and plane-capacity distribution — a scalar summary of the spectrum
-// useful for sweeps and ablations.
-func (m Model) ExpectedLevel(s Scheme, dist *capacity.Distribution) (float64, error) {
-	pmf, err := m.Compose(s, dist)
-	if err != nil {
-		return 0, err
-	}
-	return pmf.Mean(), nil
-}
-
-// Gain returns E[Y_OAQ] − E[Y_BAQ]: the mean QoS-level improvement the
-// opportunity-adaptive scheme buys over the baseline at this operating
-// point.
-func (m Model) Gain(dist *capacity.Distribution) (float64, error) {
-	oaq, err := m.ExpectedLevel(SchemeOAQ, dist)
-	if err != nil {
-		return 0, err
-	}
-	baq, err := m.ExpectedLevel(SchemeBAQ, dist)
-	if err != nil {
-		return 0, err
-	}
-	return oaq - baq, nil
-}
-
 // Measure returns the paper's QoS measure P(Y >= y) under the given
 // scheme and plane-capacity distribution.
 func (m Model) Measure(s Scheme, dist *capacity.Distribution, y Level) (float64, error) {

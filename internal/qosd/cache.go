@@ -66,13 +66,3 @@ func (c *responseCache) put(key string, resp Response) {
 		delete(c.m, oldest.Value.(*cacheEntry).key)
 	}
 }
-
-// len reports the live entry count (tests).
-func (c *responseCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}

@@ -73,10 +73,10 @@ type Request struct {
 	// Mode is the evaluation path: "analytic" (closed-form, instant),
 	// "montecarlo" (simulated episodes; sheds 429 under load),
 	// "stochgeom" (closed-form binomial-point-process visibility,
-	// instant at any fleet size), or "auto" (stochgeom for designs at or
-	// above the server's enumeration limit or with explicit shells,
-	// otherwise Monte-Carlo degrading to analytic-only under queue
-	// pressure). Default "auto".
+	// instant at any fleet size), or "auto" (stochgeom for designs of
+	// at least 1000 satellites or with explicit shells, otherwise
+	// Monte-Carlo degrading to analytic-only under queue pressure).
+	// Default "auto".
 	Mode string `json:"mode"`
 	// Preset names the constellation design (constellation.PresetNames);
 	// default "reference".
@@ -163,13 +163,23 @@ func badRequest(format string, args ...any) error {
 	return badRequestError{fmt.Errorf(format, args...)}
 }
 
+// enumLimit is the fleet size at which auto mode answers from the
+// stochastic-geometry backend instead of position enumeration
+// (Monte-Carlo). The choice is a pure function of the request, so it
+// can key the response cache.
+const enumLimit = 1000
+
+// maxShellSatellites bounds the satellites of an explicit shell
+// mixture: the visible-count law costs memory linear, and time
+// quadratic, in the design's satellite count.
+const maxShellSatellites = 50_000
+
 // resolve validates the request against the server limits and fills in
 // defaults, mirroring how cmd/constsim derives protocol parameters from
-// a constellation preset. The enumeration limit parameterizes auto
-// mode's deterministic backend choice: designs with at least that many
-// satellites (or explicit shells) answer from the stochastic-geometry
-// backend rather than position enumeration.
-func (req *Request) resolve(maxEpisodes, enumLimit int) (*resolved, error) {
+// a constellation preset. Designs with at least enumLimit satellites
+// (or explicit shells) resolve auto mode to the stochastic-geometry
+// backend.
+func (req *Request) resolve(maxEpisodes int) (*resolved, error) {
 	r := &resolved{
 		mode:   req.Mode,
 		preset: req.Preset,
@@ -191,8 +201,8 @@ func (req *Request) resolve(maxEpisodes, enumLimit int) (*resolved, error) {
 	}
 
 	// Resolve the mode to its compute backend. The choice is a pure
-	// function of (request, server config) — never of load — so it can
-	// key the response cache.
+	// function of the request — never of load — so it can key the
+	// response cache.
 	switch r.mode {
 	case ModeAuto:
 		if len(req.Shells) > 0 || presetCfg.Planes*presetCfg.ActivePerPlane >= enumLimit {
@@ -282,6 +292,10 @@ func (req *Request) resolve(maxEpisodes, enumLimit int) (*resolved, error) {
 		}
 		r.capures = &cp
 	}
+	if r.backend == ModeAnalytic && r.analyticTopK() > r.maxK {
+		return nil, badRequest("capacity %d exceeds the analytic model's two-regime ceiling %d for preset %s",
+			r.analyticTopK(), r.maxK, r.preset)
+	}
 
 	if r.backend == ModeStochGeom {
 		latDeg := 30.0
@@ -300,11 +314,16 @@ func (req *Request) resolve(maxEpisodes, enumLimit int) (*resolved, error) {
 			return nil, badRequest("min_sats %d must be at least 1", r.minSats)
 		}
 		if len(req.Shells) > 0 {
+			total := 0
 			for i, sp := range req.Shells {
 				s, err := sp.shell()
 				if err != nil {
 					return nil, badRequest("shell %d: %v", i, err)
 				}
+				if s.N > maxShellSatellites-total {
+					return nil, badRequest("shells hold more than %d satellites", maxShellSatellites)
+				}
+				total += s.N
 				r.design.Shells = append(r.design.Shells, s)
 			}
 		} else {
@@ -344,6 +363,16 @@ func (req *Request) resolve(maxEpisodes, enumLimit int) (*resolved, error) {
 
 	r.key = r.canonicalKey(req)
 	return r, nil
+}
+
+// analyticTopK is the largest capacity the closed-form model would
+// condition on: k, or the top of the deployment policy's support. The
+// model admits only the two-regime capacities k ≤ maxK.
+func (r *resolved) analyticTopK() int {
+	if r.capures != nil {
+		return r.capures.ActivePerPlane
+	}
+	return r.k
 }
 
 // canonicalKey encodes every resolved evaluation parameter — after

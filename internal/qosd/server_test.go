@@ -122,7 +122,7 @@ func TestMonteCarloBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
 		t.Fatal(err)
 	}
-	rv, err := req.resolve(1_000_000, 1000)
+	rv, err := req.resolve(1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +192,13 @@ func TestMonteCarloShedsAt429(t *testing.T) {
 	}
 	if s.inflightEpisodes.Load() != 0 {
 		t.Errorf("completed request leaked budget: %d episodes in flight", s.inflightEpisodes.Load())
+	}
+	// An auto request whose capacity the closed-form model cannot
+	// answer (k above the two-regime ceiling) is shed as well, not
+	// degraded into a server error.
+	over, _ := post(t, ts, `{"mode":"auto","k":40,"episodes":1000,"seed":7}`)
+	if over.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("auto request beyond the analytic ceiling: status %d, want 429", over.StatusCode)
 	}
 }
 

@@ -136,10 +136,10 @@ func TestStochGeomShells(t *testing.T) {
 }
 
 // TestAutoEscalatesToStochGeom: auto mode answers mega-constellation
-// presets from the stochastic-geometry backend (fleet >= EnumLimit)
+// presets from the stochastic-geometry backend (fleet >= enumLimit)
 // and small presets from Monte-Carlo, deterministically.
 func TestAutoEscalatesToStochGeom(t *testing.T) {
-	_, ts := newTestServer(t, Config{EnumLimit: 1000})
+	_, ts := newTestServer(t, Config{})
 	resp, got := post(t, ts, `{"mode":"auto","preset":"starlink","episodes":64}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("starlink status %d", resp.StatusCode)
@@ -167,7 +167,7 @@ func TestCacheKeyIncludesBackend(t *testing.T) {
 		if err := json.NewDecoder(strings.NewReader(body)).Decode(&req); err != nil {
 			t.Fatal(err)
 		}
-		rv, err := req.resolve(1_000_000, 1000)
+		rv, err := req.resolve(1_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,8 +28,6 @@ import (
 	"math"
 	"os"
 	"strings"
-
-	"satqos/internal/constellation"
 )
 
 // Policy names accepted in Config.Policy.
@@ -56,8 +54,7 @@ type ISL struct {
 }
 
 // Config is the JSON-loadable description of a routed ISL network.
-// The zero value is invalid; build one with Default, FromConstellation,
-// or Parse.
+// The zero value is invalid; build one with Default or Parse.
 type Config struct {
 	// Name labels the configuration in reports.
 	Name string `json:"name,omitempty"`
@@ -229,19 +226,6 @@ func Default(policy string, perPlane int) Config {
 		GatewayPlane:  3,
 		GatewayIndex:  perPlane / 2,
 	}
-}
-
-// FromConstellation derives a routed topology from a constellation
-// design: one node per active satellite, plane wrap for Walker-delta
-// layouts (their ascending nodes close the ring; star seams stay open),
-// and the Default link parameters.
-func FromConstellation(cc constellation.Config, policy string) Config {
-	c := Default(policy, cc.ActivePerPlane)
-	c.Name = fmt.Sprintf("walker-%dx%d", cc.Planes, cc.ActivePerPlane)
-	c.Planes = cc.Planes
-	c.PlaneWrap = cc.Walker == constellation.WalkerDelta && cc.Planes > 2
-	c.GatewayPlane = cc.Planes / 2
-	return c
 }
 
 // CLIConfig resolves the -route / -isl-capacity / -traffic-load flag

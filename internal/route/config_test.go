@@ -2,6 +2,7 @@ package route
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -209,4 +210,17 @@ func TestCLIConfig(t *testing.T) {
 	if _, err := CLIConfig(PolicyStatic, 0, 0, 0); err != nil {
 		t.Fatalf("perPlane floor: %v", err)
 	}
+}
+
+// FromConstellation derives a routed topology from a constellation
+// design: one node per active satellite, plane wrap for Walker-delta
+// layouts (their ascending nodes close the ring; star seams stay open),
+// and the Default link parameters.
+func FromConstellation(cc constellation.Config, policy string) Config {
+	c := Default(policy, cc.ActivePerPlane)
+	c.Name = fmt.Sprintf("walker-%dx%d", cc.Planes, cc.ActivePerPlane)
+	c.Planes = cc.Planes
+	c.PlaneWrap = cc.Walker == constellation.WalkerDelta && cc.Planes > 2
+	c.GatewayPlane = cc.Planes / 2
+	return c
 }

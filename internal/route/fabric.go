@@ -249,17 +249,11 @@ func (f *Fabric) growRing() {
 	f.ring, f.slots = ring, slots
 }
 
-// Config returns the bound configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Topology returns the shared (read-only) topology.
 func (f *Fabric) Topology() *Topology { return f.topo }
 
 // Stats returns a snapshot of the fabric counters.
 func (f *Fabric) Stats() Stats { return f.stats }
-
-// PolicyName returns the active forwarding policy's name.
-func (f *Fabric) PolicyName() string { return f.pol.Name() }
 
 // SetQueueDelayHistogram installs a per-shard histogram observing each
 // delivered packet's total queue wait (minutes). Nil disables it. Like

@@ -710,3 +710,6 @@ func btoi(b bool) int {
 	}
 	return 0
 }
+
+// PolicyName returns the active forwarding policy's name.
+func (f *Fabric) PolicyName() string { return f.pol.Name() }

@@ -30,9 +30,6 @@ type Topology struct {
 	diam    int
 }
 
-// Nodes returns the node count.
-func (t *Topology) Nodes() int { return t.n }
-
 // Diameter returns the longest shortest path in hops — the bound the
 // no-forwarding-loop invariant checks against, exact because every
 // policy forwards only along strictly distance-decreasing links.
@@ -40,9 +37,6 @@ func (t *Topology) Diameter() int { return t.diam }
 
 // Dist returns the hop distance between two nodes.
 func (t *Topology) Dist(u, v int) int { return int(t.dist[u*t.n+v]) }
-
-// Degree returns the neighbor count of a node.
-func (t *Topology) Degree(u int) int { return len(t.nbrs[u]) }
 
 // buildAdjacency constructs the adjacency lists of the configured
 // graph: intra-plane rings, cross-plane chains (optionally wrapped into

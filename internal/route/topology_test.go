@@ -265,3 +265,9 @@ func TestFirstUnreachable(t *testing.T) {
 		t.Fatalf("connected path: %d, want -1", got)
 	}
 }
+
+// Nodes returns the node count.
+func (t *Topology) Nodes() int { return t.n }
+
+// Degree returns the neighbor count of a node.
+func (t *Topology) Degree(u int) int { return len(t.nbrs[u]) }

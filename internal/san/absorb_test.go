@@ -1,9 +1,11 @@
 package san
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"satqos/internal/mat"
 	"satqos/internal/stats"
 )
 
@@ -165,4 +167,58 @@ func TestAbsorptionProbabilities(t *testing.T) {
 	if _, err := ctmc.AbsorptionProbabilities(99); err == nil {
 		t.Error("out-of-range target accepted")
 	}
+}
+
+// AbsorptionProbabilities returns, for each transient state, the
+// probability of being absorbed in the given absorbing state (1 for the
+// absorbing state itself, 0 for other absorbing states).
+func (c *CTMC) AbsorptionProbabilities(target int) ([]float64, error) {
+	n := len(c.states)
+	if target < 0 || target >= n {
+		return nil, fmt.Errorf("san: absorbing state %d out of range", target)
+	}
+	if len(c.edges[target]) != 0 {
+		return nil, fmt.Errorf("san: state %d is not absorbing", target)
+	}
+	absorbing := make([]bool, n)
+	for _, i := range c.AbsorbingStates() {
+		absorbing[i] = true
+	}
+	idx := make([]int, 0, n)
+	pos := make(map[int]int, n)
+	for i := 0; i < n; i++ {
+		if !absorbing[i] {
+			pos[i] = len(idx)
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		out := make([]float64, n)
+		out[target] = 1
+		return out, nil
+	}
+	// (I − P_TT) h = P_T→target.
+	a := mat.Identity(len(idx))
+	b := make([]float64, len(idx))
+	for row, i := range idx {
+		for _, tr := range c.edges[i] {
+			p := tr.Rate / c.exit[i]
+			switch {
+			case tr.To == target:
+				b[row] += p
+			case !absorbing[tr.To]:
+				a.Add(row, pos[tr.To], -p)
+			}
+		}
+	}
+	sol, err := mat.Solve(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("san: absorption system: %w", err)
+	}
+	out := make([]float64, n)
+	out[target] = 1
+	for row, i := range idx {
+		out[i] = sol[row]
+	}
+	return out, nil
 }

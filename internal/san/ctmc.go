@@ -28,8 +28,8 @@ const DefaultMaxStates = 200000
 
 // BuildCTMC explores the reachability graph of an exponential-only model
 // from its initial marking and returns the CTMC. Models containing
-// deterministic activities are rejected — use renewal analysis,
-// ExpandDeterministic, or Simulate for those.
+// deterministic activities are rejected — use renewal analysis
+// (RenewalAverage) or Simulate for those.
 func BuildCTMC(m *Model, maxStates int) (*CTMC, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -102,13 +102,6 @@ func (c *CTMC) StateIndex(m Marking) int {
 	return -1
 }
 
-// Transitions returns the outgoing edges of state i.
-func (c *CTMC) Transitions(i int) []Transition {
-	out := make([]Transition, len(c.edges[i]))
-	copy(out, c.edges[i])
-	return out
-}
-
 // uniformizationRate returns Λ, a uniform bound on exit rates (with a
 // little headroom so the DTMC keeps strictly positive self-loop mass,
 // which guarantees aperiodicity for the power iteration).
@@ -140,19 +133,6 @@ func (c *CTMC) dtmcStep(lambda float64, x, y []float64) {
 			y[tr.To] += xi * tr.Rate / lambda
 		}
 	}
-}
-
-// TransientAt returns the state distribution at time t starting from p0,
-// computed by uniformization with truncation error below eps (1e-12 when
-// eps <= 0).
-func (c *CTMC) TransientAt(p0 []float64, t, eps float64) ([]float64, error) {
-	if err := c.checkDist(p0); err != nil {
-		return nil, err
-	}
-	if !(t >= 0) {
-		return nil, fmt.Errorf("san: TransientAt negative time %g", t)
-	}
-	return c.uniformize(p0, t, eps, false)
 }
 
 // TransientAverage returns the time-averaged state distribution
@@ -193,57 +173,6 @@ func (c *CTMC) uniformize(p0 []float64, t, eps float64, average bool) ([]float64
 	return v, err
 }
 
-// SteadyState returns the stationary distribution of an irreducible CTMC
-// by power iteration on the uniformized DTMC. For chains with absorbing
-// states the iteration converges to the absorption distribution from the
-// initial marking's row — callers working with absorbing chains should
-// prefer TransientAt with a large t.
-func (c *CTMC) SteadyState(tol float64, maxIter int) ([]float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 2_000_000
-	}
-	lambda := c.uniformizationRate()
-	n := len(c.states)
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = 1 / float64(n)
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		c.dtmcStep(lambda, cur, next)
-		var delta float64
-		for i := range cur {
-			if d := math.Abs(next[i] - cur[i]); d > delta {
-				delta = d
-			}
-		}
-		cur, next = next, cur
-		if delta < tol {
-			normalize(cur)
-			return cur, nil
-		}
-	}
-	return nil, fmt.Errorf("san: SteadyState power iteration did not converge in %d iterations", maxIter)
-}
-
-// ExpectedReward returns Σᵢ p(i)·reward(state i).
-func (c *CTMC) ExpectedReward(p []float64, reward func(Marking) float64) (float64, error) {
-	if err := c.checkDist(p); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i, pi := range p {
-		if pi == 0 {
-			continue
-		}
-		s += pi * reward(c.states[i])
-	}
-	return s, nil
-}
-
 // InitialDistribution returns the distribution concentrated on the given
 // marking, which must be reachable.
 func (c *CTMC) InitialDistribution(m Marking) ([]float64, error) {
@@ -271,17 +200,4 @@ func (c *CTMC) checkDist(p []float64) error {
 		return fmt.Errorf("san: distribution mass %g, want 1", sum)
 	}
 	return nil
-}
-
-func normalize(p []float64) {
-	var sum float64
-	for _, v := range p {
-		sum += v
-	}
-	if sum <= 0 {
-		return
-	}
-	for i := range p {
-		p[i] /= sum
-	}
 }

@@ -13,11 +13,13 @@
 //     occupancy over a horizon (the quantity the renewal argument needs
 //     for deterministic restart activities), both weighted by Fox–Glynn
 //     Poisson probabilities and stopped once the chain is absorbed;
-//   - steady-state solution by power iteration on the uniformized chain;
+//   - mean time to absorption; and
 //   - a discrete-event simulator that also supports deterministic
-//     activities, used to validate the analytic paths; and
-//   - an Erlang phase-approximation rewrite of deterministic activities,
-//     the classical alternative when renewal analysis does not apply.
+//     activities, used to validate the analytic paths.
+//
+// The package's tests add the steady-state solver, absorption
+// probabilities, reward variables, and the Erlang phase-approximation
+// rewrite of deterministic activities as referees.
 //
 // The paper's plane-capacity model has exactly one deterministic activity
 // (the scheduled ground-spare deployment with period φ) which resets the
@@ -174,8 +176,7 @@ func (m *Model) InitialMarking() Marking {
 
 // HasDeterministic reports whether any activity is deterministically
 // timed. Such models cannot be converted to a CTMC directly; use
-// renewal analysis, the Erlang approximation (ExpandDeterministic), or
-// simulation.
+// renewal analysis or simulation.
 func (m *Model) HasDeterministic() bool {
 	for _, a := range m.Activities {
 		if a.Timing == TimingDeterministic {
@@ -197,58 +198,4 @@ func (m *Model) ExponentialOnly() *Model {
 		}
 	}
 	return out
-}
-
-// ExpandDeterministic rewrites every deterministic activity as an
-// Erlang(k) chain of exponential stages with total mean equal to the
-// deterministic delay (stage rate k/Delay). The coefficient of variation
-// of the firing time drops as 1/√k, so the rewritten model converges to
-// the deterministic one as k grows. A fresh counter place is appended per
-// rewritten activity to hold the current stage.
-//
-// The rewrite assumes the activity is enabled in every tangible marking
-// (true for the paper's scheduled-deployment clock); a disable/re-enable
-// of the activity would need the stage place to be reset, which this
-// engine does not attempt.
-func (m *Model) ExpandDeterministic(k int) (*Model, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("san: ExpandDeterministic stages %d must be >= 1", k)
-	}
-	out := &Model{Places: append([]Place(nil), m.Places...)}
-	for _, a := range m.Activities {
-		if a.Timing != TimingDeterministic {
-			out.Activities = append(out.Activities, a)
-			continue
-		}
-		stageIdx := len(out.Places)
-		out.Places = append(out.Places, Place{Name: a.Name + "_stage", Initial: 0})
-		rate := float64(k) / a.Delay
-		inner := a // capture
-		stages := k
-		out.Activities = append(out.Activities, Activity{
-			Name:   a.Name + "_erlang",
-			Timing: TimingExponential,
-			Rate:   func(Marking) float64 { return rate },
-			Enabled: func(mk Marking) bool {
-				if inner.Enabled != nil && !inner.Enabled(mk) {
-					return false
-				}
-				return true
-			},
-			Effect: func(mk Marking) Marking {
-				next := mk.Clone()
-				if next[stageIdx] < stages-1 {
-					next[stageIdx]++
-					return next
-				}
-				// Final stage: fire the original effect and reset the
-				// stage counter.
-				fired := inner.Effect(mk)
-				out2 := fired.Clone()
-				out2[stageIdx] = 0
-				return out2
-			},
-		})
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package san
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -632,4 +633,154 @@ func BenchmarkSimulate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Transitions returns the outgoing edges of state i.
+func (c *CTMC) Transitions(i int) []Transition {
+	out := make([]Transition, len(c.edges[i]))
+	copy(out, c.edges[i])
+	return out
+}
+
+// TransientAt returns the state distribution at time t starting from p0,
+// computed by uniformization with truncation error below eps (1e-12 when
+// eps <= 0).
+func (c *CTMC) TransientAt(p0 []float64, t, eps float64) ([]float64, error) {
+	if err := c.checkDist(p0); err != nil {
+		return nil, err
+	}
+	if !(t >= 0) {
+		return nil, fmt.Errorf("san: TransientAt negative time %g", t)
+	}
+	return c.uniformize(p0, t, eps, false)
+}
+
+// SteadyState returns the stationary distribution of an irreducible CTMC
+// by power iteration on the uniformized DTMC. For chains with absorbing
+// states the iteration converges to the absorption distribution from the
+// initial marking's row — callers working with absorbing chains should
+// prefer TransientAt with a large t.
+func (c *CTMC) SteadyState(tol float64, maxIter int) ([]float64, error) {
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	if maxIter <= 0 {
+		maxIter = 2_000_000
+	}
+	lambda := c.uniformizationRate()
+	n := len(c.states)
+	cur := make([]float64, n)
+	next := make([]float64, n)
+	for i := range cur {
+		cur[i] = 1 / float64(n)
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		c.dtmcStep(lambda, cur, next)
+		var delta float64
+		for i := range cur {
+			if d := math.Abs(next[i] - cur[i]); d > delta {
+				delta = d
+			}
+		}
+		cur, next = next, cur
+		if delta < tol {
+			normalize(cur)
+			return cur, nil
+		}
+	}
+	return nil, fmt.Errorf("san: SteadyState power iteration did not converge in %d iterations", maxIter)
+}
+
+// ExpectedReward returns Σᵢ p(i)·reward(state i).
+func (c *CTMC) ExpectedReward(p []float64, reward func(Marking) float64) (float64, error) {
+	if err := c.checkDist(p); err != nil {
+		return 0, err
+	}
+	var s float64
+	for i, pi := range p {
+		if pi == 0 {
+			continue
+		}
+		s += pi * reward(c.states[i])
+	}
+	return s, nil
+}
+
+func normalize(p []float64) {
+	var sum float64
+	for _, v := range p {
+		sum += v
+	}
+	if sum <= 0 {
+		return
+	}
+	for i := range p {
+		p[i] /= sum
+	}
+}
+
+// ExpandDeterministic rewrites every deterministic activity as an
+// Erlang(k) chain of exponential stages with total mean equal to the
+// deterministic delay (stage rate k/Delay). The coefficient of variation
+// of the firing time drops as 1/√k, so the rewritten model converges to
+// the deterministic one as k grows. A fresh counter place is appended per
+// rewritten activity to hold the current stage.
+//
+// The rewrite assumes the activity is enabled in every tangible marking
+// (true for the paper's scheduled-deployment clock); a disable/re-enable
+// of the activity would need the stage place to be reset, which this
+// engine does not attempt.
+func (m *Model) ExpandDeterministic(k int) (*Model, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("san: ExpandDeterministic stages %d must be >= 1", k)
+	}
+	out := &Model{Places: append([]Place(nil), m.Places...)}
+	for _, a := range m.Activities {
+		if a.Timing != TimingDeterministic {
+			out.Activities = append(out.Activities, a)
+			continue
+		}
+		stageIdx := len(out.Places)
+		out.Places = append(out.Places, Place{Name: a.Name + "_stage", Initial: 0})
+		rate := float64(k) / a.Delay
+		inner := a // capture
+		stages := k
+		out.Activities = append(out.Activities, Activity{
+			Name:   a.Name + "_erlang",
+			Timing: TimingExponential,
+			Rate:   func(Marking) float64 { return rate },
+			Enabled: func(mk Marking) bool {
+				if inner.Enabled != nil && !inner.Enabled(mk) {
+					return false
+				}
+				return true
+			},
+			Effect: func(mk Marking) Marking {
+				next := mk.Clone()
+				if next[stageIdx] < stages-1 {
+					next[stageIdx]++
+					return next
+				}
+				// Final stage: fire the original effect and reset the
+				// stage counter.
+				fired := inner.Effect(mk)
+				out2 := fired.Clone()
+				out2[stageIdx] = 0
+				return out2
+			},
+		})
+	}
+	return out, nil
+}
+
+// OccupancyOf sums the occupancy of all markings for which sel returns
+// true — e.g. "all markings with k active satellites".
+func (r *SimResult) OccupancyOf(sel func(Marking) bool) float64 {
+	var s float64
+	for key, frac := range r.Occupancy {
+		if sel(r.Markings[key]) {
+			s += frac
+		}
+	}
+	return s
 }

@@ -18,18 +18,6 @@ type SimResult struct {
 	Firings map[string]int
 }
 
-// OccupancyOf sums the occupancy of all markings for which sel returns
-// true — e.g. "all markings with k active satellites".
-func (r *SimResult) OccupancyOf(sel func(Marking) bool) float64 {
-	var s float64
-	for key, frac := range r.Occupancy {
-		if sel(r.Markings[key]) {
-			s += frac
-		}
-	}
-	return s
-}
-
 // Simulate runs the SAN as a discrete-event simulation for the given
 // horizon. Exponential activities are memoryless and re-sampled after
 // every firing; deterministic activities use the enabling-memory policy

@@ -11,7 +11,6 @@ package signal
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"satqos/internal/orbit"
 	"satqos/internal/stats"
@@ -31,11 +30,6 @@ type Signal struct {
 
 // End returns the emission stop time.
 func (s Signal) End() float64 { return s.Start + s.Duration }
-
-// ActiveAt reports whether the signal is emitting at time t. The start
-// instant is inclusive and the end instant exclusive, so a zero-duration
-// signal is never active.
-func (s Signal) ActiveAt(t float64) bool { return t >= s.Start && t < s.End() }
 
 // PositionSampler draws emitter positions.
 type PositionSampler interface {
@@ -124,26 +118,6 @@ func (w *Workload) Generate(horizonMin float64, r *stats.RNG) ([]Signal, error) 
 		})
 	}
 	return out, nil
-}
-
-// ActiveCount returns how many of the given signals are emitting at time
-// t. The slice may be in any order.
-func ActiveCount(signals []Signal, t float64) int {
-	n := 0
-	for _, s := range signals {
-		if s.ActiveAt(t) {
-			n++
-		}
-	}
-	return n
-}
-
-// SortByStart orders signals by start time in place (stable for equal
-// starts by ID).
-func SortByStart(signals []Signal) {
-	sort.SliceStable(signals, func(i, j int) bool {
-		return signals[i].Start < signals[j].Start
-	})
 }
 
 // Compile-time interface checks.

@@ -240,3 +240,28 @@ func TestGenerateInterArrivalProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// ActiveAt reports whether the signal is emitting at time t. The start
+// instant is inclusive and the end instant exclusive, so a zero-duration
+// signal is never active.
+func (s Signal) ActiveAt(t float64) bool { return t >= s.Start && t < s.End() }
+
+// ActiveCount returns how many of the given signals are emitting at time
+// t. The slice may be in any order.
+func ActiveCount(signals []Signal, t float64) int {
+	n := 0
+	for _, s := range signals {
+		if s.ActiveAt(t) {
+			n++
+		}
+	}
+	return n
+}
+
+// SortByStart orders signals by start time in place (stable for equal
+// starts by ID).
+func SortByStart(signals []Signal) {
+	sort.SliceStable(signals, func(i, j int) bool {
+		return signals[i].Start < signals[j].Start
+	})
+}

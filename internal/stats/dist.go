@@ -162,14 +162,6 @@ type Uniform struct {
 	A, B float64
 }
 
-// NewUniform validates and constructs a uniform distribution.
-func NewUniform(a, b float64) (Uniform, error) {
-	if !(a < b) {
-		return Uniform{}, fmt.Errorf("stats: uniform bounds [%g, %g] must satisfy a < b", a, b)
-	}
-	return Uniform{A: a, B: b}, nil
-}
-
 // CDF implements Distribution.
 func (u Uniform) CDF(x float64) float64 {
 	switch {

@@ -1,8 +1,8 @@
 // Package stats provides the probability substrate for the evaluation:
 // random-number streams, the distributions used by the paper's model
 // (exponential signal duration and computation time, Poisson signal
-// occurrence, deterministic deployment delays), and summary statistics
-// with confidence intervals for the discrete-event validation runs.
+// occurrence, deterministic deployment delays), and Wilson confidence
+// intervals for the discrete-event validation runs.
 package stats
 
 import (

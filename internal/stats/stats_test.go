@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -389,4 +391,135 @@ func BenchmarkRNGExp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = r.Exp(0.5)
 	}
+}
+
+// NewUniform validates and constructs a uniform distribution.
+func NewUniform(a, b float64) (Uniform, error) {
+	if !(a < b) {
+		return Uniform{}, fmt.Errorf("stats: uniform bounds [%g, %g] must satisfy a < b", a, b)
+	}
+	return Uniform{A: a, B: b}, nil
+}
+
+// Summary accumulates observations and reports mean, variance, and
+// normal-approximation confidence intervals. The zero value is ready to
+// use.
+type Summary struct {
+	n              int
+	mean, m2       float64
+	min, max       float64
+	haveObservtion bool
+}
+
+// Observe adds one observation (Welford's online algorithm, numerically
+// stable for long simulation runs).
+func (s *Summary) Observe(x float64) {
+	s.n++
+	delta := x - s.mean
+	s.mean += delta / float64(s.n)
+	s.m2 += delta * (x - s.mean)
+	if !s.haveObservtion || x < s.min {
+		s.min = x
+	}
+	if !s.haveObservtion || x > s.max {
+		s.max = x
+	}
+	s.haveObservtion = true
+}
+
+// N returns the number of observations.
+func (s *Summary) N() int { return s.n }
+
+// Mean returns the sample mean (0 with no observations).
+func (s *Summary) Mean() float64 { return s.mean }
+
+// Variance returns the unbiased sample variance (0 with fewer than two
+// observations).
+func (s *Summary) Variance() float64 {
+	if s.n < 2 {
+		return 0
+	}
+	return s.m2 / float64(s.n-1)
+}
+
+// StdDev returns the sample standard deviation.
+func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
+
+// Min returns the smallest observation (0 with no observations).
+func (s *Summary) Min() float64 { return s.min }
+
+// Max returns the largest observation (0 with no observations).
+func (s *Summary) Max() float64 { return s.max }
+
+// CI95 returns the half-width of the 95% normal-approximation confidence
+// interval for the mean.
+func (s *Summary) CI95() float64 {
+	if s.n < 2 {
+		return math.Inf(1)
+	}
+	return 1.96 * s.StdDev() / math.Sqrt(float64(s.n))
+}
+
+// String renders a compact summary line.
+func (s *Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.6g ±%.3g sd=%.4g min=%.4g max=%.4g",
+		s.n, s.Mean(), s.CI95(), s.StdDev(), s.min, s.max)
+}
+
+// Proportion estimates a Bernoulli probability from successes out of
+// trials, with a Wald 95% interval half-width. It is the estimator used
+// when validating the analytic P(Y >= y) against simulated episodes.
+type Proportion struct {
+	Successes, Trials int
+}
+
+// Observe records one trial.
+func (p *Proportion) Observe(success bool) {
+	p.Trials++
+	if success {
+		p.Successes++
+	}
+}
+
+// Estimate returns the sample proportion (0 with no trials).
+func (p *Proportion) Estimate() float64 {
+	if p.Trials == 0 {
+		return 0
+	}
+	return float64(p.Successes) / float64(p.Trials)
+}
+
+// CI95 returns the Wald 95% half-width (infinite with no trials).
+func (p *Proportion) CI95() float64 {
+	if p.Trials == 0 {
+		return math.Inf(1)
+	}
+	est := p.Estimate()
+	return 1.96 * math.Sqrt(est*(1-est)/float64(p.Trials))
+}
+
+// Quantile returns the q-quantile (0 <= q <= 1) of the data using linear
+// interpolation between order statistics. The input slice is not
+// modified.
+func Quantile(data []float64, q float64) (float64, error) {
+	if len(data) == 0 {
+		return 0, fmt.Errorf("stats: Quantile of empty data")
+	}
+	if q < 0 || q > 1 || math.IsNaN(q) {
+		return 0, fmt.Errorf("stats: Quantile level %g outside [0, 1]", q)
+	}
+	sorted := make([]float64, len(data))
+	copy(sorted, data)
+	sort.Float64s(sorted)
+	if len(sorted) == 1 {
+		return sorted[0], nil
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo], nil
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

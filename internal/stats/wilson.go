@@ -26,8 +26,3 @@ func WilsonCI(pHat float64, n int, z float64) (lo, hi float64) {
 	hi = math.Min(center+hw, 1)
 	return lo, hi
 }
-
-// Wilson95 returns the node's 95% Wilson score interval.
-func (p *Proportion) Wilson95() (lo, hi float64) {
-	return WilsonCI(p.Estimate(), p.Trials, 1.96)
-}

@@ -63,3 +63,8 @@ func TestWilsonCIDegenerate(t *testing.T) {
 		t.Errorf("Proportion.Wilson95 [%v, %v] != WilsonCI [%v, %v]", lo, hi, wlo, whi)
 	}
 }
+
+// Wilson95 returns the node's 95% Wilson score interval.
+func (p *Proportion) Wilson95() (lo, hi float64) {
+	return WilsonCI(p.Estimate(), p.Trials, 1.96)
+}
