@@ -97,10 +97,11 @@ if go run ./cmd/goldencheck -only fig9 -perturb 0.05; then
     exit 1
 fi
 
-# Allocation gate: the steady-state episode hot path (on the ideal
-# channel, and on the routed ISL fabric under every forwarding policy at
-# both the default and the congested golden operating point, faults
-# included),
+# Allocation gate: the des kernel's schedule-and-run loop on a reused
+# simulation (heap and lane events), the steady-state episode hot path
+# (on the ideal channel, and on the routed ISL fabric under every
+# forwarding policy at both the default and the congested golden
+# operating point, faults included),
 # the SoA coverage scan, the shared read-mostly scanner's concurrent
 # query path, and the stochastic-geometry point query (one cap integral
 # plus one binomial term) all have a committed budget of 0 allocs/op
@@ -113,18 +114,21 @@ go test -run '^$' -bench '^BenchmarkProtocolEpisode$|^BenchmarkProtocolEpisodeRo
     tee "$tmpdir/bench.txt"
 go test -run '^$' -bench '^BenchmarkStochGeom$/^pvisible$' -benchmem -benchtime 200x . |
     tee -a "$tmpdir/bench.txt"
+go test -run '^$' -bench '^BenchmarkScheduleAndRun$' -benchmem -benchtime 200x ./internal/des |
+    tee -a "$tmpdir/bench.txt"
 awk -v budget="$alloc_budget" '
     /^BenchmarkProtocolEpisode(-[0-9]+)?[ \t]/ || /^BenchmarkProtocolEpisodeRouted\// ||
     /^BenchmarkCoverageScan\// ||
     /^BenchmarkSharedScanner(-[0-9]+)?[ \t]/ ||
-    /^BenchmarkStochGeom\/pvisible(-[0-9]+)?[ \t]/ {
+    /^BenchmarkStochGeom\/pvisible(-[0-9]+)?[ \t]/ ||
+    /^BenchmarkScheduleAndRun(-[0-9]+)?[ \t]/ {
         seen++
         allocs = $(NF - 1) + 0
         if (allocs > budget) {
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 17) { print "expected 17 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 18) { print "expected 18 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 
 # Worker-invariance gate: every experiment's rendered output must be

@@ -39,7 +39,7 @@ type Agenda struct {
 }
 
 // Add appends an entry. At must be finite; NaN is a scripting bug and
-// panics, matching the kernel's Schedule contract.
+// panics, matching the kernel's ScheduleCall contract.
 func (a *Agenda) Add(at float64, label string, fn ArgHandler, arg any) {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("des: agenda entry %q at non-finite time %g", label, at))

@@ -1,9 +1,9 @@
 // Package des is a deterministic discrete-event simulation kernel.
 //
-// It drives the two simulations in this repository: the long-horizon
-// constellation degradation process (failures, spare deployments) and
-// the short-horizon OAQ coordination episodes (crosslink messages,
-// geolocation iterations). Events scheduled at equal times fire in
+// It drives the OAQ coordination episodes (crosslink messages, routed
+// ISL hops, scripted faults, geolocation iterations) and the membership
+// protocol's heartbeat rounds; the constellation degradation process is
+// simulated by package san instead. Events scheduled at equal times fire in
 // schedule order (FIFO), which makes runs reproducible bit-for-bit for a
 // fixed seed.
 //
@@ -15,10 +15,11 @@
 // heads, so routing an event through a lane never changes the firing
 // order.
 //
-// The scheduling form decides recycling: ScheduleCall events (Agenda
-// entries too) return to a freelist when they fire or on Reset, so
-// their handles are valid only while pending; Schedule closure events
-// are never recycled, so their handles may be canceled at any time.
+// Every event has one form: an ArgHandler and the argument it gets back
+// at dispatch, scheduled by ScheduleCall, ScheduleCallAt or ScheduleLane
+// (Agenda and Ticker build on them). Scheduling returns no handle and an
+// event cannot be canceled; a heap event's storage goes back to a
+// freelist when it fires or on Reset.
 package des
 
 import (
@@ -28,27 +29,19 @@ import (
 	"satqos/internal/obs/trace"
 )
 
-// Handler is invoked when an event fires. now is the simulation time of
-// the event.
-type Handler func(now float64)
-
-// ArgHandler is the allocation-free handler form used by ScheduleCall:
-// a plain (usually package-level) function receiving the scheduling-time
-// argument back at dispatch. Because neither the function value nor the
-// argument requires a per-event closure, hot loops that schedule many
-// short-lived events can stay free of heap allocations.
+// ArgHandler is invoked when an event fires: now is the simulation time
+// of the event and arg the argument given at scheduling. A plain
+// (usually package-level) function with a pointer argument needs no
+// per-event closure, so hot loops that schedule many short-lived events
+// can stay free of heap allocations.
 type ArgHandler func(now float64, arg any)
 
-// Event is a scheduled occurrence. Events are created by
-// Simulation.Schedule and may be canceled before they fire.
-type Event struct {
-	time     float64
-	index    int // heap index, -1 once removed
-	canceled bool
-	handler  Handler
-	argFn    ArgHandler
-	arg      any
-	label    string
+// event is one pending heap occurrence.
+type event struct {
+	time  float64
+	fn    ArgHandler
+	arg   any
+	label string
 }
 
 // Simulation is a single-threaded event-driven simulator. The zero value
@@ -62,8 +55,7 @@ type Simulation struct {
 	lanePending int
 	seq         uint64
 	fired       uint64
-	halted      bool
-	free        []*Event // recycled ScheduleCall events
+	free        []*event // recycled heap events
 	// tracer, when non-nil, records a dispatch span around every fired
 	// event (see SetTracer). The kernel pays one nil check when tracing
 	// is off.
@@ -81,7 +73,7 @@ type Simulation struct {
 // Scheduled counts scheduled events (heap and lane), Fired dispatched
 // events; FreelistHits and FreelistMisses split the heap events among
 // them by whether the event storage came from the recycled pool (lane
-// events never become an *Event); MaxHeapDepth is the peak
+// events never become an *event); MaxHeapDepth is the peak
 // pending-event count, heap and lanes together.
 type Stats struct {
 	Scheduled      uint64
@@ -105,12 +97,9 @@ func (s *Simulation) Stats() Stats {
 // Reset returns the simulation to time zero with an empty event queue
 // and empty lanes, keeping their backing storage and the recycled-event
 // pool so a caller can run many short simulations back to back without
-// reallocating. Pending ScheduleCall events are recycled. Any *Event
-// previously returned by Schedule or ScheduleCall is invalid after a
-// Reset.
+// reallocating. Pending heap events are recycled.
 func (s *Simulation) Reset() {
 	for _, q := range s.queue {
-		q.ev.index = -1
 		s.recycle(q.ev)
 	}
 	clear(s.queue)
@@ -122,21 +111,15 @@ func (s *Simulation) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.fired = 0
-	s.halted = false
 	s.freeHits = 0
 	s.freeMisses = 0
 	s.maxDepth = 0
 }
 
-// recycle returns a fired or reset ScheduleCall event to the freelist
-// that both scheduling forms draw from. Closure events are never
-// recycled, so a Schedule handle stays safe to Cancel after its event
-// fired (Ticker's stop function relies on that).
-func (s *Simulation) recycle(e *Event) {
-	if e.argFn == nil {
-		return
-	}
-	e.argFn = nil
+// recycle returns a fired or reset event to the freelist that
+// ScheduleCall draws from.
+func (s *Simulation) recycle(e *event) {
+	e.fn = nil
 	e.arg = nil
 	s.free = append(s.free, e)
 }
@@ -161,97 +144,51 @@ func (s *Simulation) SetTracer(r *trace.Recorder) { s.tracer = r }
 // Now returns the current simulation time.
 func (s *Simulation) Now() float64 { return s.now }
 
-// Pending returns the number of scheduled, non-canceled events, heap and
-// lanes together.
+// Pending returns the number of scheduled events, heap and lanes
+// together.
 func (s *Simulation) Pending() int { return len(s.queue) + s.lanePending }
 
-// Schedule registers handler to run after delay units of simulation time.
-// The label is for diagnostics. Scheduling into the past is a programming
-// error and panics; simultaneous events run in scheduling order. The
-// returned event is never recycled, so canceling it is safe even after
-// it fired.
-func (s *Simulation) Schedule(delay float64, label string, handler Handler) *Event {
-	if handler == nil {
-		panic("des: Schedule with nil handler")
-	}
-	return s.schedule(delay, label, handler, nil, nil)
-}
-
 // ScheduleCall registers fn to run after delay units of simulation time,
-// passing arg back at dispatch. It is the allocation-free counterpart of
-// Schedule: when fn is a package-level function and arg is a pointer, no
-// per-event closure is heap-allocated, and the event's storage is
-// recycled once it fires (or on Reset), which keeps hot simulation loops
-// (the OAQ episode engine) free of steady-state allocations.
-//
-// The returned handle is valid only until the event fires: afterwards
-// it may already stand for an unrelated event, so Cancel it only while
-// it is pending.
-func (s *Simulation) ScheduleCall(delay float64, label string, fn ArgHandler, arg any) *Event {
+// passing arg back at dispatch. The label is for diagnostics. Scheduling
+// into the past is a programming error and panics; simultaneous events
+// run in scheduling order. The event's storage is recycled once it fires
+// (or on Reset), so when fn is a package-level function and arg a
+// pointer, hot simulation loops (the OAQ episode engine) schedule
+// without steady-state allocations.
+func (s *Simulation) ScheduleCall(delay float64, label string, fn ArgHandler, arg any) {
 	if fn == nil {
 		panic("des: ScheduleCall with nil handler")
 	}
-	return s.schedule(delay, label, nil, fn, arg)
-}
-
-// ScheduleCallAt is ScheduleCall at absolute simulation time t >= Now.
-func (s *Simulation) ScheduleCallAt(t float64, label string, fn ArgHandler, arg any) *Event {
-	if t < s.now {
-		panic(fmt.Sprintf("des: ScheduleCallAt(%q) at %g before now %g", label, t, s.now))
-	}
-	return s.ScheduleCall(t-s.now, label, fn, arg)
-}
-
-// schedule is the common scheduling core behind Schedule and
-// ScheduleCall; exactly one of handler and argFn is non-nil.
-func (s *Simulation) schedule(delay float64, label string, handler Handler, argFn ArgHandler, arg any) *Event {
 	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("des: Schedule(%q) with negative or NaN delay %g", label, delay))
+		panic(fmt.Sprintf("des: ScheduleCall(%q) with negative or NaN delay %g", label, delay))
 	}
 	s.seq++
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
-		// Refilled field by field below rather than by copying a whole
-		// Event literal; push sets index.
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.canceled = false
 		s.freeHits++
 	} else {
-		e = &Event{}
+		e = &event{}
 		s.freeMisses++
 	}
 	e.time = s.now + delay
-	e.handler = handler
-	e.argFn = argFn
+	e.fn = fn
 	e.arg = arg
 	e.label = label
 	s.queue.push(e, s.seq)
 	if d := len(s.queue) + s.lanePending; d > s.maxDepth {
 		s.maxDepth = d
 	}
-	return e
 }
 
-// ScheduleAt registers handler to run at absolute simulation time t >= Now.
-func (s *Simulation) ScheduleAt(t float64, label string, handler Handler) *Event {
+// ScheduleCallAt is ScheduleCall at absolute simulation time t >= Now.
+func (s *Simulation) ScheduleCallAt(t float64, label string, fn ArgHandler, arg any) {
 	if t < s.now {
-		panic(fmt.Sprintf("des: ScheduleAt(%q) at %g before now %g", label, t, s.now))
+		panic(fmt.Sprintf("des: ScheduleCallAt(%q) at %g before now %g", label, t, s.now))
 	}
-	return s.Schedule(t-s.now, label, handler)
-}
-
-// Cancel removes the event from the pending set; a canceled event never
-// fires. Canceling an already-fired or already-canceled event is a no-op.
-func (s *Simulation) Cancel(e *Event) {
-	if e == nil {
-		return
-	}
-	if !e.canceled && e.index >= 0 {
-		s.queue.remove(e.index)
-	}
-	e.canceled = true
+	s.ScheduleCall(t-s.now, label, fn, arg)
 }
 
 // Step fires the next pending event, advancing the clock, and reports
@@ -270,19 +207,19 @@ func (s *Simulation) Step() bool {
 	return true
 }
 
-// Run fires events until the queue drains, Halt is called, or the clock
-// would pass horizon (events strictly after horizon remain pending). It
-// returns the number of events fired during this call.
+// Run fires events until the queue drains or the clock would pass
+// horizon (events strictly after horizon remain pending), then leaves
+// the clock at the horizon so that successive Run calls observe
+// contiguous time. It returns the number of events fired during this
+// call.
 func (s *Simulation) Run(horizon float64) uint64 {
 	if horizon < s.now {
 		panic(fmt.Sprintf("des: Run horizon %g before now %g", horizon, s.now))
 	}
-	s.halted = false
 	start := s.fired
-	// Do not fire events beyond the horizon; neither the queue nor a
-	// lane holds canceled events, so the least head is the next event to
-	// fire.
-	for !s.halted {
+	// Do not fire events beyond the horizon; the least head among the
+	// heap and the lanes is the next event to fire.
+	for {
 		if s.lanePending > 0 {
 			if l := s.nextLane(); l != nil {
 				if l.buf[l.head].time > horizon {
@@ -297,9 +234,7 @@ func (s *Simulation) Run(horizon float64) uint64 {
 		}
 		s.fireHeap()
 	}
-	// A run always leaves the clock at the horizon (unless halted early)
-	// so that successive Run calls observe contiguous time.
-	if !s.halted && s.now < horizon {
+	if s.now < horizon {
 		s.now = horizon
 	}
 	return s.fired - start
@@ -313,16 +248,10 @@ func (s *Simulation) fireHeap() {
 	s.fired++
 	if s.tracer != nil {
 		sp := s.tracer.Begin(trace.KindDispatch, e.label, trace.SatKernel, s.now)
-		if e.handler != nil {
-			e.handler(s.now)
-		} else {
-			e.argFn(s.now, e.arg)
-		}
+		e.fn(s.now, e.arg)
 		s.tracer.End(sp, s.now)
-	} else if e.handler != nil {
-		e.handler(s.now)
 	} else {
-		e.argFn(s.now, e.arg)
+		e.fn(s.now, e.arg)
 	}
 	// Recycled after the handler so a handler scheduling new events
 	// cannot be handed its own in-flight event.
@@ -379,21 +308,16 @@ func (s *Simulation) fireLane(l *Lane) {
 
 // eventQueue is a binary min-heap of pending events ordered by
 // (time, seq). Each entry carries its ordering key inline, so sifting
-// compares slice elements and never dereferences an *Event; the only
-// event access is the store that keeps Event.index equal to the
-// event's slot, which Cancel relies on to remove eagerly.
-//
-// Invariant: every queued event is live. Cancel removes its event at
-// once, and a fired event is popped before its handler runs, so the
-// queue never holds a canceled or fired event and its head is always
-// the next event to fire.
+// compares slice elements and never dereferences an *event. A fired
+// event is popped before its handler runs, so the head is always the
+// next heap event to fire.
 type eventQueue []queueEntry
 
 // queueEntry is one heap slot: the event's ordering key and the event.
 type queueEntry struct {
 	time float64
 	seq  uint64
-	ev   *Event
+	ev   *event
 }
 
 // before reports whether a orders strictly ahead of b. (time, seq) is a
@@ -406,96 +330,78 @@ func (a *queueEntry) before(b *queueEntry) bool {
 	return a.seq < b.seq
 }
 
-// push inserts e with scheduling sequence number seq.
-func (q *eventQueue) push(e *Event, seq uint64) {
+// push inserts e with scheduling sequence number seq, sifting it toward
+// the root.
+func (q *eventQueue) push(e *event, seq uint64) {
 	*q = append(*q, queueEntry{time: e.time, seq: seq, ev: e})
-	q.up(len(*q) - 1)
-}
-
-// pop removes and returns the head event. The queue must be non-empty.
-func (q *eventQueue) pop() *Event {
-	return q.remove(0)
-}
-
-// remove deletes the event at slot i and returns it with index -1.
-func (q *eventQueue) remove(i int) *Event {
 	h := *q
-	n := len(h) - 1
-	e := h[i].ev
-	h[i] = h[n]
-	h[n] = queueEntry{}
-	*q = h[:n]
-	if i < n && !q.down(i) {
-		q.up(i)
-	}
-	e.index = -1
-	return e
-}
-
-// up sifts the entry at slot i toward the root.
-func (q eventQueue) up(i int) {
-	x := q[i]
+	i := len(h) - 1
+	x := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !x.before(&q[p]) {
+		if !x.before(&h[p]) {
 			break
 		}
-		q[i] = q[p]
-		q[i].ev.index = i
+		h[i] = h[p]
 		i = p
 	}
-	q[i] = x
-	x.ev.index = i
+	h[i] = x
 }
 
-// down sifts the entry at slot i0 toward the leaves and reports whether
-// it moved.
-func (q eventQueue) down(i0 int) bool {
-	n := len(q)
-	x := q[i0]
-	i := i0
+// pop removes and returns the head event, sifting the last entry down
+// from the root. The queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	e := h[0].ev
+	x := h[n]
+	h[n] = queueEntry{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return e
+	}
+	i := 0
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(&q[c]) {
+		if r := c + 1; r < n && h[r].before(&h[c]) {
 			c = r
 		}
-		if !q[c].before(&x) {
+		if !h[c].before(&x) {
 			break
 		}
-		q[i] = q[c]
-		q[i].ev.index = i
+		h[i] = h[c]
 		i = c
 	}
-	q[i] = x
-	x.ev.index = i
-	return i > i0
+	h[i] = x
+	return e
 }
 
-// Ticker schedules handler every period units of time, starting after the
-// first period, until the returned stop function is called. It is used
-// for the scheduled ground-spare deployment policy (period φ).
-func (s *Simulation) Ticker(period float64, label string, handler Handler) (stop func()) {
+// Ticker fires fn(now, arg) every period units of time, starting after
+// the first period, for as long as the simulation runs (a Reset drops
+// it). Each tick is a ScheduleCall event that re-arms the next one after
+// fn returns. Membership's heartbeat rounds use it.
+func (s *Simulation) Ticker(period float64, label string, fn ArgHandler, arg any) {
 	if period <= 0 || math.IsNaN(period) {
 		panic(fmt.Sprintf("des: Ticker(%q) with non-positive period %g", label, period))
 	}
-	stopped := false
-	var pending *Event
-	var tick Handler
-	tick = func(now float64) {
-		if stopped {
-			return
-		}
-		handler(now)
-		if !stopped {
-			pending = s.Schedule(period, label, tick)
-		}
-	}
-	pending = s.Schedule(period, label, tick)
-	return func() {
-		stopped = true
-		s.Cancel(pending)
-	}
+	s.ScheduleCall(period, label, tickEvent, &ticker{sim: s, period: period, label: label, fn: fn, arg: arg})
+}
+
+// ticker is the argument of a Ticker's events.
+type ticker struct {
+	sim    *Simulation
+	period float64
+	label  string
+	fn     ArgHandler
+	arg    any
+}
+
+func tickEvent(now float64, arg any) {
+	t := arg.(*ticker)
+	t.fn(now, t.arg)
+	t.sim.ScheduleCall(t.period, t.label, tickEvent, t)
 }

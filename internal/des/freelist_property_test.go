@@ -9,80 +9,71 @@ import (
 )
 
 // TestFreelistNeverAliasesLiveEvent is the property test for the
-// fired-event freelist: the storage handed out by Schedule must never be
-// an *Event that is still pending in the queue. Such aliasing would be a
-// use-after-free-style bug — recycling a live event silently rewires an
-// unrelated scheduled occurrence — and, because only one goroutine is
-// involved, the race detector cannot see it.
+// fired-event freelist: no *event on the freelist may still sit in a
+// queue slot, and none may sit on it twice. Either would be a
+// use-after-free-style bug — the next ScheduleCall would silently rewire
+// a pending occurrence — and, because only one goroutine is involved,
+// the race detector cannot see it.
 //
 // The test drives randomized workloads (nested scheduling from handlers,
-// bursts, Resets, ScheduleCall and Schedule mixed) while tracking the
-// set of live (scheduled, not yet fired) event pointers, and fails the
-// moment a freshly scheduled event aliases a live one.
+// bursts, Resets) and checks the freelist against the queue after every
+// operation, handler dispatches included.
 func TestFreelistNeverAliasesLiveEvent(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := stats.NewRNG(seed, 0)
 			sim := &Simulation{}
 
-			live := make(map[*Event]bool)
 			issued := 0
-			// track wraps every Schedule call with the aliasing check.
-			track := func(e *Event) {
-				if live[e] {
-					t.Fatalf("Schedule returned an event that is still live (pending): %p %q@%g",
-						e, e.Label(), e.Time())
+			check := func(what string) {
+				queued := make(map[*event]bool, len(sim.queue))
+				for _, q := range sim.queue {
+					queued[q.ev] = true
 				}
-				live[e] = true
-				issued++
+				free := make(map[*event]bool, len(sim.free))
+				for _, e := range sim.free {
+					if queued[e] {
+						t.Fatalf("after %s: freelist event %p %q@%g is still queued", what, e, e.label, e.time)
+					}
+					if free[e] {
+						t.Fatalf("after %s: event %p is on the freelist twice", what, e)
+					}
+					free[e] = true
+				}
 			}
 
-			var burst func(now float64)
-			fired := func(e **Event) Handler {
-				return func(now float64) {
-					delete(live, *e)
-					// Handlers sometimes schedule follow-ups — the nested
-					// case in which a recycled-too-early event would bite.
-					if rng.Float64() < 0.4 {
-						burst(now)
-					}
+			var burst func()
+			fired := func(float64, any) {
+				check("dispatch")
+				// Handlers sometimes schedule follow-ups — the nested
+				// case in which a recycled-too-early event would bite.
+				if rng.Float64() < 0.4 {
+					burst()
 				}
 			}
-			argFired := func(now float64, arg any) {
-				delete(live, arg.(*Event))
-			}
-			burst = func(now float64) {
+			burst = func() {
 				n := 1 + rng.Intn(4)
 				for i := 0; i < n; i++ {
-					delay := rng.Float64() * 3
-					if rng.Float64() < 0.5 {
-						var e *Event
-						e = sim.Schedule(delay, "prop", fired(&e))
-						track(e)
-					} else {
-						// ScheduleCall variant: the event removes itself
-						// from the live set via its own pointer argument.
-						e := sim.ScheduleCall(delay, "prop-arg", argFired, nil)
-						e.arg = e
-						track(e)
-					}
+					sim.ScheduleCall(rng.Float64()*3, "prop", fired, nil)
+					issued++
+					check("schedule")
 				}
 			}
 
 			for round := 0; round < 30; round++ {
-				burst(sim.Now())
+				burst()
 				sim.Run(sim.Now() + rng.Float64()*4)
+				check("run")
 				if rng.Float64() < 0.15 {
-					// Reset recycles every still-pending ScheduleCall
-					// event; all live pointers become legitimately
-					// reusable.
+					// Reset recycles every still-pending event.
 					sim.Reset()
-					clear(live)
+					check("reset")
 				}
 			}
 			sim.Run(math.Inf(1))
-			if len(live) != 0 {
-				t.Fatalf("%d events neither fired nor reset away", len(live))
+			check("drain")
+			if sim.Pending() != 0 {
+				t.Fatalf("%d events neither fired nor reset away", sim.Pending())
 			}
 			if issued == 0 {
 				t.Fatal("property test scheduled no events")
@@ -91,16 +82,16 @@ func TestFreelistNeverAliasesLiveEvent(t *testing.T) {
 	}
 }
 
-// TestScheduleCallDispatch checks the arg-based scheduling path end to
-// end: ordering with Schedule events at equal times follows scheduling
-// order, the argument round-trips, and recycling clears the argument so
-// the freelist retains nothing.
+// TestScheduleCallDispatch checks the scheduling path end to end:
+// events at equal times fire in scheduling order, the argument
+// round-trips, and recycling clears the handler and argument so the
+// freelist retains nothing.
 func TestScheduleCallDispatch(t *testing.T) {
 	sim := &Simulation{}
 	var order []string
 	type payload struct{ name string }
 	p := &payload{name: "arg1"}
-	sim.Schedule(1, "plain", func(now float64) { order = append(order, "plain") })
+	sim.ScheduleCall(1, "plain", func(float64, any) { order = append(order, "plain") }, nil)
 	sim.ScheduleCall(1, "call", func(now float64, arg any) {
 		order = append(order, arg.(*payload).name)
 		if now != 1 {
@@ -112,13 +103,13 @@ func TestScheduleCallDispatch(t *testing.T) {
 		t.Fatalf("dispatch order = %v, want [plain arg1]", order)
 	}
 	for _, e := range sim.free {
-		if e.arg != nil || e.argFn != nil || e.handler != nil {
+		if e.arg != nil || e.fn != nil {
 			t.Fatalf("recycled event retains handler state: %+v", e)
 		}
 	}
 }
 
-// TestScheduleCallAtValidation mirrors ScheduleAt's past-time panic.
+// TestScheduleCallAtValidation checks ScheduleCallAt's past-time panic.
 func TestScheduleCallAtValidation(t *testing.T) {
 	sim := &Simulation{}
 	sim.Run(5)

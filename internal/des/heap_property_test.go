@@ -16,15 +16,15 @@ type oracleEvent struct {
 }
 
 // TestHeapMatchesSortedOracle is the property test for the event heap:
-// seeded random interleavings of scheduling, Cancel of an arbitrary
-// pending event, Step, and Reset — scheduling through ScheduleCall,
-// whose events recycle (reuse=true), or through Schedule, whose
-// closure events never do (reuse=false) — are mirrored into a
-// reference model that keeps the pending set as a plain slice sorted by
-// (time, seq). After every operation the kernel must agree with the
-// model on the fired event, the clock, the pending count, the freelist
-// length and every Stats counter, and each queued event's index must
-// equal its heap slot.
+// seeded random interleavings of scheduling, Step, and Reset — with the
+// fired events recycled through the freelist (reuse=true), or with the
+// freelist cleared after every operation so that every event is freshly
+// allocated (reuse=false) — are mirrored into a reference model that
+// keeps the pending set as a plain slice sorted by (time, seq). After
+// every operation the kernel must agree with the model on the fired
+// event, the clock, the pending count, the freelist length and every
+// Stats counter, and each heap slot must hold its event's key in heap
+// order.
 func TestHeapMatchesSortedOracle(t *testing.T) {
 	for _, reuse := range []bool{false, true} {
 		for seed := uint64(1); seed <= 12; seed++ {
@@ -41,9 +41,8 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 
 	var (
 		pending []oracleEvent // model pending set
-		handles = map[int]*Event{}
-		want    Stats // model counters since the last Reset
-		free    int   // model freelist length
+		want    Stats         // model counters since the last Reset
+		free    int           // model freelist length
 		nextID  int
 		fired   = -1 // id recorded by the last dispatched event
 		total   uint64
@@ -58,10 +57,6 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 			return pending[i].seq < pending[j].seq
 		})
 	}
-	dropPending := func(k int) {
-		delete(handles, pending[k].id)
-		pending = append(pending[:k], pending[k+1:]...)
-	}
 
 	for op := 0; op < 3000; op++ {
 		var what string
@@ -73,13 +68,7 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 			delay := float64(rng.Intn(8))
 			id := nextID
 			nextID++
-			var e *Event
-			if reuse {
-				e = sim.ScheduleCall(delay, "prop", onFire, &id)
-			} else {
-				e = sim.Schedule(delay, "prop", func(now float64) { onFire(now, &id) })
-			}
-			handles[id] = e
+			sim.ScheduleCall(delay, "prop", onFire, &id)
 			want.Scheduled++
 			if free > 0 {
 				free--
@@ -89,14 +78,6 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 			}
 			pending = append(pending, oracleEvent{time: sim.Now() + delay, seq: want.Scheduled, id: id})
 			want.MaxHeapDepth = max(want.MaxHeapDepth, len(pending))
-		case r < 0.65:
-			what = "cancel"
-			if len(pending) == 0 {
-				break
-			}
-			k := rng.Intn(len(pending))
-			sim.Cancel(handles[pending[k].id])
-			dropPending(k)
 		case r < 0.97:
 			what = "step"
 			fired = -1
@@ -113,7 +94,7 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 				t.Fatalf("op %d: fired id %d at %g, oracle head is id %d at %g",
 					op, fired, sim.Now(), head.id, head.time)
 			}
-			dropPending(0)
+			pending = pending[1:]
 			want.Fired++
 			total++
 			if reuse {
@@ -126,8 +107,10 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 				free += len(pending)
 			}
 			pending = pending[:0]
-			clear(handles)
 			want = Stats{}
+		}
+		if !reuse {
+			sim.ClearEventFreelist()
 		}
 
 		if got := sim.Stats(); got != want {
@@ -140,12 +123,9 @@ func checkHeapAgainstOracle(t *testing.T, reuse bool, seed uint64) {
 			t.Fatalf("op %d (%s): freelist holds %d events, oracle %d", op, what, len(sim.free), free)
 		}
 		for i, q := range sim.queue {
-			if q.ev.index != i {
-				t.Fatalf("op %d (%s): event in slot %d has index %d", op, what, i, q.ev.index)
-			}
-			if q.time != q.ev.time || q.ev.canceled {
-				t.Fatalf("op %d (%s): slot %d key %g disagrees with event (time %g, canceled %v)",
-					op, what, i, q.time, q.ev.time, q.ev.canceled)
+			if q.time != q.ev.time {
+				t.Fatalf("op %d (%s): slot %d key %g disagrees with event time %g",
+					op, what, i, q.time, q.ev.time)
 			}
 			if i > 0 && q.before(&sim.queue[(i-1)/2]) {
 				t.Fatalf("op %d (%s): slot %d orders before its parent", op, what, i)
@@ -172,29 +152,26 @@ type laneTwin struct {
 	lanes   []*Lane // nil in the reference run
 	delays  []float64
 	log     []fireRecord
-	handles map[int]*Event // pending cancelable heap events by id
-	tickers []func()
+	tickers int // tickers started since the last Reset
 }
 
 func (w *laneTwin) onFire(now float64, arg any) {
 	r := arg.(*laneRec)
-	delete(w.handles, r.id)
 	w.log = append(w.log, fireRecord{r.label, now})
 }
 
 // laneRec identifies one scheduled event across both runs.
 type laneRec struct {
-	id    int
 	label string
 }
 
 // TestLanesMatchAllHeapReference is the property test for fixed-delay
-// lanes: seeded random interleavings of heap scheduling, Cancel, Ticker,
+// lanes: seeded random interleavings of heap scheduling, Ticker,
 // ScheduleLane on one to three lanes (with delays drawn so lane and heap
 // events often tie in time), lane retiming while empty, Step, Run and
-// Reset — heap events scheduled through ScheduleCall, whose events
-// recycle (reuse=true), or through Schedule, whose closure events never
-// do (reuse=false) — run against a reference simulation that schedules
+// Reset — with fired heap events recycled through the freelist
+// (reuse=true), or with both freelists cleared after every operation
+// (reuse=false) — run against a reference simulation that schedules
 // every lane event through ScheduleCall with the lane's delay. After
 // every operation the two must have fired the same (label, time)
 // sequence, sit at the same clock, and agree on Pending and on the
@@ -217,7 +194,6 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 	var lr, ref laneTwin
 	for _, w := range []*laneTwin{&lr, &ref} {
 		w.sim = &Simulation{}
-		w.handles = map[int]*Event{}
 	}
 	for i := 0; i < nLanes; i++ {
 		d := laneDelays[rng.Intn(len(laneDelays))]
@@ -228,7 +204,7 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 	nextID := 0
 	newRec := func(kind string) *laneRec {
 		nextID++
-		return &laneRec{id: nextID, label: fmt.Sprintf("%s#%d", kind, nextID)}
+		return &laneRec{label: fmt.Sprintf("%s#%d", kind, nextID)}
 	}
 	var fired, laneFired uint64
 
@@ -241,11 +217,7 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 			delay := float64(rng.Intn(8)) / 2
 			rec := newRec("heap")
 			for _, w := range []*laneTwin{&lr, &ref} {
-				if reuse {
-					w.handles[rec.id] = w.sim.ScheduleCall(delay, rec.label, w.onFire, rec)
-				} else {
-					w.handles[rec.id] = w.sim.Schedule(delay, rec.label, func(now float64) { w.onFire(now, rec) })
-				}
+				w.sim.ScheduleCall(delay, rec.label, w.onFire, rec)
 			}
 		case r < 0.55:
 			what = "lane"
@@ -262,48 +234,18 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 			d := laneDelays[rng.Intn(len(laneDelays))]
 			lr.lanes[i].SetDelay(d)
 			lr.delays[i], ref.delays[i] = d, d
-		case r < 0.67:
-			what = "cancel"
-			if len(lr.handles) == 0 {
-				break
-			}
-			// Cancel the pending heap event with the smallest id above a
-			// random floor, so both runs pick the same one.
-			floor := rng.Intn(nextID + 1)
-			pick := -1
-			for id := range lr.handles {
-				if id >= floor && (pick < 0 || id < pick) {
-					pick = id
-				}
-			}
-			if pick < 0 {
-				break
-			}
-			for _, w := range []*laneTwin{&lr, &ref} {
-				e, ok := w.handles[pick]
-				if !ok {
-					t.Fatalf("op %d: event %d pending in one run only", op, pick)
-				}
-				w.sim.Cancel(e)
-				delete(w.handles, pick)
-			}
 		case r < 0.69:
 			what = "ticker"
-			if len(lr.tickers) >= 3 {
-				stop := rng.Intn(len(lr.tickers))
-				for _, w := range []*laneTwin{&lr, &ref} {
-					w.tickers[stop]()
-					w.tickers = append(w.tickers[:stop], w.tickers[stop+1:]...)
-				}
+			if lr.tickers >= 3 {
 				break
 			}
 			period := float64(1 + rng.Intn(4))
 			label := fmt.Sprintf("tick#%d", op)
 			for _, w := range []*laneTwin{&lr, &ref} {
-				w := w
-				w.tickers = append(w.tickers, w.sim.Ticker(period, label, func(now float64) {
+				w.tickers++
+				w.sim.Ticker(period, label, func(now float64, _ any) {
 					w.log = append(w.log, fireRecord{label, now})
-				}))
+				}, nil)
 			}
 		case r < 0.90:
 			what = "step"
@@ -326,12 +268,14 @@ func checkLanesAgainstReference(t *testing.T, reuse bool, seed uint64) {
 		default:
 			what = "reset"
 			for _, w := range []*laneTwin{&lr, &ref} {
+				// The reset drops every pending tick.
 				w.sim.Reset()
-				// A stop function would cancel a stale (possibly recycled)
-				// event; the reset already dropped every tick.
-				w.tickers = nil
-				clear(w.handles)
+				w.tickers = 0
 			}
+		}
+		if !reuse {
+			lr.sim.ClearEventFreelist()
+			ref.sim.ClearEventFreelist()
 		}
 
 		if len(lr.log) != len(ref.log) {

@@ -15,8 +15,8 @@ import (
 // the sequence whether it was scheduled on a lane or on the heap with
 // the lane's delay.
 //
-// Lane events cannot be canceled and never become an *Event, so they
-// bypass the freelist; Reset empties every lane.
+// Lane events never become an *event, so they bypass the freelist;
+// Reset empties every lane.
 type Lane struct {
 	sim   *Simulation
 	delay float64

@@ -6,7 +6,7 @@ func TestResetClearsStateKeepsStorage(t *testing.T) {
 	s := &Simulation{}
 	var fired int
 	for i := 0; i < 8; i++ {
-		s.Schedule(float64(i), "e", func(float64) { fired++ })
+		s.ScheduleCall(float64(i), "e", func(float64, any) { fired++ }, nil)
 	}
 	s.Run(3)
 	if fired != 4 {
@@ -18,36 +18,32 @@ func TestResetClearsStateKeepsStorage(t *testing.T) {
 	}
 	// The simulation is fully usable again from time zero.
 	order := []float64{}
-	s.Schedule(2, "b", func(now float64) { order = append(order, now) })
-	s.Schedule(1, "a", func(now float64) { order = append(order, now) })
+	s.ScheduleCall(2, "b", func(now float64, _ any) { order = append(order, now) }, nil)
+	s.ScheduleCall(1, "a", func(now float64, _ any) { order = append(order, now) }, nil)
 	s.Run(10)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("post-reset run fired %v", order)
 	}
 }
 
-// A long sequence of ScheduleCall schedule/fire cycles recycles the
-// same Event structs while preserving the (time, seq) ordering that
-// never-recycled Schedule events follow.
+// A long sequence of schedule/fire cycles that recycles the same event
+// structs fires in the (time, seq) order of one whose freelist is
+// cleared every round, so that every event is freshly allocated.
 func TestEventReuseKeepsDeterministicOrder(t *testing.T) {
 	run := func(reuse bool) []int {
 		s := &Simulation{}
 		var log []int
 		logID := func(_ float64, arg any) { log = append(log, arg.(int)) }
-		at := func(delay float64, label string, id int) {
-			if reuse {
-				s.ScheduleCall(delay, label, logID, id)
-			} else {
-				s.Schedule(delay, label, func(now float64) { logID(now, id) })
-			}
-		}
 		for round := 0; round < 5; round++ {
 			id := round * 10
-			at(1, "x", id)
-			at(1, "y", id+1)
-			at(0.5, "z", id+2)
+			s.ScheduleCall(1, "x", logID, id)
+			s.ScheduleCall(1, "y", logID, id+1)
+			s.ScheduleCall(0.5, "z", logID, id+2)
 			s.Run(s.Now() + 2)
 			s.Reset()
+			if !reuse {
+				s.ClearEventFreelist()
+			}
 		}
 		if got := len(s.free) > 0; got != reuse {
 			t.Fatalf("reuse=%v: freelist holds %d events", reuse, len(s.free))
@@ -70,19 +66,22 @@ func TestEventReuseKeepsDeterministicOrder(t *testing.T) {
 func TestEventReuseHandlerScheduling(t *testing.T) {
 	s := &Simulation{}
 	depth := 0
-	var firing *Event // the event whose handler is running
+	var firing *event // the event whose handler is running
 	var grow ArgHandler
 	grow = func(float64, any) {
 		depth++
 		if depth < 100 {
-			e := s.ScheduleCall(0.1, "grow", grow, nil)
+			s.ScheduleCall(0.1, "grow", grow, nil)
+			// The chain keeps one event pending: the one just scheduled.
+			e := s.queue[0].ev
 			if e == firing {
 				t.Fatalf("depth %d: handler was handed its own in-flight event", depth)
 			}
 			firing = e
 		}
 	}
-	firing = s.ScheduleCall(0.1, "grow", grow, nil)
+	s.ScheduleCall(0.1, "grow", grow, nil)
+	firing = s.queue[0].ev
 	s.Run(1000)
 	if depth != 100 {
 		t.Fatalf("chain depth %d, want 100", depth)

@@ -43,9 +43,9 @@ func TestStatsCountersAndReset(t *testing.T) {
 func TestStatsMaxDepthIsWatermark(t *testing.T) {
 	sim := &Simulation{}
 	// Interleave schedule and fire so the live depth oscillates.
-	sim.Schedule(1, "a", func(float64) {
-		sim.Schedule(1, "b", func(float64) {})
-	})
+	sim.ScheduleCall(1, "a", func(float64, any) {
+		sim.ScheduleCall(1, "b", func(float64, any) {}, nil)
+	}, nil)
 	sim.Run(10)
 	if got := sim.Stats().MaxHeapDepth; got != 1 {
 		t.Fatalf("MaxHeapDepth = %d, want 1 (never more than one pending)", got)

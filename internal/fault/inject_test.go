@@ -41,12 +41,12 @@ func runScenario(t *testing.T, s *Scenario, seed uint64, times []float64) []prob
 	}
 	var got []probe
 	for _, at := range times {
-		sim.ScheduleAt(at, "probe", func(now float64) {
+		sim.ScheduleCallAt(at, "probe", func(now float64, _ any) {
 			got = append(got, probe{T: now, FailSilent: links.FailSilent(2), LossProb: links.LossProb()})
 			if links.FailSilent(2) != ground.FailSilent(2) {
 				t.Errorf("t=%g: fabrics disagree on fail-silence", now)
 			}
-		})
+		}, nil)
 	}
 	sim.Run(1e6)
 	return got

@@ -149,7 +149,6 @@ type Group struct {
 	cfg        Config
 	candidates []crosslink.NodeID
 	members    map[crosslink.NodeID]*member
-	stops      []func()
 }
 
 // NewGroup wires the protocol for the candidate set. Start must be
@@ -212,13 +211,12 @@ func (g *Group) Start() {
 		}
 	}
 	for _, id := range g.candidates {
-		m := g.members[id]
-		stop := g.sim.Ticker(g.cfg.RoundEvery, "membership-round", func(t float64) {
-			m.tick(t)
-		})
-		g.stops = append(g.stops, stop)
+		g.sim.Ticker(g.cfg.RoundEvery, "membership-round", roundEvent, g.members[id])
 	}
 }
+
+// roundEvent is the heartbeat Ticker's handler; arg is the *member.
+func roundEvent(now float64, arg any) { arg.(*member).tick(now) }
 
 // Fail makes the node fail-silent: it stops heartbeating and processing
 // (driven through the crosslink fail-silent mechanism).

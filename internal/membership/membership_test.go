@@ -265,18 +265,6 @@ func TestUnknownNodeQueries(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRounds(t *testing.T) {
-	sim, net, g := harness(t, 4, DefaultConfig(), 31)
-	g.Start()
-	sim.Run(2)
-	sent := net.Stats().Sent
-	g.Stop()
-	sim.Run(10)
-	if net.Stats().Sent != sent {
-		t.Errorf("heartbeats continued after Stop: %d -> %d", sent, net.Stats().Sent)
-	}
-}
-
 func BenchmarkMembershipRound(b *testing.B) {
 	sim := &des.Simulation{}
 	net, err := crosslink.NewNetwork(sim, crosslink.Config{MaxDelayMin: 0.01}, stats.NewRNG(1, 0))
@@ -296,14 +284,6 @@ func BenchmarkMembershipRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sim.Run(sim.Now() + 1)
 	}
-}
-
-// Stop cancels all heartbeat tickers.
-func (g *Group) Stop() {
-	for _, stop := range g.stops {
-		stop()
-	}
-	g.stops = nil
 }
 
 // HistoryOf returns the node's installed view sequence.

@@ -139,60 +139,117 @@ func EvaluateParallelCtx(ctx context.Context, p Params, episodes int, seed uint6
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	type shardOut struct {
-		t *tally
-		m *shardMetrics
-	}
 	evalStart := time.Now()
 	out, err := parallel.MonteCarloCtx(ctx, workers, episodes, 0,
-		func(s parallel.Shard) (shardOut, error) {
+		func(sp parallel.Shard) (*shard, error) {
 			begin := time.Now()
-			r, err := acquireRunner(p, stats.NewRNG(seed, uint64(s.Index)))
-			if err != nil {
-				return shardOut{}, err
-			}
-			// The global episode ordinal (s.Start + i) keys head sampling
+			// The global episode ordinal (sp.Start + i) keys head sampling
 			// and exemplars; it depends only on the budget partition, never
 			// on the worker count.
-			r.ep.ord = uint64(s.Start)
-			detach := r.attachShardTracer(p.Tracing, uint64(s.Start))
-			o := shardOut{t: &tally{}, m: maybeShardMetrics(p.Metrics)}
-			r.setMetrics(o.m)
-			var shardErr error
-			for i := 0; i < s.Count; i++ {
+			s, err := openShard(p, stats.NewRNG(seed, uint64(sp.Index)), uint64(sp.Start))
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < sp.Count; i++ {
 				if i%cancelCheckStride == 0 && ctx.Err() != nil {
-					shardErr = ctx.Err()
-					break
+					s.close()
+					return nil, ctx.Err()
 				}
-				res := r.run()
-				o.t.add(&res)
+				s.run()
 			}
-			detach()
-			releaseRunner(r)
-			if shardErr != nil {
-				return shardOut{}, shardErr
-			}
+			s.close()
 			if p.Tracing != nil && p.Tracing.WallSpans {
 				p.Tracing.Collector.AddWall(trace.WallSpan{
 					Label:   p.Tracing.Scope,
-					Shard:   s.Index,
+					Shard:   sp.Index,
 					WaitSec: begin.Sub(evalStart).Seconds(),
 					BusySec: time.Since(begin).Seconds(),
 				})
 			}
-			return o, nil
+			return s, nil
 		},
-		func(acc, part shardOut) shardOut {
-			if acc.t == nil {
+		func(acc, part *shard) *shard {
+			if acc == nil {
 				return part
 			}
-			acc.t.merge(part.t)
-			acc.m.merge(part.m)
+			acc.merge(part)
 			return acc
 		})
 	if err != nil {
 		return nil, err
 	}
-	out.m.publish(p.Metrics)
+	out.publish(p.Metrics)
 	return out.t.evaluation(episodes), nil
+}
+
+// shard is the one way episodes run: a runner drawn from runnerPool and
+// bound to Params, the tally of its episodes and, when the Params ask
+// for them, a metrics accumulator and a span recorder. EvaluateParallelCtx
+// and EvaluatePairedParallel open one per Monte-Carlo shard, RunEpisode
+// one per call and NewRunner one per Runner. A shard is never shared
+// between goroutines.
+type shard struct {
+	r   *episodeRunner // nil once closed
+	t   tally
+	m   *shardMetrics   // nil when Params.Metrics is nil
+	rec *trace.Recorder // nil when Params.Tracing is nil
+}
+
+// openShard draws a parked runner (or builds one) bound to p and rng,
+// whose episodes take the global ordinals ord, ord+1, …: the ordinal
+// keys trace sampling and exemplars. Whatever the pool held, the runner
+// starts as a fresh one would, with an empty event freelist, since the
+// freelist hit/miss counters are published.
+func openShard(p Params, rng *stats.RNG, ord uint64) (*shard, error) {
+	r, ok := runnerPool.Get().(*episodeRunner)
+	if !ok {
+		var err error
+		if r, err = newEpisodeRunner(p, rng); err != nil {
+			return nil, err
+		}
+	} else if err := r.rebind(p, rng); err != nil {
+		// The next open rebinds it in full; park it again.
+		runnerPool.Put(r)
+		return nil, err
+	}
+	r.ep.sim.ClearEventFreelist()
+	r.ep.ord = ord
+	s := &shard{r: r}
+	if p.Metrics != nil {
+		s.m = newShardMetrics()
+	}
+	if p.Tracing != nil {
+		// Each shard owns its recorder (a recorder is single-goroutine,
+		// like the runner); retained traces merge in the shared
+		// Collector, which sorts by episode ordinal, so the retained set
+		// is identical at any worker count.
+		s.rec = trace.NewRecorder(p.Tracing)
+	}
+	// Attached even when nil, which detaches whatever the runner's
+	// previous shard left.
+	r.setMetrics(s.m)
+	r.setTracer(s.rec)
+	return s, nil
+}
+
+// run simulates the shard's next episode and tallies its outcome.
+func (s *shard) run() EpisodeResult {
+	res := s.r.run()
+	s.t.add(&res)
+	return res
+}
+
+// close flushes the retained traces to the Collector and parks the
+// runner. The tally and metrics stay readable for merge and publish.
+func (s *shard) close() {
+	s.rec.Flush()
+	runnerPool.Put(s.r)
+	s.r = nil
+}
+
+// merge folds another shard's tally and metrics into s. The engines
+// call it in shard-index order.
+func (s *shard) merge(o *shard) {
+	s.t.merge(&o.t)
+	s.m.merge(o.m)
 }

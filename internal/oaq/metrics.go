@@ -8,19 +8,17 @@ import (
 	"satqos/internal/qos"
 )
 
-// shardMetrics is the single-goroutine metric accumulator of one
-// Monte-Carlo shard (or one sequential evaluation): plain counters and
-// local histograms, no atomics, no locks. The evaluation engines create
-// one per shard when Params.Metrics is set, merge them in shard order,
-// and publish the fold into the registry exactly once — so a metric
-// snapshot of a deterministic evaluation is itself bit-identical at any
-// worker count. When Params.Metrics is nil no shardMetrics exists and
-// the per-event hooks reduce to a nil check.
+// shardMetrics is the single-goroutine metric accumulator of one shard:
+// plain counters and local histograms, no atomics, no locks. A shard
+// opens one when Params.Metrics is set; the engines merge them in shard
+// order and publish the fold into the registry exactly once — so a
+// metric snapshot of a deterministic evaluation is itself bit-identical
+// at any worker count. When Params.Metrics is nil no shardMetrics exists
+// and the per-event hooks reduce to a nil check. Episode outcomes
+// (levels, terminations) are not counted here: publish reads them from
+// the shard's tally.
 type shardMetrics struct {
-	episodes     uint64
-	levels       [qos.NumLevels]uint64
-	terminations [numTerminations]uint64
-	traceKinds   [TraceAlertReceived + 1]uint64
+	traceKinds [TraceAlertReceived + 1]uint64
 
 	desScheduled, desFired     uint64
 	desFreeHits, desFreeMisses uint64
@@ -63,23 +61,10 @@ func newShardMetrics() *shardMetrics {
 	}
 }
 
-// maybeShardMetrics returns a fresh accumulator when a target registry
-// is configured, nil otherwise — nil disables every hook.
-func maybeShardMetrics(r *obs.Registry) *shardMetrics {
-	if r == nil {
-		return nil
-	}
-	return newShardMetrics()
-}
-
 // recordEpisode flushes one finished episode into the accumulator: the
-// outcome, the termination cause, the alert latency, and the kernel and
-// network counters that the episode's Reset will zero before the next
-// run.
+// alert latency, and the kernel and network counters that the episode's
+// Reset will zero before the next run.
 func (m *shardMetrics) recordEpisode(e *episode, res *EpisodeResult) {
-	m.episodes++
-	m.levels[res.Level]++
-	m.terminations[res.Termination]++
 	if res.Delivered {
 		// The exemplar links the latency distribution to the episode that
 		// produced its maximum — the trace ID a flight-recorder run
@@ -129,13 +114,6 @@ func (m *shardMetrics) merge(o *shardMetrics) {
 	if m == nil || o == nil {
 		return
 	}
-	m.episodes += o.episodes
-	for i := range m.levels {
-		m.levels[i] += o.levels[i]
-	}
-	for i := range m.terminations {
-		m.terminations[i] += o.terminations[i]
-	}
 	for i := range m.traceKinds {
 		m.traceKinds[i] += o.traceKinds[i]
 	}
@@ -171,22 +149,30 @@ func (m *shardMetrics) merge(o *shardMetrics) {
 	m.queueDelay.Merge(o.queueDelay)
 }
 
-// publish registers and adds every metric family into the registry. The
-// full family set is registered even when counts are zero, so snapshots
-// of equal workloads have equal metric sets. Publish is called once per
-// evaluation, after the shard fold, so its cost is off the hot path.
-func (m *shardMetrics) publish(r *obs.Registry) {
+// publish registers and adds every metric family into the registry: the
+// episode outcomes from the shard's tally, everything else from its
+// metrics accumulator. It is a no-op when the shard has no accumulator
+// (Params.Metrics was nil). The full family set is registered even when
+// counts are zero, so snapshots of equal workloads have equal metric
+// sets. Publish is called once per evaluation, after the shard fold, so
+// its cost is off the hot path.
+func (s *shard) publish(r *obs.Registry) {
+	m := s.m
 	if m == nil || r == nil {
 		return
 	}
-	r.Counter("oaq_episodes_total", "Signal episodes simulated.").Add(m.episodes)
-	for l, n := range m.levels {
+	episodes := 0
+	for _, n := range s.t.levels {
+		episodes += n
+	}
+	r.Counter("oaq_episodes_total", "Signal episodes simulated.").Add(uint64(episodes))
+	for l, n := range s.t.levels {
 		r.Counter(fmt.Sprintf("oaq_episode_level_total{level=%q}", qos.Level(l)),
-			"Episode outcomes by achieved QoS level.").Add(n)
+			"Episode outcomes by achieved QoS level.").Add(uint64(n))
 	}
 	for t := int(TermNone); t <= int(TermRetriesExhausted); t++ {
 		r.Counter(fmt.Sprintf("oaq_termination_total{cause=%q}", Termination(t)),
-			"Coordination terminations by cause (TC-1/TC-2/TC-3, timeouts, chain cap).").Add(m.terminations[t])
+			"Coordination terminations by cause (TC-1/TC-2/TC-3, timeouts, chain cap).").Add(uint64(s.t.terminations[t]))
 	}
 	for k := int(TraceDetection); k <= int(TraceAlertReceived); k++ {
 		r.Counter(fmt.Sprintf("oaq_trace_events_total{kind=%q}", TraceKind(k)),
@@ -252,16 +238,13 @@ func (e *episode) note(kind TraceKind) {
 // (nil detaches), including the crosslink delay histogram hook.
 func (r *episodeRunner) setMetrics(m *shardMetrics) {
 	r.ep.obs = m
+	var link, queue *obs.LocalHistogram
 	if m != nil {
-		r.ep.net.SetDelayHistogram(m.linkDelay)
-		if r.ep.fab != nil {
-			r.ep.fab.SetQueueDelayHistogram(m.queueDelay)
-		}
-	} else {
-		r.ep.net.SetDelayHistogram(nil)
-		if r.ep.fab != nil {
-			r.ep.fab.SetQueueDelayHistogram(nil)
-		}
+		link, queue = m.linkDelay, m.queueDelay
+	}
+	r.ep.net.SetDelayHistogram(link)
+	if r.ep.fab != nil {
+		r.ep.fab.SetQueueDelayHistogram(queue)
 	}
 }
 

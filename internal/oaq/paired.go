@@ -25,25 +25,6 @@ type PairedComparison struct {
 	WinFraction, LossFraction float64
 }
 
-// pairedTally is the mergeable per-shard accumulator of the paired
-// engine. The level-difference sums are sums of small integers, exact in
-// float64, so merging shards in any fixed order reproduces the
-// sequential fold bit-for-bit.
-type pairedTally struct {
-	a, b            tally
-	diffSum, diffSq float64
-	wins, losses    int
-}
-
-func (t *pairedTally) merge(o *pairedTally) {
-	t.a.merge(&o.a)
-	t.b.merge(&o.b)
-	t.diffSum += o.diffSum
-	t.diffSq += o.diffSq
-	t.wins += o.wins
-	t.losses += o.losses
-}
-
 // EvaluatePairedParallel runs two configurations against the *same*
 // random workload (common random numbers): each episode draws its signal
 // and computation randomness from a per-episode substream shared by both
@@ -58,7 +39,12 @@ func (t *pairedTally) merge(o *pairedTally) {
 // episode i replays stats.NewRNG(seed, i) for both configurations
 // regardless of which shard hosts it — and shards merge in index order,
 // so the result is bit-identical for any workers value; workers == 1
-// runs sequentially on the calling goroutine.
+// runs sequentially on the calling goroutine. Episode i also keys the
+// alert-latency exemplars of both configurations' metrics, so an
+// exemplar "ep-i" replays as RunEpisode(p, stats.NewRNG(seed, i)).
+//
+// The paired engine records no span traces: it clears a.Tracing and
+// b.Tracing once, before any shard opens.
 func EvaluatePairedParallel(a, b Params, episodes int, seed uint64, workers int) (*PairedComparison, error) {
 	if episodes <= 0 {
 		return nil, fmt.Errorf("oaq: episode count %d must be positive", episodes)
@@ -76,80 +62,83 @@ func EvaluatePairedParallel(a, b Params, episodes int, seed uint64, workers int)
 		return nil, fmt.Errorf("oaq: paired configs must share the signal-duration distribution")
 	}
 
-	type shardOut struct {
-		t      *pairedTally
-		ma, mb *shardMetrics
+	a.Tracing, b.Tracing = nil, nil
+	// pairOut is one Monte-Carlo shard's outcome: a shard per
+	// configuration and the level-difference sums. Those are sums of
+	// small integers, exact in float64, so merging in any fixed order
+	// reproduces the sequential fold bit-for-bit.
+	type pairOut struct {
+		a, b            *shard
+		diffSum, diffSq float64
+		wins, losses    int
 	}
 	out, err := parallel.MonteCarlo(workers, episodes, 0,
-		func(s parallel.Shard) (shardOut, error) {
-			rngA := stats.NewRNG(seed, uint64(s.Start))
-			rngB := stats.NewRNG(seed, uint64(s.Start))
-			ra, err := acquireRunner(a, rngA)
+		func(sp parallel.Shard) (*pairOut, error) {
+			rngA := stats.NewRNG(seed, uint64(sp.Start))
+			rngB := stats.NewRNG(seed, uint64(sp.Start))
+			sa, err := openShard(a, rngA, uint64(sp.Start))
 			if err != nil {
-				return shardOut{}, fmt.Errorf("oaq: config A: %w", err)
+				return nil, fmt.Errorf("oaq: config A: %w", err)
 			}
-			defer releaseRunner(ra)
-			rb, err := acquireRunner(b, rngB)
+			defer sa.close()
+			sb, err := openShard(b, rngB, uint64(sp.Start))
 			if err != nil {
-				return shardOut{}, fmt.Errorf("oaq: config B: %w", err)
+				return nil, fmt.Errorf("oaq: config B: %w", err)
 			}
-			defer releaseRunner(rb)
-			o := shardOut{t: &pairedTally{}, ma: maybeShardMetrics(a.Metrics), mb: maybeShardMetrics(b.Metrics)}
-			ra.setMetrics(o.ma)
-			rb.setMetrics(o.mb)
-			t := o.t
-			for i := 0; i < s.Count; i++ {
+			defer sb.close()
+			o := &pairOut{a: sa, b: sb}
+			for i := 0; i < sp.Count; i++ {
 				// One substream per episode, replayed for both
 				// configurations: the signal placement and duration draws
 				// coincide, and the residual divergence (different numbers
 				// of computation samples) only affects later draws within
 				// the episode.
-				stream := uint64(s.Start + i)
+				stream := uint64(sp.Start + i)
 				rngA.Reseed(seed, stream)
-				resA := ra.run()
+				resA := sa.run()
 				rngB.Reseed(seed, stream)
-				resB := rb.run()
-				t.a.add(&resA)
-				t.b.add(&resB)
+				resB := sb.run()
 				d := float64(resA.Level) - float64(resB.Level)
-				t.diffSum += d
-				t.diffSq += d * d
+				o.diffSum += d
+				o.diffSq += d * d
 				if resA.Level > resB.Level {
-					t.wins++
+					o.wins++
 				} else if resA.Level < resB.Level {
-					t.losses++
+					o.losses++
 				}
 			}
 			return o, nil
 		},
-		func(acc, part shardOut) shardOut {
-			if acc.t == nil {
+		func(acc, part *pairOut) *pairOut {
+			if acc == nil {
 				return part
 			}
-			acc.t.merge(part.t)
-			acc.ma.merge(part.ma)
-			acc.mb.merge(part.mb)
+			acc.a.merge(part.a)
+			acc.b.merge(part.b)
+			acc.diffSum += part.diffSum
+			acc.diffSq += part.diffSq
+			acc.wins += part.wins
+			acc.losses += part.losses
 			return acc
 		})
 	if err != nil {
 		return nil, err
 	}
-	out.ma.publish(a.Metrics)
-	out.mb.publish(b.Metrics)
+	out.a.publish(a.Metrics)
+	out.b.publish(b.Metrics)
 
-	pt := out.t
-	mean := pt.diffSum / float64(episodes)
-	variance := pt.diffSq/float64(episodes) - mean*mean
+	mean := out.diffSum / float64(episodes)
+	variance := out.diffSq/float64(episodes) - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
 	return &PairedComparison{
 		Episodes:        episodes,
-		A:               pt.a.evaluation(episodes),
-		B:               pt.b.evaluation(episodes),
+		A:               out.a.t.evaluation(episodes),
+		B:               out.b.t.evaluation(episodes),
 		MeanLevelDiff:   mean,
 		MeanLevelDiffCI: 1.96 * math.Sqrt(variance/float64(episodes)),
-		WinFraction:     float64(pt.wins) / float64(episodes),
-		LossFraction:    float64(pt.losses) / float64(episodes),
+		WinFraction:     float64(out.wins) / float64(episodes),
+		LossFraction:    float64(out.losses) / float64(episodes),
 	}, nil
 }

@@ -1,9 +1,11 @@
 package oaq
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"satqos/internal/obs"
 	"satqos/internal/qos"
 	"satqos/internal/stats"
 )
@@ -100,5 +102,37 @@ func TestPairedVarianceReduction(t *testing.T) {
 	if cmp.MeanLevelDiffCI >= independentCI {
 		t.Errorf("paired CI %v not tighter than independent CI %v",
 			cmp.MeanLevelDiffCI, independentCI)
+	}
+}
+
+// The alert-latency exemplar of a paired evaluation names the global
+// episode that produced it: replaying that episode's substream through
+// RunEpisode reproduces the exemplar's latency.
+func TestPairedExemplarReplays(t *testing.T) {
+	a := ReferenceParams(10, qos.SchemeBAQ)
+	b := ReferenceParams(10, qos.SchemeOAQ)
+	a.Metrics = obs.NewRegistry()
+	b.Metrics = obs.NewRegistry()
+	const seed = 3
+	if _, err := EvaluatePairedParallel(a, b, 4096, seed, 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := a.Metrics.Snapshot()
+	m := snap.Get("oaq_alert_latency_minutes")
+	if m == nil || m.Exemplar == nil {
+		t.Fatalf("config A recorded no alert-latency exemplar: %+v", m)
+	}
+	var ord uint64
+	if _, err := fmt.Sscanf(m.Exemplar.TraceID, "ep-%d", &ord); err != nil {
+		t.Fatalf("exemplar trace ID %q: %v", m.Exemplar.TraceID, err)
+	}
+	a.Metrics = nil
+	res, err := RunEpisode(a, stats.NewRNG(seed, ord))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Delivered || res.DeliveryLatency != m.Exemplar.Value {
+		t.Fatalf("exemplar %s has latency %v; its replay delivered=%v latency %v",
+			m.Exemplar.TraceID, m.Exemplar.Value, res.Delivered, res.DeliveryLatency)
 	}
 }

@@ -62,7 +62,7 @@ func TestPooledRunEpisodeRejectsInvalidParams(t *testing.T) {
 	}
 }
 
-// drainRunnerPool empties runnerPool, so the next acquire builds a
+// drainRunnerPool empties runnerPool, so the next openShard builds a
 // fresh runner.
 func drainRunnerPool() {
 	for runnerPool.Get() != nil {

@@ -811,50 +811,21 @@ func (r *episodeRunner) rebind(p Params, rng *stats.RNG) error {
 
 // runnerPool parks episode runners between uses, so only the first
 // evaluation on a quiet process pays the construction of the
-// simulation stack. acquireRunner and releaseRunner are its only users;
-// a runner is never in the pool while running, so the single-goroutine
+// simulation stack. openShard and shard.close are its only users; a
+// runner is never in the pool while running, so the single-goroutine
 // discipline of episodeRunner is preserved.
 var runnerPool sync.Pool
-
-// acquireRunner draws a parked runner (or builds one) bound to p and
-// rng. Whatever the pool held, the runner starts as a fresh one would:
-// an empty event freelist (its hit/miss counters are published) and
-// episode ordinal 0 (it keys exemplars and trace sampling).
-func acquireRunner(p Params, rng *stats.RNG) (*episodeRunner, error) {
-	r, ok := runnerPool.Get().(*episodeRunner)
-	if !ok {
-		return newEpisodeRunner(p, rng)
-	}
-	if err := r.rebind(p, rng); err != nil {
-		// The next acquire rebinds it in full; park it again.
-		runnerPool.Put(r)
-		return nil, err
-	}
-	r.ep.sim.ClearEventFreelist()
-	r.ep.ord = 0
-	return r, nil
-}
-
-// releaseRunner detaches the runner's metrics accumulator and parks it.
-func releaseRunner(r *episodeRunner) {
-	r.setMetrics(nil)
-	runnerPool.Put(r)
-}
 
 // RunEpisode simulates one signal episode under the given parameters and
 // returns its outcome.
 func RunEpisode(p Params, rng *stats.RNG) (EpisodeResult, error) {
-	r, err := acquireRunner(p, rng)
+	s, err := openShard(p, rng, 0)
 	if err != nil {
 		return EpisodeResult{}, err
 	}
-	m := maybeShardMetrics(p.Metrics)
-	r.setMetrics(m)
-	detach := r.attachShardTracer(p.Tracing, 0)
-	res := r.run()
-	detach()
-	m.publish(p.Metrics)
-	releaseRunner(r)
+	res := s.run()
+	s.close()
+	s.publish(p.Metrics)
 	return res, nil
 }
 
@@ -867,57 +838,51 @@ func RunEpisode(p Params, rng *stats.RNG) (EpisodeResult, error) {
 // BenchmarkProtocolEpisode gates). A Runner is not safe for concurrent
 // use; create one per goroutine.
 type Runner struct {
-	r *episodeRunner
-	m *shardMetrics
+	s *shard
 }
 
 // NewRunner validates the parameters and builds the reusable simulation
 // state.
 func NewRunner(p Params, rng *stats.RNG) (*Runner, error) {
-	er, err := newEpisodeRunner(p, rng)
+	s, err := openShard(p, rng, 0)
 	if err != nil {
 		return nil, err
 	}
-	if p.Tracing != nil {
-		er.setTracer(trace.NewRecorder(p.Tracing))
-	}
-	m := maybeShardMetrics(p.Metrics)
-	er.setMetrics(m)
-	return &Runner{r: er, m: m}, nil
+	return &Runner{s: s}, nil
 }
 
 // Run simulates the next signal episode, drawing from the Runner's RNG.
-func (r *Runner) Run() EpisodeResult { return r.r.run() }
+func (r *Runner) Run() EpisodeResult { return r.s.run() }
 
 // RouteStats returns the routed fabric's counters for the most recent
 // episode (the fabric resets per episode), or the zero Stats when the
 // parameters did not enable routing.
 func (r *Runner) RouteStats() route.Stats {
-	if r.r.ep.fab == nil {
+	if r.s.r.ep.fab == nil {
 		return route.Stats{}
 	}
-	return r.r.ep.fab.Stats()
+	return r.s.r.ep.fab.Stats()
 }
 
 // RouteDiameter returns the routed topology's graph diameter (the hop
 // bound of the no-forwarding-loop invariant), or 0 when routing is off.
 func (r *Runner) RouteDiameter() int {
-	if r.r.ep.fab == nil {
+	if r.s.r.ep.fab == nil {
 		return 0
 	}
-	return r.r.ep.fab.Topology().Diameter()
+	return r.s.r.ep.fab.Topology().Diameter()
 }
 
 // PublishMetrics flushes the episodes accumulated so far into the
 // Params' metrics registry (a no-op when metrics are disabled). Call it
 // once, after the last Run: the flush adds the running totals, so
 // repeated calls double-count.
-func (r *Runner) PublishMetrics() { r.m.publish(r.r.ep.p.Metrics) }
+func (r *Runner) PublishMetrics() { r.s.publish(r.s.r.ep.p.Metrics) }
 
 // FlushTraces moves the traces retained so far into the tracing config's
 // Collector (a no-op when tracing is off). Call it after the last Run —
 // or periodically; flushed traces are cleared from the runner.
-func (r *Runner) FlushTraces() { r.r.ep.rec.Flush() }
+func (r *Runner) FlushTraces() { r.s.rec.Flush() }
 
 // detectionEvent is the t0 event; the covering set is pinned in
 // e.detCov by run.

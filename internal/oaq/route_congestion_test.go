@@ -51,12 +51,12 @@ func TestCongestedRoutedRequestPastDeadline(t *testing.T) {
 				if err := r.RouteStats().CheckInvariant(); err != nil {
 					t.Fatalf("episode %d: %v", ep, err)
 				}
-				for _, tr := range r.r.ep.rec.TakeKept() {
+				for _, tr := range r.s.rec.TakeKept() {
 					if tr.Dropped > 0 {
 						t.Fatalf("episode %d: trace dropped %d spans; raise SpanCap", ep, tr.Dropped)
 					}
 					for _, sp := range tr.Spans {
-						if sp.Kind == trace.KindDispatch && sp.Label == "no-backward-guard" && sp.Start > r.r.ep.deadline {
+						if sp.Kind == trace.KindDispatch && sp.Label == "no-backward-guard" && sp.Start > r.s.r.ep.deadline {
 							clamped++
 						}
 					}

@@ -31,18 +31,6 @@ func (r *episodeRunner) setTracer(rec *trace.Recorder) {
 	r.ep.ground.SetTracer(rec)
 }
 
-// newShardRecorder builds the per-shard recorder for an evaluation, or
-// nil when tracing is off. Each shard worker owns its recorder (the
-// recorder is single-goroutine, like the runner); retained traces merge
-// in the shared Collector, which sorts by episode ordinal — so the
-// retained set is identical at any worker count.
-func newShardRecorder(cfg *trace.Config) *trace.Recorder {
-	if cfg == nil {
-		return nil
-	}
-	return trace.NewRecorder(cfg)
-}
-
 // startTrace opens the episode's root span. Called from run() after the
 // signal has been placed; e.ord must already hold the episode's global
 // ordinal.
@@ -73,23 +61,6 @@ func (e *episode) finishTrace(res *EpisodeResult, endAt float64) {
 		LatencyMin:         res.DeliveryLatency,
 		InvariantViolation: violated,
 	})
-}
-
-// attachShardTracer wraps one evaluation shard with tracing bookkeeping:
-// attach a per-shard recorder, seed the ordinal base, and flush retained
-// traces to the collector when done. It returns a detach func; both
-// halves are no-ops when tracing is off.
-func (r *episodeRunner) attachShardTracer(cfg *trace.Config, ordBase uint64) func() {
-	rec := newShardRecorder(cfg)
-	if rec == nil {
-		return func() {}
-	}
-	r.setTracer(rec)
-	r.ep.ord = ordBase
-	return func() {
-		rec.Flush()
-		r.setTracer(nil)
-	}
 }
 
 // RunEpisodeTraced runs one episode with span tracing forced on and

@@ -308,6 +308,73 @@ func TestBadRequestsAre400(t *testing.T) {
 	}
 }
 
+// TestEpisodeBudgetOnlyBindsMonteCarlo: the default budget and the
+// server's episode cap apply to Monte-Carlo answers only, so a
+// closed-form request that omits episodes is answered on a server whose
+// cap is below the default. A negative budget is rejected in every mode.
+func TestEpisodeBudgetOnlyBindsMonteCarlo(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxEpisodes: 2000})
+	for body, want := range map[string]int{
+		`{"mode":"analytic","k":10}`:                  http.StatusOK,
+		`{"mode":"stochgeom","latitude_deg":40}`:      http.StatusOK,
+		`{"mode":"montecarlo","k":10}`:                http.StatusBadRequest, // default 20000 > cap
+		`{"mode":"analytic","k":10,"episodes":-1}`:    http.StatusBadRequest,
+		`{"mode":"stochgeom","episodes":-1}`:          http.StatusBadRequest,
+		`{"mode":"montecarlo","k":10,"episodes":500}`: http.StatusOK,
+	} {
+		if resp, _ := post(t, ts, body); resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestDeploymentBackendRules: only the analytic backend models a
+// deployment. auto resolves to it, an explicit montecarlo or stochgeom
+// request answers 400 naming the field, and so does a deployment
+// combined with a field the analytic backend does not model.
+func TestDeploymentBackendRules(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const deploy = `"preset":"reference","episodes":4000,"seed":7,
+		"deployment":{"eta":10,"lambda_per_hour":5e-4,"phi_hours":30000}`
+	resp, analytic := post(t, ts, `{"mode":"analytic",`+deploy+`}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analytic: status %d", resp.StatusCode)
+	}
+	resp, auto := post(t, ts, `{"mode":"auto",`+deploy+`}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto: status %d", resp.StatusCode)
+	}
+	if auto.Mode != ModeAnalytic || auto.PYGE != analytic.PYGE {
+		t.Errorf("auto answered %s P(Y>=y) %v, want the analytic composition %v", auto.Mode, auto.PYGE, analytic.PYGE)
+	}
+	if p3 := auto.PYGE[3]; p3 < 0.01 {
+		t.Errorf("auto P(Y>=3) = %v, want the deployment's composed 0.0168", p3)
+	}
+
+	for _, tc := range []struct{ extra, field string }{
+		{`"mode":"montecarlo"`, "deployment"},
+		{`"mode":"stochgeom"`, "deployment"},
+		{`"loss_prob":0.2`, "loss_prob"},
+		{`"fail_silent_prob":0.2`, "fail_silent_prob"},
+		{`"retries":1`, "retries"},
+		{`"backward":true`, "backward"},
+		{`"faults":{"loss_bursts":[{"start_min":1,"end_min":2,"prob":0.5}]}`, "faults"},
+		{`"mode":"analytic","shells":[{"n":98,"altitude_km":780,"inclination_deg":86.4,"coverage_time_min":9}]`, "shells"},
+	} {
+		body := `{` + tc.extra + `,` + deploy + `}`
+		resp, err := http.Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), tc.field) {
+			t.Errorf("%s: status %d %q, want 400 naming %s", tc.extra, resp.StatusCode, msg.String(), tc.field)
+		}
+	}
+}
+
 // TestRequestBodyLimits: a body over maxRequestBytes is answered 413,
 // anything but whitespace after the JSON object 400, and whitespace
 // padding up to the limit is accepted.
