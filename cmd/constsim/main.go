@@ -1,6 +1,7 @@
 // Command constsim runs the discrete-event simulations: the OAQ/BAQ
 // protocol over a degraded orbital plane, and the long-horizon plane-
-// capacity process under failures and deployment policies.
+// capacity process under failures and deployment policies. Its
+// visibility mode prints a design's closed-form visible-count law.
 //
 // Usage:
 //
@@ -9,7 +10,7 @@
 //	constsim -mode protocol -preset starlink
 //	constsim -mode capacity -eta 10 -lambda 5e-5 -periods 200
 //	constsim -mode capacity -preset oneweb
-//	constsim -mode capacity -backend stochgeom -preset starlink -lat 53
+//	constsim -mode visibility -preset starlink -lat 53
 package main
 
 import (
@@ -44,7 +45,7 @@ func main() {
 
 func run(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("constsim", flag.ContinueOnError)
-	mode := fs.String("mode", "protocol", "simulation mode: protocol | capacity | membership")
+	mode := fs.String("mode", "protocol", "simulation mode: protocol | capacity | visibility | membership")
 	preset := fs.String("preset", constellation.PresetReference,
 		"constellation design: "+strings.Join(constellation.PresetNames(), " | "))
 	k := fs.Int("k", 10, "plane capacity (protocol mode; default derives from the preset)")
@@ -61,9 +62,8 @@ func run(args []string, w io.Writer) (err error) {
 	routeArg := fs.String("route", "", "route messages over a multi-hop ISL fabric: policy name (static|probabilistic|qlearning) or route-config JSON file (protocol mode; empty = ideal delay-δ channel)")
 	islCapacity := fs.Float64("isl-capacity", 0, "override the routed ISL link capacity (packets/min)")
 	trafficLoad := fs.Float64("traffic-load", 0, "override the routed background traffic load (packets/min)")
-	backend := fs.String("backend", "des", "capacity-mode backend: des (plane birth-death analytic + simulation) | stochgeom (O(1) BPP visible-count law)")
-	lat := fs.Float64("lat", 30, "target latitude in degrees (capacity mode with -backend stochgeom)")
-	eta := fs.Int("eta", 10, "threshold capacity η (capacity mode)")
+	lat := fs.Float64("lat", 30, "target latitude in degrees (visibility mode)")
+	eta := fs.Int("eta", 10, "threshold capacity η (capacity mode) or visible count (visibility mode)")
 	lambda := fs.Float64("lambda", 5e-5, "per-satellite failure rate λ (1/hour, capacity mode)")
 	phi := fs.Float64("phi", 30000, "scheduled-deployment period φ (hours, capacity mode)")
 	periods := fs.Int("periods", 200, "simulated deployment periods (capacity mode)")
@@ -116,14 +116,8 @@ func run(args []string, w io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		if !explicit["k"] && *preset != constellation.PresetReference {
-			// Default to the preset's full per-plane capacity, clamped to
-			// the analytic model's two-regime ceiling (dense designs like
-			// OneWeb's 36-satellite planes exceed it).
-			*k = presetCfg.ActivePerPlane
-			if maxK := geom.MaxTwoRegimeCapacity(); *k > maxK {
-				*k = maxK
-			}
+		if !explicit["k"] {
+			*k = constellation.DefaultPlaneCapacity(*preset, presetCfg, geom.MaxTwoRegimeCapacity())
 		}
 		p := oaq.ReferenceParams(*k, scheme)
 		p.Geom = geom
@@ -184,13 +178,6 @@ func run(args []string, w io.Writer) (err error) {
 		return nil
 
 	case "capacity":
-		switch *backend {
-		case "des":
-		case "stochgeom":
-			return runStochGeomCapacity(w, *preset, presetCfg, *lat, *eta)
-		default:
-			return fmt.Errorf("unknown -backend %q (des | stochgeom)", *backend)
-		}
 		p := capacity.ReferenceParams(*eta, *lambda, *phi)
 		p.ActivePerPlane = presetCfg.ActivePerPlane
 		p.Spares = presetCfg.SparesPerPlane
@@ -217,6 +204,9 @@ func run(args []string, w io.Writer) (err error) {
 		fmt.Fprintf(w, "  mean capacity: analytic %.3f, simulated %.3f\n", ana.Mean(), sim.Mean())
 		return nil
 
+	case "visibility":
+		return runVisibility(w, *preset, presetCfg, *lat, *eta)
+
 	case "membership":
 		return runMembership(w, *k, *seed)
 
@@ -225,12 +215,12 @@ func run(args []string, w io.Writer) (err error) {
 	}
 }
 
-// runStochGeomCapacity answers the capacity question from the
-// stochastic-geometry backend: the visible-satellite count law at one
-// target latitude, in closed form at any fleet size. The η threshold
-// reads as the paper's capacity threshold — P(K ≥ η) is the analytic
-// availability of an η-satellite opportunity.
-func runStochGeomCapacity(w io.Writer, preset string, cfg constellation.Config, latDeg float64, eta int) error {
+// runVisibility prints the stochastic-geometry visible-count law: the
+// law of K, the number of the whole fleet's satellites above one target
+// latitude, in closed form at any fleet size. K is not a plane's
+// capacity k; the closing line is only the law's tail P(K ≥ η) at the
+// -eta count.
+func runVisibility(w io.Writer, preset string, cfg constellation.Config, latDeg float64, eta int) error {
 	if latDeg < -90 || latDeg > 90 {
 		return fmt.Errorf("latitude %g out of range [-90, 90]", latDeg)
 	}

@@ -44,6 +44,25 @@ func TestCapacityMode(t *testing.T) {
 	}
 }
 
+// TestVisibilityMode: the visible-count law of a preset at one
+// latitude, with its tail at -eta.
+func TestVisibilityMode(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-mode", "visibility", "-preset", "starlink", "-lat", "53"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"visible-count law, preset starlink (N=1584 satellites), latitude 53°",
+		"P(K=k)",
+		"visible-count tail at η=10: P(K>=η) = 0.9687",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestMembershipMode(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-mode", "membership", "-k", "8"}, &b); err != nil {
@@ -168,6 +187,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-not-a-flag"}, &b); err == nil {
 		t.Error("bad flag accepted")
+	}
+	if err := run([]string{"-mode", "visibility", "-lat", "91"}, &b); err == nil {
+		t.Error("latitude beyond the pole accepted")
 	}
 	if err := run([]string{"-mode", "protocol", "-faults", "testdata/no-such-scenario.json"}, &b); err == nil {
 		t.Error("missing scenario file accepted")

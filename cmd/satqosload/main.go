@@ -6,9 +6,11 @@
 //	satqosload -addr-file /tmp/addr -shed-episodes 100000 -metrics-out metrics.json
 //
 // It polls the address file, then runs one analytic query, one
-// Monte-Carlo query plus its repeat (which must be served identically
-// from the response cache), and one over-budget query that must be
-// shed with 429, then saves /metrics.json for metricscheck. Served
+// analytic query with a field the analytic backend does not model
+// (which must answer 400 naming the field), one Monte-Carlo query plus
+// its repeat (which must be served identically from the response
+// cache), and one over-budget query that must be shed with 429, then
+// saves /metrics.json for metricscheck. Served
 // throughput and latency are measured by perfbench's serve workloads,
 // not here.
 package main
@@ -88,11 +90,13 @@ func resolveAddr(o *options) (string, error) {
 	}
 }
 
-// answer is the subset of the server response the client validates.
+// answer is the subset of the server response the client validates;
+// Error is the message of an error response.
 type answer struct {
 	Mode   string     `json:"mode"`
 	Cached bool       `json:"cached"`
 	PYGE   [4]float64 `json:"p_y_ge"`
+	Error  string     `json:"error"`
 }
 
 // evaluate posts one request body and validates the answer shape.
@@ -106,6 +110,8 @@ func evaluate(client *http.Client, base, body string) (answer, int, error) {
 	defer resp.Body.Close()
 	var a answer
 	if resp.StatusCode != http.StatusOK {
+		// An error body that does not decode leaves Error empty.
+		json.NewDecoder(resp.Body).Decode(&a)
 		io.Copy(io.Discard, resp.Body)
 		return a, resp.StatusCode, nil
 	}
@@ -118,8 +124,9 @@ func evaluate(client *http.Client, base, body string) (answer, int, error) {
 	return a, resp.StatusCode, nil
 }
 
-// smoke runs the CI exchange: analytic, Monte-Carlo + cached repeat,
-// an over-budget shed, then saves the metrics snapshot.
+// smoke runs the CI exchange: analytic, an unmodelled field rejected,
+// Monte-Carlo + cached repeat, an over-budget shed, then saves the
+// metrics snapshot.
 func smoke(o *options, client *http.Client, base string, stdout io.Writer) error {
 	a, status, err := evaluate(client, base, `{"mode":"analytic","k":10}`)
 	if err != nil || status != http.StatusOK {
@@ -127,6 +134,10 @@ func smoke(o *options, client *http.Client, base string, stdout io.Writer) error
 	}
 	if a.Mode != "analytic" {
 		return fmt.Errorf("analytic answered via %q", a.Mode)
+	}
+	a, status, err = evaluate(client, base, `{"mode":"analytic","k":10,"loss_prob":0.4}`)
+	if err != nil || status != http.StatusBadRequest || !strings.Contains(a.Error, "loss_prob") {
+		return fmt.Errorf("analytic with loss_prob: status %d %q err %v, want 400 naming loss_prob", status, a.Error, err)
 	}
 
 	mcBody := fmt.Sprintf(`{"mode":"montecarlo","episodes":%d,"seed":7}`, episodes)
@@ -171,6 +182,6 @@ func smoke(o *options, client *http.Client, base string, stdout io.Writer) error
 			return err
 		}
 	}
-	fmt.Fprintln(stdout, "satqosload: smoke ok (analytic, montecarlo, cache hit, 429 shed)")
+	fmt.Fprintln(stdout, "satqosload: smoke ok (analytic, unmodelled field 400, montecarlo, cache hit, 429 shed)")
 	return nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -57,6 +59,27 @@ func TestSmokeNeedsCacheHit(t *testing.T) {
 	err := run([]string{"-addr", addr}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "not served identically from cache") {
 		t.Fatalf("err = %v, want the cache-repeat failure", err)
+	}
+}
+
+// TestSmokeNeedsUnmodelledField400: a server that drops loss_prob
+// answers the analytic request with loss 200, which the exchange
+// rejects.
+func TestSmokeNeedsUnmodelledField400(t *testing.T) {
+	srv, err := qosd.NewServer(qosd.Config{Registry: obs.NewRegistry(), MCBudget: 50000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(bytes.Replace(body, []byte(`,"loss_prob":0.4`), nil, 1)))
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	err = run([]string{"-addr", strings.TrimPrefix(ts.URL, "http://")}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "want 400 naming loss_prob") {
+		t.Fatalf("err = %v, want the loss_prob failure", err)
 	}
 }
 

@@ -136,6 +136,18 @@ func PresetNames() []string {
 	return names
 }
 
+// DefaultPlaneCapacity is the plane capacity k a protocol evaluation
+// of the named preset uses when none is given: the paper's spot-check
+// k = 10 for the reference design, otherwise the preset's full
+// per-plane capacity clamped to maxK, the analytic model's two-regime
+// ceiling (dense designs like OneWeb's 36-satellite planes exceed it).
+func DefaultPlaneCapacity(preset string, cfg Config, maxK int) int {
+	if preset == PresetReference {
+		return 10
+	}
+	return min(cfg.ActivePerPlane, maxK)
+}
+
 // PresetConfig returns the named constellation design. The result is a
 // plain Config: callers may adjust it (spares, coverage time) before
 // building the constellation.

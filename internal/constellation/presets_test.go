@@ -108,6 +108,30 @@ func TestPresetCatalog(t *testing.T) {
 	}
 }
 
+// TestDefaultPlaneCapacity: the reference design answers at the
+// paper's k = 10, any other preset at its per-plane capacity clamped to
+// the given ceiling.
+func TestDefaultPlaneCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		preset string
+		maxK   int
+		want   int
+	}{
+		{PresetReference, 20, 10},
+		{PresetReference, 5, 10},
+		{PresetKepler, 30, 20},
+		{PresetOneWeb, 27, 27},
+	} {
+		cfg, err := PresetConfig(tc.preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DefaultPlaneCapacity(tc.preset, cfg, tc.maxK); got != tc.want {
+			t.Errorf("%s, maxK %d: k = %d, want %d", tc.preset, tc.maxK, got, tc.want)
+		}
+	}
+}
+
 // TestWalkerKindStrings pins the flag-facing names.
 func TestWalkerKindStrings(t *testing.T) {
 	if WalkerStar.String() != "star" || WalkerDelta.String() != "delta" {
