@@ -13,6 +13,7 @@ package satqos_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -422,7 +423,9 @@ var coverageScanPresets = []string{
 // scan across the Walker presets: one full covering-set query (the
 // mission engine's per-step operation) against a mid-latitude target,
 // with the time advancing every iteration so the per-plane recurrence
-// anchors are recomputed like in a real scan. The allocs/op column is
+// anchors are recomputed like in a real scan. The /ring16 variants count
+// a ring of 16 longitudes at the same latitude in one CoverageCounts
+// call, the coverage grids' per-row operation. The allocs/op column is
 // gated to zero by ci.sh. The /brute variants run the per-orbit
 // reference path for the speedup comparison recorded in BENCH_PR6.json.
 func BenchmarkCoverageScan(b *testing.B) {
@@ -449,6 +452,22 @@ func BenchmarkCoverageScan(b *testing.B) {
 				b.Fatal("covering set larger than the fleet")
 			}
 		})
+		b.Run(name+"/ring16", func(b *testing.B) {
+			s := constellation.NewScanner(c)
+			lons := make([]float64, 16)
+			for j := range lons {
+				lons[j] = 2 * math.Pi * float64(j) / float64(len(lons))
+			}
+			counts := make([]int, len(lons))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.CoverageCounts(counts, target.Lat, lons, float64(i)*0.05)
+			}
+			if slices.Max(counts) > cfg.Planes*cfg.ActivePerPlane {
+				b.Fatal("a target covered by more satellites than the fleet")
+			}
+		})
 		b.Run(name+"/brute", func(b *testing.B) {
 			views := make([]constellation.SatView, 0, c.ActiveSatellites())
 			b.ReportAllocs()
@@ -469,7 +488,8 @@ func BenchmarkCoverageScan(b *testing.B) {
 // against /scan-estimate, the empirical answer the exact engine gives
 // for the same quantity: the fast SoA scanner swept over the
 // cross-validation harness's sampling grid (16 longitudes x 256 times,
-// the grid experiment.StochGeomCheck estimates P(K = k) on). The
+// the grid experiment.StochGeomCheck estimates P(K = k) on), one
+// CoverageCounts ring per time. The
 // acceptance target is the analytic query at >= 100x the scan
 // estimate; the first committed numbers live in BENCH_PR10.json. The
 // allocs/op column of /pvisible is gated to zero by ci.sh.
@@ -519,16 +539,21 @@ func BenchmarkStochGeom(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := constellation.NewScanner(c)
-		const lons, steps = 16, 256
+		const steps = 256
+		lons := make([]float64, 16)
+		for li := range lons {
+			lons[li] = 2 * math.Pi * float64(li) / float64(len(lons))
+		}
+		counts := make([]int, len(lons))
 		horizon := 7 * cfg.PeriodMin
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			hits := 0
-			for li := 0; li < lons; li++ {
-				target := orbit.LatLon{Lat: lat, Lon: 2 * math.Pi * float64(li) / lons}
-				for step := 0; step < steps; step++ {
-					if s.CoverageCount(target, horizon*float64(step)/steps) == 16 {
+			for step := 0; step < steps; step++ {
+				s.CoverageCounts(counts, lat, lons, horizon*float64(step)/steps)
+				for _, n := range counts {
+					if n == 16 {
 						hits++
 					}
 				}

@@ -102,9 +102,10 @@ fi
 # (on the ideal channel, and on the routed ISL fabric under every
 # forwarding policy at both the default and the congested golden
 # operating point, faults included),
-# the SoA coverage scan, the shared read-mostly scanner's concurrent
-# query path, and the stochastic-geometry point query (one cap integral
-# plus one binomial term) all have a committed budget of 0 allocs/op
+# the SoA coverage scan (one target, and a ring of 16 longitudes), the
+# shared read-mostly scanner's concurrent query path, and the
+# stochastic-geometry point query (one cap integral plus one binomial
+# term) all have a committed budget of 0 allocs/op
 # (BENCH_PR5.json / BENCH_PR6.json / BENCH_PR10.json). A single
 # fixed-count bench run is timing-noisy but its allocation counts are exact, so gate on
 # allocs/op only; timing is measured by perfbench/run.sh.
@@ -128,7 +129,7 @@ awk -v budget="$alloc_budget" '
             print $1, "allocs/op", allocs, "exceeds budget", budget; bad = 1
         }
     }
-    END { if (seen < 18) { print "expected 18 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
+    END { if (seen < 22) { print "expected 22 gated benchmarks, saw", seen + 0; bad = 1 }; exit bad }
 ' "$tmpdir/bench.txt"
 
 # Worker-invariance gate: every experiment's rendered output must be

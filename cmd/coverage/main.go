@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"satqos/internal/constellation"
-	"satqos/internal/orbit"
 )
 
 func main() {
@@ -82,15 +81,16 @@ func run(args []string, w io.Writer) error {
 	}
 
 	scan := constellation.NewScanner(c)
+	var lons []float64
+	for lon := -180.0; lon < 180; lon += 5 {
+		lons = append(lons, lon*math.Pi/180)
+	}
+	counts := make([]int, len(lons))
 	fmt.Fprintf(w, "\nCoverage map at t=%.1f min ('.'=0, digits=multiplicity):\n", *at)
 	for lat := 80.0; lat >= -80; lat -= 8 {
 		fmt.Fprintf(w, "%+4.0f ", lat)
-		for lon := -180.0; lon < 180; lon += 5 {
-			target, err := orbit.FromDegrees(lat, lon)
-			if err != nil {
-				return err
-			}
-			n := scan.CoverageCount(target, *at)
+		scan.CoverageCounts(counts, lat*math.Pi/180, lons, *at)
+		for _, n := range counts {
 			switch {
 			case n == 0:
 				fmt.Fprint(w, ".")

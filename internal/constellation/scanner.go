@@ -27,12 +27,17 @@ type SatRef struct {
 // two adjacent planes with the same satellite count (at most 64) and
 // footprint together and overlaps their chains; a plane without such a
 // partner (an odd one out, or a degraded plane with a different k)
-// scans alone.
+// scans alone. Targets that share a latitude share the band, so
+// CoverageCounts tests each generated position against a whole ring of
+// up to 16 longitudes: the ring costs one pass over the fleet, not one
+// per target.
 //
 // The covering set it produces is identical to filtering
 // AppendCoveringSatellites on Covers, in the same plane-major order
 // (TestScannerMatchesBruteForce holds the two paths to exact agreement
-// across the Walker presets and degradation states). A steady-state
+// across the Walker presets and degradation states), and CoverageCounts
+// gives every target of a ring exactly its CoverageCount
+// (TestScannerRingMatchesPoints). A steady-state
 // query performs no heap allocations once dst has grown to the covering
 // set's high-water mark.
 //
@@ -112,20 +117,27 @@ func pairable(a, b *planeScan) bool {
 	return a.k == b.k && a.k <= pairMaxK && a.half == b.half
 }
 
-// scan is the one coverage loop behind AppendCovering and
-// CoverageCount. It counts every active satellite covering the target
-// at time t and, when collect is set, appends its reference to dst in
-// plane-major order. The loop is bound by the latency of each plane's
-// angle-addition recurrence, a serial chain of multiply-adds, so it
-// advances two adjacent planes' chains together whenever they are
-// pairable; otherwise it scans one plane alone. Either way each plane
-// runs exactly the same floating-point operations, so the covering set
-// does not depend on the pairing. The latitude band is recomputed only
+// ringBlock is how many targets one pass over the fleet tests: their
+// unit vectors sit in a stack array.
+const ringBlock = 16
+
+// scan is the one coverage loop behind AppendCovering, CoverageCount
+// and CoverageCounts. It generates every active satellite's unit
+// position at time t once, tests it against each target unit vector
+// us[j] (every target at latitude lat, so one latitude band serves
+// them all) and adds each covering satellite to counts[j]. When collect
+// is set, us holds a single target and every covering satellite's
+// reference is appended to dst in plane-major order. The loop is bound
+// by the latency of each plane's angle-addition recurrence, a serial
+// chain of multiply-adds, so it advances two adjacent planes' chains
+// together whenever they are pairable; otherwise it scans one plane
+// alone. Either way each plane runs exactly the same floating-point
+// operations, so the covering set depends neither on the pairing nor on
+// the other targets of the block. The latitude band is recomputed only
 // when the footprint half-angle changes between planes (never, within
 // one constellation).
-func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float64) ([]SatRef, int) {
-	n := 0
-	u := target.UnitECI(t)
+func (s *Scanner) scan(dst []SatRef, collect bool, lat float64, us []orbit.Vec3, counts []int, t float64) []SatRef {
+	counts = counts[:len(us)]
 	bandHalf, zLo, zHi := math.NaN(), 0.0, 0.0
 	planes := s.planes
 	for pi := 0; pi < len(planes); pi++ {
@@ -136,7 +148,7 @@ func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float6
 		}
 		if a.half != bandHalf {
 			bandHalf = a.half
-			zLo, zHi = latBand(target.Lat, a.half)
+			zLo, zHi = latBand(lat, a.half)
 		}
 		// The loops read each plane's frame and step through its
 		// pointer rather than hoisting them into locals: with two planes
@@ -146,26 +158,33 @@ func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float6
 		if pi+1 < len(planes) && pairable(a, &planes[pi+1]) {
 			b := &planes[pi+1]
 			bs, bc := math.Sincos(b.phaseRef + b.n*t)
+			// A plane's hit mask is the union over the block's targets;
+			// it is read only when collecting, for a block of one.
 			var hitA, hitB uint64
 			for i := 0; i < k; i++ {
 				if z := a.frame.Q.Z * as; z >= zLo && z <= zHi {
 					x := a.frame.P.X*ac + a.frame.Q.X*as
 					y := a.frame.P.Y*ac + a.frame.Q.Y*as
-					if x*u.X+y*u.Y+z*u.Z >= a.cosHalf {
-						hitA |= 1 << i
+					for j, u := range us {
+						if x*u.X+y*u.Y+z*u.Z >= a.cosHalf {
+							counts[j]++
+							hitA |= 1 << i
+						}
 					}
 				}
 				if z := b.frame.Q.Z * bs; z >= zLo && z <= zHi {
 					x := b.frame.P.X*bc + b.frame.Q.X*bs
 					y := b.frame.P.Y*bc + b.frame.Q.Y*bs
-					if x*u.X+y*u.Y+z*u.Z >= b.cosHalf {
-						hitB |= 1 << i
+					for j, u := range us {
+						if x*u.X+y*u.Y+z*u.Z >= b.cosHalf {
+							counts[j]++
+							hitB |= 1 << i
+						}
 					}
 				}
 				ac, as = ac*a.cosD-as*a.sinD, as*a.cosD+ac*a.sinD
 				bc, bs = bc*b.cosD-bs*b.sinD, bs*b.cosD+bc*b.sinD
 			}
-			n += bits.OnesCount64(hitA) + bits.OnesCount64(hitB)
 			if collect {
 				dst = appendHits(dst, pi, hitA)
 				dst = appendHits(dst, pi+1, hitB)
@@ -177,17 +196,19 @@ func (s *Scanner) scan(dst []SatRef, collect bool, target orbit.LatLon, t float6
 			if z := a.frame.Q.Z * as; z >= zLo && z <= zHi {
 				x := a.frame.P.X*ac + a.frame.Q.X*as
 				y := a.frame.P.Y*ac + a.frame.Q.Y*as
-				if x*u.X+y*u.Y+z*u.Z >= a.cosHalf {
-					n++
-					if collect {
-						dst = append(dst, SatRef{Plane: pi, Index: i})
+				for j, u := range us {
+					if x*u.X+y*u.Y+z*u.Z >= a.cosHalf {
+						counts[j]++
+						if collect {
+							dst = append(dst, SatRef{Plane: pi, Index: i})
+						}
 					}
 				}
 			}
 			ac, as = ac*a.cosD-as*a.sinD, as*a.cosD+ac*a.sinD
 		}
 	}
-	return dst, n
+	return dst
 }
 
 // appendHits appends a reference for every set bit of a plane's hit
@@ -205,16 +226,37 @@ func appendHits(dst []SatRef, plane int, hits uint64) []SatRef {
 // extended slice. Reusing a per-goroutine dst[:0] across scan steps
 // makes the query allocation-free at steady state.
 func (s *Scanner) AppendCovering(dst []SatRef, target orbit.LatLon, t float64) []SatRef {
-	dst, _ = s.scan(dst, true, target, t)
-	return dst
+	var n [1]int
+	return s.scan(dst, true, target.Lat, []orbit.Vec3{target.UnitECI(t)}, n[:], t)
 }
 
 // CoverageCount returns how many active satellites cover the target at
 // time t — the fast counterpart of SimultaneousCoverageCount. It
 // performs no allocations.
 func (s *Scanner) CoverageCount(target orbit.LatLon, t float64) int {
-	_, n := s.scan(nil, false, target, t)
-	return n
+	var n [1]int
+	s.scan(nil, false, target.Lat, []orbit.Vec3{target.UnitECI(t)}, n[:], t)
+	return n[0]
+}
+
+// CoverageCounts sets counts[j] to CoverageCount of the target at
+// latitude lat and longitude lons[j] (radians) at time t, for every j.
+// It generates the fleet's positions once per block of up to 16
+// longitudes, so a ring of targets costs about one pass over the fleet
+// per block instead of one per target. counts must be at least as long
+// as lons. It performs no allocations.
+func (s *Scanner) CoverageCounts(counts []int, lat float64, lons []float64, t float64) {
+	counts = counts[:len(lons)]
+	clear(counts)
+	ring := orbit.NewRing(lat, t)
+	var us [ringBlock]orbit.Vec3
+	for lo := 0; lo < len(lons); lo += ringBlock {
+		block := lons[lo:min(lo+ringBlock, len(lons))]
+		for j, lon := range block {
+			us[j] = ring.UnitECI(lon)
+		}
+		s.scan(nil, false, lat, us[:len(block)], counts[lo:lo+len(block)], t)
+	}
 }
 
 // SharedScanner is the former name of the concurrent scanner.

@@ -45,6 +45,28 @@ func bruteCovering(c *Constellation, target orbit.LatLon, t float64) []SatRef {
 	return refs
 }
 
+// degradeScanned fails every third plane past its spares, so re-phased
+// rings (shrunk k, shifted Δ) break the two-plane pairing next to full
+// planes, then restores plane 0 so a restored ring is scanned as well.
+func degradeScanned(t *testing.T, c *Constellation, rng *stats.RNG) {
+	t.Helper()
+	for pi := 0; pi < c.Planes(); pi += 3 {
+		p, err := c.Plane(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fails := p.SpareCount() + 1 + int(rng.Uint64()%2)
+		for f := 0; f < fails; f++ {
+			if err := p.FailActive(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p, _ := c.Plane(0); p != nil {
+		p.RestoreFull()
+	}
+}
+
 // TestScannerMatchesBruteForce: across every preset, random targets,
 // times, and degradation states, the fast scan's covering set equals the
 // per-orbit path's Covers bits exactly (same refs, same order), its
@@ -55,24 +77,7 @@ func TestScannerMatchesBruteForce(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for name, c := range scannerPresets(t) {
 			rng := stats.NewRNG(0x5ca27e5, uint64(workers))
-			// Degrade a few planes past their spares so re-phased rings
-			// (shrunk k, shifted Δ) are exercised too, then restore one so
-			// a restored ring is covered as well.
-			for pi := 0; pi < c.Planes(); pi += 3 {
-				p, err := c.Plane(pi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fails := p.SpareCount() + 1 + int(rng.Uint64()%2)
-				for f := 0; f < fails; f++ {
-					if err := p.FailActive(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			if p, _ := c.Plane(0); p != nil {
-				p.RestoreFull()
-			}
+			degradeScanned(t, c, rng)
 
 			type trial struct {
 				target orbit.LatLon
@@ -209,9 +214,48 @@ func TestScannerPairingMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestScannerRingMatchesPoints: on every preset, at full strength and in
+// TestScannerMatchesBruteForce's degradation state, CoverageCounts over a
+// ring of longitudes gives every target exactly its CoverageCount, for
+// rings that fill a block of 16, fall one short of or one past it, span
+// several blocks, or hold a single target, at latitudes from pole to
+// pole.
+func TestScannerRingMatchesPoints(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		for name, c := range scannerPresets(t) {
+			rng := stats.NewRNG(0x21a9, 0)
+			if degraded {
+				degradeScanned(t, c, rng)
+			}
+			s := NewScanner(c)
+			for _, latDeg := range []float64{-89.9, -60, 0, 30, 53, 89.9} {
+				lat := latDeg * deg
+				for _, size := range []int{1, 15, 16, 17, 40} {
+					lons := make([]float64, size)
+					counts := make([]int, size)
+					for trial := 0; trial < 50; trial++ {
+						for j := range lons {
+							lons[j] = (rng.Float64() - 0.5) * 2 * math.Pi
+						}
+						tm := rng.Float64() * 3000
+						s.CoverageCounts(counts, lat, lons, tm)
+						for j, lon := range lons {
+							want := s.CoverageCount(orbit.LatLon{Lat: lat, Lon: lon}, tm)
+							if counts[j] != want {
+								t.Fatalf("%s degraded=%t lat %g° ring %d trial %d: counts[%d] = %d, CoverageCount %d",
+									name, degraded, latDeg, size, trial, j, counts[j], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScannerSteadyStateAllocs: once the destination slice has reached
-// the covering set's high-water mark, AppendCovering and CoverageCount
-// allocate nothing.
+// the covering set's high-water mark, AppendCovering, CoverageCount and
+// a multi-block CoverageCounts allocate nothing.
 func TestScannerSteadyStateAllocs(t *testing.T) {
 	cfg, err := PresetConfig(PresetStarlink)
 	if err != nil {
@@ -224,11 +268,17 @@ func TestScannerSteadyStateAllocs(t *testing.T) {
 	s := NewScanner(c)
 	target := orbit.LatLon{Lat: 0.4, Lon: 0.9}
 	dst := s.AppendCovering(nil, target, 0)
+	lons := make([]float64, 40)
+	for j := range lons {
+		lons[j] = float64(j) * 0.15
+	}
+	counts := make([]int, len(lons))
 	tm := 0.0
 	allocs := testing.AllocsPerRun(100, func() {
 		tm += 0.05
 		dst = s.AppendCovering(dst[:0], target, tm)
 		_ = s.CoverageCount(target, tm)
+		s.CoverageCounts(counts, target.Lat, lons, tm)
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state scan allocates %.1f allocs/op, want 0", allocs)

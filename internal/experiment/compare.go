@@ -7,7 +7,6 @@ import (
 	"satqos/internal/capacity"
 	"satqos/internal/constellation"
 	"satqos/internal/oaq"
-	"satqos/internal/orbit"
 	"satqos/internal/qos"
 	"satqos/internal/stats"
 )
@@ -177,7 +176,8 @@ func CapacityRouteCheck(eta int, lambda, phi float64, simPeriods int, seed uint6
 // FullEarthCoverage samples the globe and reports the covered fraction
 // and mean simultaneous-coverage multiplicity of the full constellation
 // (the Figure 1 claim: full earth coverage with 98 active satellites),
-// counting with the fast coverage scanner.
+// counting one ring of longitudes per latitude row and sample time with
+// the fast coverage scanner.
 func FullEarthCoverage(latStepDeg, lonStepDeg float64, sampleTimes []float64) (covered, meanMultiplicity float64, err error) {
 	if latStepDeg <= 0 || lonStepDeg <= 0 {
 		return 0, 0, fmt.Errorf("experiment: sampling steps must be positive")
@@ -191,14 +191,15 @@ func FullEarthCoverage(latStepDeg, lonStepDeg float64, sampleTimes []float64) (c
 	}
 	sc := constellation.NewScanner(c)
 	var samples, coveredCount, multSum int
+	var lons []float64
+	for lon := -180.0; lon < 180; lon += lonStepDeg {
+		lons = append(lons, lon*math.Pi/180)
+	}
+	counts := make([]int, len(lons))
 	for lat := -84.0; lat <= 84; lat += latStepDeg {
-		for lon := -180.0; lon < 180; lon += lonStepDeg {
-			target, err := orbit.FromDegrees(lat, lon)
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, tm := range sampleTimes {
-				n := sc.CoverageCount(target, tm)
+		for _, tm := range sampleTimes {
+			sc.CoverageCounts(counts, lat*math.Pi/180, lons, tm)
+			for _, n := range counts {
 				samples++
 				multSum += n
 				if n > 0 {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"satqos/internal/constellation"
-	"satqos/internal/orbit"
 	"satqos/internal/stochgeom"
 )
 
@@ -33,9 +32,10 @@ type stochGeomCell struct {
 
 // stochGeomSampling fixes the empirical sampling grid: lonSamples
 // target longitudes × timeSamples times spread over several orbital
-// periods. The counts are integers and each cell is evaluated
-// serially, so the merged distribution — and the rendered table — is
-// bit-identical at any Workers setting.
+// periods, counted one ring of longitudes per time with
+// Scanner.CoverageCounts. The counts are integers and each cell is
+// evaluated serially, so the merged distribution — and the rendered
+// table — is bit-identical at any Workers setting.
 const (
 	stochGeomLonSamples  = 16
 	stochGeomTimeSamples = 256
@@ -164,11 +164,15 @@ func stochGeomCompare(preset string, latDeg float64) (stochGeomCell, error) {
 	sc := constellation.NewScanner(c)
 	counts := make([]int, design.TotalSatellites()+1)
 	horizon := stochGeomPeriods * cfg.PeriodMin
-	for li := 0; li < stochGeomLonSamples; li++ {
-		target := orbit.LatLon{Lat: lat, Lon: 2 * math.Pi * float64(li) / stochGeomLonSamples}
-		for ti := 0; ti < stochGeomTimeSamples; ti++ {
-			tm := horizon * float64(ti) / stochGeomTimeSamples
-			counts[sc.CoverageCount(target, tm)]++
+	var lons [stochGeomLonSamples]float64
+	for li := range lons {
+		lons[li] = 2 * math.Pi * float64(li) / stochGeomLonSamples
+	}
+	var ring [stochGeomLonSamples]int
+	for ti := 0; ti < stochGeomTimeSamples; ti++ {
+		sc.CoverageCounts(ring[:], lat, lons[:], horizon*float64(ti)/stochGeomTimeSamples)
+		for _, n := range ring {
+			counts[n]++
 		}
 	}
 	const samples = stochGeomLonSamples * stochGeomTimeSamples

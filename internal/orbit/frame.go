@@ -43,15 +43,37 @@ func (f Frame) UnitPosition(cosU, sinU float64) Vec3 {
 // angle, so coverage tests against a footprint half-angle ψ reduce to
 // one comparison with a precomputed cos ψ — no acos on the hot path.
 func (p LatLon) UnitECI(t float64) Vec3 {
+	return NewRing(p.Lat, t).UnitECI(p.Lon)
+}
+
+// Ring is what the unit inertial directions of earth-fixed points at one
+// latitude and one instant share: the earth's rotation and the
+// latitude's sine and cosine, so a ring of longitudes costs two
+// transcendental calls per point instead of six.
+type Ring struct {
+	cosTheta, sinTheta float64 // earth rotation since epoch
+	cosLat, sinLat     float64
+}
+
+// NewRing returns the ring at latitude lat (radians) and time t
+// (minutes).
+func NewRing(lat, t float64) Ring {
 	theta := EarthRotationRadPerMin * t
-	cl := math.Cos(p.Lat)
-	ex := cl * math.Cos(p.Lon)
-	ey := cl * math.Sin(p.Lon)
-	c, s := math.Cos(theta), math.Sin(theta)
+	return Ring{
+		cosTheta: math.Cos(theta), sinTheta: math.Sin(theta),
+		cosLat: math.Cos(lat), sinLat: math.Sin(lat),
+	}
+}
+
+// UnitECI returns the unit inertial direction of the ring's point at
+// longitude lon (radians); LatLon.UnitECI is this on a ring of one.
+func (r Ring) UnitECI(lon float64) Vec3 {
+	ex := r.cosLat * math.Cos(lon)
+	ey := r.cosLat * math.Sin(lon)
 	return Vec3{
-		X: c*ex - s*ey,
-		Y: s*ex + c*ey,
-		Z: math.Sin(p.Lat),
+		X: r.cosTheta*ex - r.sinTheta*ey,
+		Y: r.sinTheta*ex + r.cosTheta*ey,
+		Z: r.sinLat,
 	}
 }
 

@@ -34,8 +34,9 @@ type Deployment struct {
 // ShellSpec is one shell of an explicit stochastic-geometry design:
 // N satellites at a common altitude and inclination, with the coverage
 // half-angle derived from exactly one of a minimum-elevation mask or a
-// coverage time. A request carrying shells bypasses the preset's
-// geometry (LEO/MEO hybrids have no preset).
+// coverage time; a negative value of either is an error. A request
+// carrying shells bypasses the preset's geometry (LEO/MEO hybrids have
+// no preset).
 type ShellSpec struct {
 	N               int     `json:"n"`
 	AltitudeKm      float64 `json:"altitude_km"`
@@ -53,17 +54,22 @@ func (sp ShellSpec) shell() (stochgeom.Shell, error) {
 	}
 	var err error
 	switch {
+	case sp.MinElevationDeg < 0:
+		return s, fmt.Errorf("shell: min_elevation_deg %g must be positive", sp.MinElevationDeg)
+	case sp.CoverageTimeMin < 0:
+		return s, fmt.Errorf("shell: coverage_time_min %g must be positive", sp.CoverageTimeMin)
 	case sp.MinElevationDeg > 0 && sp.CoverageTimeMin > 0:
 		return s, fmt.Errorf("shell: give min_elevation_deg or coverage_time_min, not both")
 	case sp.MinElevationDeg > 0:
-		s.HalfAngle, err = stochgeom.HalfAngleFromElevationDeg(sp.AltitudeKm, sp.MinElevationDeg)
+		if s.HalfAngle, err = stochgeom.HalfAngleFromElevationDeg(sp.AltitudeKm, sp.MinElevationDeg); err != nil {
+			return s, fmt.Errorf("shell: min_elevation_deg: %v", err)
+		}
 	case sp.CoverageTimeMin > 0:
-		s.HalfAngle, err = stochgeom.HalfAngleFromCoverageTime(sp.AltitudeKm, sp.CoverageTimeMin)
+		if s.HalfAngle, err = stochgeom.HalfAngleFromCoverageTime(sp.AltitudeKm, sp.CoverageTimeMin); err != nil {
+			return s, fmt.Errorf("shell: coverage_time_min: %v", err)
+		}
 	default:
 		return s, fmt.Errorf("shell: needs min_elevation_deg or coverage_time_min")
-	}
-	if err != nil {
-		return s, err
 	}
 	return s, s.Validate()
 }
@@ -117,9 +123,10 @@ type Request struct {
 	// LatitudeDeg is the ground-target latitude of the visibility law
 	// (default 30, the paper's mid-latitude band).
 	LatitudeDeg *float64 `json:"latitude_deg,omitempty"`
-	// MinElevationDeg, when positive, derives the preset shell's
-	// coverage half-angle from an elevation mask instead of the preset's
-	// coverage time.
+	// MinElevationDeg, when set, must lie in (0, 90): it derives the
+	// preset shell's coverage half-angle from an elevation mask instead
+	// of the preset's coverage time. A request with shells sets the mask
+	// on each shell instead.
 	MinElevationDeg float64 `json:"min_elevation_deg,omitempty"`
 	// MinSats is the localizability threshold L in P(K ≥ L) (default 4).
 	MinSats int `json:"min_sats,omitempty"`
@@ -155,13 +162,20 @@ var fieldNames = [...]string{"deployment", "loss_prob", "fail_silent_prob", "ret
 // in fieldNames order.
 func (req *Request) modelFields() (s fieldSet) {
 	for i, set := range [...]bool{req.Deployment != nil, req.LossProb != 0, req.FailSilentProb != 0,
-		req.Retries != 0, req.Backward, len(req.Faults) > 0 && string(req.Faults) != "null",
+		req.Retries != 0, req.Backward, req.hasFaults(),
 		len(req.Shells) > 0, req.MinElevationDeg != 0, req.LatitudeDeg != nil, req.MinSats != 0} {
 		if set {
 			s |= 1 << i
 		}
 	}
 	return s
+}
+
+// hasFaults reports whether the request sets faults: a document other
+// than JSON null. The backends table, the simulation parameters and the
+// cache key all read faults through it.
+func (req *Request) hasFaults() bool {
+	return len(req.Faults) > 0 && string(req.Faults) != "null"
 }
 
 // String lists the set's field names: "a", "a and b", "a, b and c".
@@ -296,7 +310,7 @@ func (req *Request) resolve(maxEpisodes int) (*resolved, error) {
 	p.FailSilentProb = req.FailSilentProb
 	p.MessageLossProb = req.LossProb
 	p.RequestRetries = req.Retries
-	if len(req.Faults) > 0 {
+	if req.hasFaults() {
 		s, err := fault.Parse(req.Faults)
 		if err != nil {
 			return nil, err
@@ -324,6 +338,13 @@ func (req *Request) resolve(maxEpisodes int) (*resolved, error) {
 		if r.minSats = cmp.Or(req.MinSats, 4); r.minSats < 1 {
 			return nil, fmt.Errorf("min_sats %d must be at least 1", r.minSats)
 		}
+		switch mask := req.MinElevationDeg; {
+		case mask == 0:
+		case len(req.Shells) > 0:
+			return nil, fmt.Errorf("min_elevation_deg: a request with shells sets the mask on each shell")
+		case !(mask > 0 && mask < 90):
+			return nil, fmt.Errorf("min_elevation_deg %g outside (0, 90)", mask)
+		}
 		if len(req.Shells) > 0 {
 			total := 0
 			for i, sp := range req.Shells {
@@ -344,7 +365,7 @@ func (req *Request) resolve(maxEpisodes int) (*resolved, error) {
 			}
 			if req.MinElevationDeg > 0 {
 				if s.HalfAngle, err = stochgeom.HalfAngleFromElevationDeg(s.AltitudeKm, req.MinElevationDeg); err != nil {
-					return nil, err
+					return nil, fmt.Errorf("min_elevation_deg: %v", err)
 				}
 			}
 			r.design.Shells = []stochgeom.Shell{s}
@@ -449,7 +470,7 @@ func (r *resolved) canonicalKey(req *Request) string {
 	hx(r.params.FailSilentProb)
 	hx(r.params.MessageLossProb)
 	fmt.Fprintf(&b, "%d|%t|", r.params.RequestRetries, r.params.BackwardMessaging)
-	if len(req.Faults) > 0 {
+	if req.hasFaults() {
 		// Compact the raw scenario JSON so formatting differences don't
 		// split the key (field order still matters; acceptable — a miss
 		// only costs a recompute).

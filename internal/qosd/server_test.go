@@ -265,6 +265,23 @@ func TestCacheHitServesIdenticalAnswer(t *testing.T) {
 	}
 }
 
+// TestNullFaultsShareCacheEntry: "faults": null sets no faults, so the
+// request shares the cache entry of the same request without the field.
+func TestNullFaultsShareCacheEntry(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp1, first := post(t, ts, `{"mode":"montecarlo","episodes":200,"seed":5}`)
+	if resp1.StatusCode != http.StatusOK || first.Cached {
+		t.Fatalf("first answer: status %d cached=%t, want a fresh 200", resp1.StatusCode, first.Cached)
+	}
+	resp2, second := post(t, ts, `{"mode":"montecarlo","episodes":200,"seed":5,"faults":null}`)
+	if resp2.StatusCode != http.StatusOK || !second.Cached {
+		t.Fatalf("faults null: status %d cached=%t, want the cached answer", resp2.StatusCode, second.Cached)
+	}
+	if !reflect.DeepEqual(first.PYGE, second.PYGE) {
+		t.Errorf("faults null answered %v, want %v", second.PYGE, first.PYGE)
+	}
+}
+
 // TestDeadlineCancelsEvaluation: a request timeout propagates into the
 // episode engine and surfaces as 504, quickly.
 func TestDeadlineCancelsEvaluation(t *testing.T) {

@@ -275,3 +275,37 @@ func TestCoverageEndpoint(t *testing.T) {
 		t.Fatalf("coverage counter %d, want 2", srv.coverage.Value())
 	}
 }
+
+// TestMinElevationNeverDropped: every elevation mask a request carries
+// is either applied or answered with a 400 naming the field, never
+// ignored. A request-level mask must lie in (0, 90) and cannot ride
+// along with shells, which carry their own masks; a shell's negative
+// mask or coverage time is an error rather than a fall-through to the
+// other parameter.
+func TestMinElevationNeverDropped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const shell = `"n":98,"altitude_km":780,"inclination_deg":86.4`
+	for _, tc := range []struct{ body, field string }{
+		{`{"mode":"stochgeom","preset":"starlink","min_elevation_deg":-5}`, "min_elevation_deg"},
+		{`{"preset":"starlink","min_elevation_deg":-5}`, "min_elevation_deg"},
+		{`{"mode":"stochgeom","preset":"starlink","min_elevation_deg":90}`, "min_elevation_deg"},
+		{`{"mode":"stochgeom","preset":"starlink","min_elevation_deg":95}`, "min_elevation_deg"},
+		{`{"mode":"stochgeom","min_elevation_deg":60,"shells":[{` + shell + `,"coverage_time_min":9}]}`, "min_elevation_deg"},
+		{`{"mode":"stochgeom","shells":[{` + shell + `,"min_elevation_deg":-5,"coverage_time_min":9}]}`, "min_elevation_deg"},
+		{`{"mode":"stochgeom","shells":[{` + shell + `,"min_elevation_deg":25,"coverage_time_min":-9}]}`, "coverage_time_min"},
+	} {
+		status, _, raw := postRaw(t, ts.URL, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(raw, tc.field) {
+			t.Errorf("%s: status %d %s, want 400 naming %s", tc.body, status, raw, tc.field)
+		}
+	}
+	// The same masks in range are applied.
+	for _, body := range []string{
+		`{"mode":"stochgeom","preset":"starlink","min_elevation_deg":25}`,
+		`{"mode":"stochgeom","shells":[{` + shell + `,"min_elevation_deg":25}]}`,
+	} {
+		if status, _, raw := postRaw(t, ts.URL, body); status != http.StatusOK {
+			t.Errorf("%s: status %d %s, want 200", body, status, raw)
+		}
+	}
+}
