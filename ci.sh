@@ -188,22 +188,21 @@ awk '
 ' "$tmpdir/bench_pool.txt"
 
 # Span-trace gates. First determinism: the same lossy workload traced
-# at 1 and 8 workers must produce byte-identical line-delimited trace
-# exports (the retained set is a pure function of episode ordinals and
-# outcomes), and tracing must not perturb the simulation — the traced
-# and untraced snapshots of the same run must be diff-identical modulo
-# the wall-clock families. Then the exporter contract: the Chrome
-# trace-event JSON must satisfy the viewer invariants metricscheck
-# -chrome enforces.
+# at 1 and 8 workers must produce byte-identical Chrome trace exports
+# (the retained set is a pure function of episode ordinals and
+# outcomes, and the export holds nothing else), and tracing must not
+# perturb the simulation — the traced and untraced snapshots of the
+# same run must be diff-identical modulo the wall-clock families. Then
+# the exporter contract: the Chrome trace-event JSON must satisfy the
+# viewer invariants metricscheck -chrome enforces.
 go run ./cmd/constsim -mode protocol -episodes 500 -loss 0.4 -retries 1 \
-    -workers 1 -metrics "$tmpdir/tr1.json" -trace "$tmpdir/tr1.trace" \
-    -trace-chrome "$tmpdir/tr1.chrome.json"
+    -workers 1 -metrics "$tmpdir/tr1.json" -trace-chrome "$tmpdir/tr1.chrome.json"
 go run ./cmd/constsim -mode protocol -episodes 500 -loss 0.4 -retries 1 \
-    -workers 8 -metrics "$tmpdir/tr8.json" -trace "$tmpdir/tr8.trace"
+    -workers 8 -metrics "$tmpdir/tr8.json" -trace-chrome "$tmpdir/tr8.chrome.json"
 go run ./cmd/constsim -mode protocol -episodes 500 -loss 0.4 -retries 1 \
     -workers 8 -metrics "$tmpdir/untraced8.json"
-cmp "$tmpdir/tr1.trace" "$tmpdir/tr8.trace"
-grep -q "^trace " "$tmpdir/tr1.trace" # the gate is vacuous if nothing was retained
+cmp "$tmpdir/tr1.chrome.json" "$tmpdir/tr8.chrome.json"
+grep -q '"name":"process_name"' "$tmpdir/tr1.chrome.json" # the gate is vacuous if nothing was retained
 go run ./cmd/metricscheck -in "$tmpdir/tr1.json" -diff "$tmpdir/tr8.json" oaq crosslink
 go run ./cmd/metricscheck -in "$tmpdir/tr8.json" -diff "$tmpdir/untraced8.json" oaq
 go run ./cmd/metricscheck -chrome "$tmpdir/tr1.chrome.json"

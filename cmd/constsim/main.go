@@ -7,6 +7,7 @@
 //
 //	constsim -mode protocol -k 10 -scheme oaq -episodes 50000
 //	constsim -mode protocol -loss 0.4 -retries 2 -faults testdata/faults.json
+//	constsim -mode protocol -loss 0.4 -retries 1 -trace-chrome failures.json  # retain the anomalous episodes
 //	constsim -mode protocol -preset starlink
 //	constsim -mode capacity -eta 10 -lambda 5e-5 -periods 200
 //	constsim -mode capacity -preset oneweb

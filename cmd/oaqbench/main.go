@@ -10,12 +10,14 @@
 //	oaqbench -exp simvsana -episodes 50000
 //	oaqbench -exp fig9,simvsana -metrics -   # several experiments + JSON metrics snapshot
 //	oaqbench -exp all -pprof localhost:6060  # live pprof + Prometheus /metrics while running
+//	oaqbench -exp degraded-loss -trace-chrome anomalies.json  # anomalous episodes of every cell
 //
 // Paper experiments: table1, fig7, fig8, fig9, spot, tau, duration.
 // Validations: simvsana, geometry, capacity, coverage, stochgeom
-// (stochgeom cross-validates the O(1) stochastic-geometry backend
-// against the exact scanner on every preset; -backend stochgeom makes
-// the coverage experiment answer analytically from the same backend).
+// (coverage prints the scanned earth coverage and then the O(1)
+// stochastic-geometry answer for the same constellation; stochgeom
+// cross-validates that backend against the exact scanner on every
+// preset).
 // Extensions: scaling, ablation-backward, ablation-constants,
 // ablation-tc1, membership, sensitivity, mission, availability,
 // degraded-loss, degraded-failsilent, routed-load (the degraded pair
@@ -54,7 +56,6 @@ func main() {
 
 type options struct {
 	exp      string
-	backend  string
 	csv      bool
 	svgDir   string
 	episodes int
@@ -118,7 +119,6 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("oaqbench", flag.ContinueOnError)
 	opt := options{}
 	fs.StringVar(&opt.exp, "exp", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs(), "|")+"|all)")
-	fs.StringVar(&opt.backend, "backend", "geometry", "coverage-experiment backend: geometry (exact position scan) | stochgeom (O(1) BPP analytic)")
 	fs.BoolVar(&opt.csv, "csv", false, "emit CSV instead of aligned text")
 	fs.StringVar(&opt.svgDir, "svg", "", "also write sweep experiments as SVG charts into this directory")
 	fs.IntVar(&opt.episodes, "episodes", 20000, "episodes per cell for simulation experiments")
@@ -162,9 +162,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		opt.route = rc
-	}
-	if opt.backend != "geometry" && opt.backend != "stochgeom" {
-		return fmt.Errorf("unknown -backend %q (geometry | stochgeom)", opt.backend)
 	}
 	opt.seed = *seed
 	experiment.Workers = opt.workers
@@ -343,24 +340,23 @@ func checked(format string, fn func(opt options) (*experiment.Table, float64, er
 	}
 }
 
-// runCoverage reports the full-constellation earth coverage, scanned
-// from satellite positions or, with -backend stochgeom, answered
-// analytically.
-func runCoverage(opt options, w io.Writer) error {
-	if opt.backend == "stochgeom" {
-		covered, mult, err := experiment.AnalyticEarthCoverage(6)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "Full-constellation earth coverage (stochgeom): %.2f%% of surface points covered, mean multiplicity %.2f\n",
-			100*covered, mult)
-		return err
-	}
+// runCoverage reports the full-constellation earth coverage twice:
+// scanned from satellite positions, then answered analytically by the
+// stochastic-geometry backend.
+func runCoverage(_ options, w io.Writer) error {
 	covered, mult, err := experiment.FullEarthCoverage(6, 10, numeric.Linspace(0, 60, 4))
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "Full-constellation earth coverage: %.2f%% of sampled points covered, mean multiplicity %.2f\n",
+	if _, err := fmt.Fprintf(w, "Full-constellation earth coverage: %.2f%% of sampled points covered, mean multiplicity %.2f\n",
+		100*covered, mult); err != nil {
+		return err
+	}
+	covered, mult, err = experiment.AnalyticEarthCoverage(6)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "Full-constellation earth coverage (stochgeom): %.2f%% of surface points covered, mean multiplicity %.2f\n",
 		100*covered, mult)
 	return err
 }

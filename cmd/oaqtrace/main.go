@@ -2,7 +2,7 @@
 // episode: detections, computations, coordination requests, done
 // propagation, timeouts, and alert deliveries — the executable
 // counterpart of the paper's Figure 3 snapshots. The tree is the same
-// structured trace the -trace flags export, so causality — which
+// structured trace -trace-chrome exports, so causality — which
 // dispatch ran which computation, which message carried which alert —
 // reads directly from the indentation. Times are minutes from the
 // initial detection (t0).
@@ -80,8 +80,8 @@ func run(args []string, w io.Writer) error {
 		p.Metrics = obs.Default()
 	}
 	// Span tracing is always on here (head sampling every episode): the
-	// searched episode's span tree is part of the output, and the -trace
-	// flags export whatever the search visited.
+	// searched episode's span tree is part of the output, and
+	// -trace-chrome exports whatever the search visited.
 	tracing, err := traceCLI.Config(fs)
 	if err != nil {
 		return err

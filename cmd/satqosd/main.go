@@ -14,7 +14,7 @@
 //	satqosd                                # serve on 127.0.0.1:8417
 //	satqosd -addr 127.0.0.1:0 -ready-file /tmp/addr   # ephemeral port, written for scripts
 //	satqosd -mc-budget 100000 -request-timeout 10s
-//	satqosd -trace traces.ld -trace-anomaly retries   # flight recorder across served episodes
+//	satqosd -trace-chrome traces.json -trace-anomaly retries   # flight recorder across served episodes
 //
 //	curl -s localhost:8417/v1/evaluate -d '{"mode":"analytic","k":10}'
 //	curl -s localhost:8417/v1/evaluate -d '{"mode":"stochgeom","preset":"starlink","latitude_deg":53}'

@@ -31,24 +31,24 @@ func TestMissionTraceDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := cfg.Trace.Collector.WriteLD(&b); err != nil {
+		if err := cfg.Trace.Collector.WriteChrome(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String(), rep
 	}
-	ld1, rep1 := run(1)
-	ld4, rep4 := run(4)
-	if ld1 != ld4 {
-		t.Errorf("mission trace export differs between workers 1 and 4:\n--- w1 ---\n%.1500s\n--- w4 ---\n%.1500s", ld1, ld4)
+	tr1, rep1 := run(1)
+	tr4, rep4 := run(4)
+	if tr1 != tr4 {
+		t.Errorf("mission trace export differs between workers 1 and 4:\n--- w1 ---\n%.1500s\n--- w4 ---\n%.1500s", tr1, tr4)
 	}
 	if rep1.PMF != rep4.PMF {
 		t.Errorf("tracing run PMF differs across workers: %v vs %v", rep1.PMF, rep4.PMF)
 	}
-	if !strings.Contains(ld1, "mission/ep-0 ") {
-		t.Errorf("head sampler missed workload index 0:\n%.500s", ld1)
+	if !strings.Contains(tr1, `"mission/ep-0 [`) {
+		t.Errorf("head sampler missed workload index 0:\n%.500s", tr1)
 	}
-	if !strings.Contains(ld1, `label="signal"`) {
-		t.Errorf("no mission root spans in the export:\n%.500s", ld1)
+	if !strings.Contains(tr1, `{"name":"signal",`) {
+		t.Errorf("no mission root spans in the export:\n%.500s", tr1)
 	}
 
 	// And the traced run must not perturb the mission itself.

@@ -3,7 +3,6 @@ package oaq
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"satqos/internal/obs/trace"
 	"satqos/internal/parallel"
@@ -139,10 +138,8 @@ func EvaluateParallelCtx(ctx context.Context, p Params, episodes int, seed uint6
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	evalStart := time.Now()
 	out, err := parallel.MonteCarloCtx(ctx, workers, episodes, 0,
 		func(sp parallel.Shard) (*shard, error) {
-			begin := time.Now()
 			// The global episode ordinal (sp.Start + i) keys head sampling
 			// and exemplars; it depends only on the budget partition, never
 			// on the worker count.
@@ -158,14 +155,6 @@ func EvaluateParallelCtx(ctx context.Context, p Params, episodes int, seed uint6
 				s.run()
 			}
 			s.close()
-			if p.Tracing != nil && p.Tracing.WallSpans {
-				p.Tracing.Collector.AddWall(trace.WallSpan{
-					Label:   p.Tracing.Scope,
-					Shard:   sp.Index,
-					WaitSec: begin.Sub(evalStart).Seconds(),
-					BusySec: time.Since(begin).Seconds(),
-				})
-			}
 			return s, nil
 		},
 		func(acc, part *shard) *shard {

@@ -116,11 +116,9 @@ type Params struct {
 	// geometry and deadline bound it anyway, per Eq. (2)).
 	MaxChain int
 	// ErrorThresholdKm enables TC-1 when positive: coordination stops
-	// once the estimated error falls to or below the threshold.
+	// once the estimated error (DefaultErrorModel) falls to or below the
+	// threshold.
 	ErrorThresholdKm float64
-	// EstimatedErrorKm models the estimated geolocation error after a
-	// number of fused passes, for TC-1. Nil uses DefaultErrorModel.
-	EstimatedErrorKm func(passes int) float64
 	// Metrics, when non-nil, receives the evaluation's metric families
 	// (episode outcomes, termination causes, per-kind protocol event
 	// counts, alert-latency and crosslink-delay histograms, DES kernel
@@ -142,10 +140,10 @@ type Params struct {
 	Tracing *trace.Config
 }
 
-// DefaultErrorModel is the estimated-error curve used when none is
-// supplied: a single-pass Doppler fix of about 15 km 1σ improving with
-// the square root of the number of fused passes — the qualitative
-// behavior of the sequential localizer in package geoloc.
+// DefaultErrorModel is the estimated-error curve of TC-1: a
+// single-pass Doppler fix of about 15 km 1σ improving with the square
+// root of the number of fused passes — the qualitative behavior of the
+// sequential localizer in package geoloc.
 func DefaultErrorModel(passes int) float64 {
 	if passes < 1 {
 		return math.Inf(1)
@@ -229,14 +227,6 @@ func (p Params) Validate() error {
 func positiveFiniteMean(d stats.Distribution) bool {
 	m := d.Mean()
 	return m > 0 && !math.IsInf(m, 0) && !math.IsNaN(m)
-}
-
-// errorModel returns the effective TC-1 error model.
-func (p Params) errorModel() func(int) float64 {
-	if p.EstimatedErrorKm != nil {
-		return p.EstimatedErrorKm
-	}
-	return DefaultErrorModel
 }
 
 // Termination identifies why the coordinated optimization stopped.

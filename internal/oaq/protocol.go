@@ -406,8 +406,10 @@ func iterativeComputationEvent(done float64, arg any) {
 // noBackwardGuardEvent is the terminal-responsibility guard of the
 // no-backward-messaging variant: at the deadline, a satellite that
 // still holds the freshest result and never handed it off must deliver
-// what it inherited.
-func noBackwardGuardEvent(_ float64, arg any) {
+// what it inherited. It is a variable so a test can observe the guards
+// that fire after the deadline, which a bounded span ring cannot hold
+// on a congested fabric.
+var noBackwardGuardEvent = func(_ float64, arg any) {
 	s := arg.(*satellite)
 	if !s.sentAlert && !s.forwarded && !s.ep.net.FailSilent(s.node) {
 		s.sendAlert(s.inherited.level, s.inherited.passes)
@@ -428,7 +430,7 @@ func (s *satellite) terminate(cause Termination) {
 func (s *satellite) evaluate(now float64) {
 	e := s.ep
 	// TC-1: estimated error below threshold.
-	if e.p.ErrorThresholdKm > 0 && e.p.errorModel()(s.passes) <= e.p.ErrorThresholdKm {
+	if e.p.ErrorThresholdKm > 0 && DefaultErrorModel(s.passes) <= e.p.ErrorThresholdKm {
 		s.terminate(TermErrorThreshold)
 		return
 	}

@@ -47,24 +47,24 @@ func TestTracingBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := p.Tracing.Collector.WriteLD(&b); err != nil {
+		if err := p.Tracing.Collector.WriteChrome(&b); err != nil {
 			t.Fatal(err)
 		}
 		return ev, b.String()
 	}
-	ev1, ld1 := run(1)
-	ev8, ld8 := run(8)
+	ev1, tr1 := run(1)
+	ev8, tr8 := run(8)
 	if !reflect.DeepEqual(ev1, ev8) {
 		t.Errorf("traced evaluation differs between workers 1 and 8:\n%+v\n%+v", ev1, ev8)
 	}
-	if ld1 != ld8 {
-		t.Errorf("trace export differs between workers 1 and 8:\n--- w1 ---\n%.2000s\n--- w8 ---\n%.2000s", ld1, ld8)
+	if tr1 != tr8 {
+		t.Errorf("trace export differs between workers 1 and 8:\n--- w1 ---\n%.2000s\n--- w8 ---\n%.2000s", tr1, tr8)
 	}
-	if !strings.Contains(ld1, "reasons=retries") {
-		t.Errorf("lossy workload retained no retries-exhausted trace:\n%.1000s", ld1)
+	if !strings.Contains(tr1, `[retries`) {
+		t.Errorf("lossy workload retained no retries-exhausted trace:\n%.1000s", tr1)
 	}
-	if !strings.Contains(ld1, "det/ep-0 reasons=head") {
-		t.Errorf("head sampler missed ordinal 0:\n%.1000s", ld1)
+	if !strings.Contains(tr1, `"det/ep-0 [head`) {
+		t.Errorf("head sampler missed ordinal 0:\n%.1000s", tr1)
 	}
 
 	// And tracing must not perturb the simulation itself.
@@ -94,22 +94,22 @@ func TestTracingSequentialMatchesParallel(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := p.Tracing.Collector.WriteLD(&b); err != nil {
+		if err := p.Tracing.Collector.WriteChrome(&b); err != nil {
 			t.Fatal(err)
 		}
 		return ev, b.String()
 	}
-	evSeq, ldSeq := export(func(p Params) (*Evaluation, error) {
+	evSeq, trSeq := export(func(p Params) (*Evaluation, error) {
 		return EvaluateParallel(p, episodes, seed, 1)
 	})
-	evPar, ldPar := export(func(p Params) (*Evaluation, error) {
+	evPar, trPar := export(func(p Params) (*Evaluation, error) {
 		return EvaluateParallel(p, episodes, seed, 4)
 	})
 	if !reflect.DeepEqual(evSeq, evPar) {
 		t.Error("sequential and parallel evaluations differ")
 	}
-	if ldSeq != ldPar {
-		t.Errorf("sequential and parallel trace exports differ:\n--- seq ---\n%.1000s\n--- par ---\n%.1000s", ldSeq, ldPar)
+	if trSeq != trPar {
+		t.Errorf("sequential and parallel trace exports differ:\n--- seq ---\n%.1000s\n--- par ---\n%.1000s", trSeq, trPar)
 	}
 }
 

@@ -48,16 +48,15 @@ func chromeThreadName(sat int32) string {
 	}
 }
 
-// WriteChrome writes the retained traces (and any wall-clock shard
-// spans) as Chrome trace-event JSON. Each episode becomes one process
-// (pid = position in the sorted trace list + 1) with one thread per
-// actor; links become flow events; wall spans, when present, form the
-// pid-0 "parallel shards" process.
+// WriteChrome writes the retained traces as Chrome trace-event JSON.
+// Each episode becomes one process (pid = position in the sorted trace
+// list + 1) with one thread per actor, and links become flow events.
+// The episode's dropped-span count rides on its process_name event and
+// each span's kind, seq, parent seq and arg on its own event; times are
+// rebased to the episode's earliest span. The output is a pure function
+// of the retained traces: byte-identical at any worker count.
 func (c *Collector) WriteChrome(w io.Writer) error {
-	return writeChrome(w, c.Traces(), c.WallSpans())
-}
-
-func writeChrome(w io.Writer, traces []EpisodeTrace, wall []WallSpan) error {
+	traces := c.Traces()
 	evs := []chromeEvent{}
 	flowID := 0
 	for pi := range traces {
@@ -65,7 +64,7 @@ func writeChrome(w io.Writer, traces []EpisodeTrace, wall []WallSpan) error {
 		pid := pi + 1
 		evs = append(evs, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]string{"name": fmt.Sprintf("%s [%s]", t.ID(), t.Reasons)},
+			Args: map[string]any{"name": fmt.Sprintf("%s [%s]", t.ID(), t.Reasons), "dropped": t.Dropped},
 		})
 		// Rebase each episode to its earliest span so all processes start
 		// near ts 0 regardless of where the episode sat in simulated time.
@@ -90,7 +89,7 @@ func writeChrome(w io.Writer, traces []EpisodeTrace, wall []WallSpan) error {
 				})
 			}
 			ts := (sp.Start - base) * minuteUS
-			args := map[string]any{"kind": sp.Kind.String(), "seq": sp.Seq, "arg": sp.Arg}
+			args := map[string]any{"kind": sp.Kind.String(), "seq": sp.Seq, "parent": sp.Parent, "arg": sp.Arg}
 			if sp.End > sp.Start {
 				dur := (sp.End - sp.Start) * minuteUS
 				evs = append(evs, chromeEvent{
@@ -128,29 +127,6 @@ func writeChrome(w io.Writer, traces []EpisodeTrace, wall []WallSpan) error {
 					Ts: (from.End - base) * minuteUS, Cat: "link", ID: flowID, BP: "e",
 				},
 			)
-		}
-	}
-	if len(wall) > 0 {
-		evs = append(evs, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: 0,
-			Args: map[string]string{"name": "parallel shards (wall clock)"},
-		})
-		for _, ws := range wall {
-			tid := ws.Shard
-			if ws.WaitSec > 0 {
-				dur := ws.WaitSec * 1e6
-				evs = append(evs, chromeEvent{
-					Name: "queue-wait", Ph: "X", Pid: 0, Tid: tid, Ts: 0,
-					Dur: &dur, Cat: "wall",
-					Args: map[string]any{"label": ws.Label, "shard": ws.Shard},
-				})
-			}
-			dur := ws.BusySec * 1e6
-			evs = append(evs, chromeEvent{
-				Name: "shard", Ph: "X", Pid: 0, Tid: tid, Ts: ws.WaitSec * 1e6,
-				Dur: &dur, Cat: "wall",
-				Args: map[string]any{"label": ws.Label, "shard": ws.Shard},
-			})
 		}
 	}
 	enc := json.NewEncoder(w)

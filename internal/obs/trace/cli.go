@@ -8,16 +8,13 @@ import (
 )
 
 // CLI bundles the standard -trace* flag set shared by the commands
-// (oaqbench, constsim, oaqtrace): two export destinations and the two
-// sampling knobs. The zero value means tracing off; Config turns the
-// parsed flags into a recorder configuration and Export writes the
+// (oaqbench, constsim, oaqtrace, satqosd): the export destination and
+// the two sampling knobs. The zero value means tracing off; Config turns
+// the parsed flags into a recorder configuration and Export writes the
 // collected traces at exit.
 type CLI struct {
-	// Out is the -trace destination: the stable line-delimited export
-	// ("-" for stdout).
-	Out string
 	// Chrome is the -trace-chrome destination: Chrome trace-event JSON
-	// for chrome://tracing / Perfetto.
+	// for chrome://tracing / Perfetto ("-" for stdout).
 	Chrome string
 	// Sample is -trace-sample: head-sample every Nth episode (0 = head
 	// sampling off; the anomaly policy still applies).
@@ -30,12 +27,10 @@ type CLI struct {
 	sampleSet, anomalySet bool
 }
 
-// Register installs the four -trace* flags on the flag set.
+// Register installs the three -trace* flags on the flag set.
 func (c *CLI) Register(fs *flag.FlagSet) {
-	fs.StringVar(&c.Out, "trace", "",
-		"write the line-delimited span-trace export to this path at exit (\"-\" for stdout; enables tracing)")
 	fs.StringVar(&c.Chrome, "trace-chrome", "",
-		"write the Chrome trace-event JSON export to this path at exit (load in chrome://tracing or Perfetto; enables tracing)")
+		"write the Chrome trace-event JSON export to this path at exit (\"-\" for stdout; load in chrome://tracing or Perfetto; enables tracing)")
 	fs.IntVar(&c.Sample, "trace-sample", 0,
 		"head-sample every Nth episode into the trace (0 disables head sampling)")
 	fs.StringVar(&c.Anomaly, "trace-anomaly", "",
@@ -55,9 +50,6 @@ func (c *CLI) note(fs *flag.FlagSet) {
 	})
 }
 
-// Enabled reports whether any trace export was requested.
-func (c *CLI) Enabled() bool { return c.Out != "" || c.Chrome != "" }
-
 // Config builds the tracing configuration from the parsed flags: nil
 // (tracing off) when no export destination was given. When tracing is
 // on but neither sampling flag was set, the full anomaly policy is the
@@ -66,9 +58,9 @@ func (c *CLI) Enabled() bool { return c.Out != "" || c.Chrome != "" }
 // set; pass the set given to Register.
 func (c *CLI) Config(fs *flag.FlagSet) (*Config, error) {
 	c.note(fs)
-	if !c.Enabled() {
+	if c.Chrome == "" {
 		if c.sampleSet || c.anomalySet {
-			return nil, fmt.Errorf("trace: -trace-sample/-trace-anomaly need an export destination (-trace or -trace-chrome)")
+			return nil, fmt.Errorf("trace: -trace-sample/-trace-anomaly need an export destination (-trace-chrome)")
 		}
 		return nil, nil
 	}
@@ -82,7 +74,6 @@ func (c *CLI) Config(fs *flag.FlagSet) (*Config, error) {
 	cfg := &Config{
 		SampleEvery: c.Sample,
 		Collector:   NewCollector(),
-		WallSpans:   c.Chrome != "",
 	}
 	if anomaly != "" {
 		p, err := ParsePolicy(anomaly)
@@ -94,35 +85,25 @@ func (c *CLI) Config(fs *flag.FlagSet) (*Config, error) {
 	return cfg, nil
 }
 
-// Export writes the configured destinations from the collector; stdout
-// backs the "-" path. A nil cfg (tracing off) is a no-op.
+// Export writes the collector's traces to the -trace-chrome destination;
+// stdout backs the "-" path. A nil cfg (tracing off) or an empty
+// destination is a no-op.
 func (c *CLI) Export(cfg *Config, stdout io.Writer) error {
-	if cfg == nil {
+	if cfg == nil || c.Chrome == "" {
 		return nil
 	}
-	write := func(path string, fn func(io.Writer) error) error {
-		if path == "-" {
-			return fn(stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+	if c.Chrome == "-" {
+		return cfg.Collector.WriteChrome(stdout)
 	}
-	if c.Out != "" {
-		if err := write(c.Out, cfg.Collector.WriteLD); err != nil {
-			return fmt.Errorf("trace: export %s: %w", c.Out, err)
+	f, err := os.Create(c.Chrome)
+	if err == nil {
+		err = cfg.Collector.WriteChrome(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
-	if c.Chrome != "" {
-		if err := write(c.Chrome, cfg.Collector.WriteChrome); err != nil {
-			return fmt.Errorf("trace: export %s: %w", c.Chrome, err)
-		}
+	if err != nil {
+		return fmt.Errorf("trace: export %s: %w", c.Chrome, err)
 	}
 	return nil
 }

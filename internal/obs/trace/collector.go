@@ -5,22 +5,6 @@ import (
 	"sync"
 )
 
-// WallSpan is one wall-clock observation of a parallel shard: how long
-// the shard waited in the work queue and how long it ran. Wall spans are
-// real-time measurements — nondeterministic by nature — so they are
-// exported only in the Chrome view (their own process track) and never
-// in the line-delimited format used by golden tests.
-type WallSpan struct {
-	// Label identifies the evaluation (typically the Config.Scope).
-	Label string
-	// Shard is the shard index within the evaluation.
-	Shard int
-	// WaitSec and BusySec are wall-clock seconds spent queued and
-	// running.
-	WaitSec float64
-	BusySec float64
-}
-
 // Collector accumulates retained traces from many recorders (one per
 // shard worker) and exports them deterministically: Traces sorts by
 // (Scope, Ordinal), normalizing whatever order concurrent flushes
@@ -28,7 +12,6 @@ type WallSpan struct {
 type Collector struct {
 	mu     sync.Mutex
 	traces []EpisodeTrace
-	wall   []WallSpan
 	sorted bool
 }
 
@@ -43,16 +26,6 @@ func (c *Collector) Add(traces []EpisodeTrace) {
 	c.mu.Lock()
 	c.traces = append(c.traces, traces...)
 	c.sorted = false
-	c.mu.Unlock()
-}
-
-// AddWall appends one wall-clock shard span; safe for concurrent use.
-func (c *Collector) AddWall(w WallSpan) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.wall = append(c.wall, w)
 	c.mu.Unlock()
 }
 
@@ -84,20 +57,4 @@ func (c *Collector) Traces() []EpisodeTrace {
 		c.sorted = true
 	}
 	return c.traces
-}
-
-// WallSpans returns the wall-clock shard spans sorted by (Label, Shard).
-func (c *Collector) WallSpans() []WallSpan {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sort.SliceStable(c.wall, func(i, j int) bool {
-		if c.wall[i].Label != c.wall[j].Label {
-			return c.wall[i].Label < c.wall[j].Label
-		}
-		return c.wall[i].Shard < c.wall[j].Shard
-	})
-	return c.wall
 }

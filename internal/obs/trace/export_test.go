@@ -44,44 +44,39 @@ func TestCollectorSortsByScopeAndOrdinal(t *testing.T) {
 
 	var nilC *Collector
 	nilC.Add([]EpisodeTrace{{}})
-	nilC.AddWall(WallSpan{})
-	if nilC.Len() != 0 || nilC.Traces() != nil || nilC.WallSpans() != nil {
+	if nilC.Len() != 0 || nilC.Traces() != nil {
 		t.Error("nil collector not inert")
 	}
 }
 
-// TestWriteLDGolden pins the line-delimited export byte-for-byte: the
-// format is versioned and parsed by golden tests and CI gates, so any
-// drift must be deliberate.
-func TestWriteLDGolden(t *testing.T) {
+// TestWriteChromeGolden pins the Chrome export byte-for-byte, including
+// the span parent and the episode's dropped count: the export is the
+// one span-trace format, compared with cmp by CI gates and golden
+// tests, so any drift must be deliberate.
+func TestWriteChromeGolden(t *testing.T) {
+	tr := testTrace()
+	tr.Dropped = 2
 	c := NewCollector()
-	c.Add([]EpisodeTrace{testTrace()})
-	c.AddWall(WallSpan{Label: "w", Shard: 0, BusySec: 1}) // must NOT appear
+	c.Add([]EpisodeTrace{tr})
 	var b strings.Builder
-	if err := c.WriteLD(&b); err != nil {
+	if err := c.WriteChrome(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# satqos-trace v1
-trace test/ep-7 reasons=retries|latency spans=5 dropped=0
-span 0 parent=-1 kind=episode sat=-2 start=1 end=9.5 arg=3 label="episode"
-span 1 parent=0 kind=compute sat=2 start=1.25 end=2.5 arg=0 label="geoloc"
-span 2 parent=0 kind=message sat=2 start=2.5 end=4 arg=0 label="alert"
-span 3 parent=0 kind=dispatch sat=-1 start=4 end=4.125 arg=0 label="deliver"
-span 4 parent=3 kind=termination sat=-2 start=9.5 end=9.5 arg=3 label="term:retries"
-link 2 -> 3
-`
+	want := `{"traceEvents":[` +
+		`{"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"dropped":2,"name":"test/ep-7 [retries|latency]"}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"name":"kernel"}},` +
+		`{"name":"episode","ph":"X","pid":1,"tid":0,"ts":0,"dur":510000000,"cat":"episode","args":{"arg":3,"kind":"episode","parent":-1,"seq":0}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":4,"ts":0,"args":{"name":"sat 2"}},` +
+		`{"name":"geoloc","ph":"X","pid":1,"tid":4,"ts":15000000,"dur":75000000,"cat":"compute","args":{"arg":0,"kind":"compute","parent":0,"seq":1}},` +
+		`{"name":"alert","ph":"X","pid":1,"tid":4,"ts":90000000,"dur":90000000,"cat":"message","args":{"arg":0,"kind":"message","parent":0,"seq":2}},` +
+		`{"name":"thread_name","ph":"M","pid":1,"tid":1,"ts":0,"args":{"name":"ground"}},` +
+		`{"name":"deliver","ph":"X","pid":1,"tid":1,"ts":180000000,"dur":7500000,"cat":"dispatch","args":{"arg":0,"kind":"dispatch","parent":0,"seq":3}},` +
+		`{"name":"term:retries","ph":"i","pid":1,"tid":0,"ts":510000000,"cat":"termination","s":"t","args":{"arg":3,"kind":"termination","parent":3,"seq":4}},` +
+		`{"name":"alert","ph":"s","pid":1,"tid":4,"ts":90000000,"cat":"link","id":1},` +
+		`{"name":"alert","ph":"f","pid":1,"tid":1,"ts":180000000,"cat":"link","id":1,"bp":"e"}` +
+		`],"displayTimeUnit":"ms"}` + "\n"
 	if b.String() != want {
-		t.Errorf("LD export drifted:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
-	}
-}
-
-func TestWriteLDEmpty(t *testing.T) {
-	var b strings.Builder
-	if err := NewCollector().WriteLD(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != ldVersion+"\n" {
-		t.Errorf("empty export = %q, want header only", b.String())
+		t.Errorf("Chrome export drifted:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
 	}
 }
 
@@ -92,7 +87,6 @@ func TestWriteLDEmpty(t *testing.T) {
 func TestWriteChromeStructure(t *testing.T) {
 	c := NewCollector()
 	c.Add([]EpisodeTrace{testTrace()})
-	c.AddWall(WallSpan{Label: "eval", Shard: 1, WaitSec: 0.25, BusySec: 2})
 	var b strings.Builder
 	if err := c.WriteChrome(&b); err != nil {
 		t.Fatal(err)
@@ -117,7 +111,7 @@ func TestWriteChromeStructure(t *testing.T) {
 		t.Errorf("displayTimeUnit = %q", file.DisplayTimeUnit)
 	}
 	phases := map[string]int{}
-	var sawProcessName, sawEpisodeSpan, sawTermInstant, sawWall bool
+	var sawProcessName, sawEpisodeSpan, sawTermInstant bool
 	for _, ev := range file.TraceEvents {
 		phases[ev.Ph]++
 		if ev.Name == "" {
@@ -144,11 +138,6 @@ func TestWriteChromeStructure(t *testing.T) {
 			}
 		case ev.Ph == "i" && ev.Name == "term:retries":
 			sawTermInstant = true
-		case ev.Pid == 0 && ev.Ph == "X":
-			sawWall = true
-			if ev.Name != "shard" && ev.Name != "queue-wait" {
-				t.Errorf("unexpected wall event %q", ev.Name)
-			}
 		}
 		if (ev.Ph == "s" || ev.Ph == "f") && ev.ID == nil {
 			t.Errorf("flow event %q without id", ev.Name)
@@ -157,9 +146,9 @@ func TestWriteChromeStructure(t *testing.T) {
 			t.Errorf("complete event %q without dur", ev.Name)
 		}
 	}
-	if !sawProcessName || !sawEpisodeSpan || !sawTermInstant || !sawWall {
-		t.Errorf("missing sections: process=%v span=%v instant=%v wall=%v",
-			sawProcessName, sawEpisodeSpan, sawTermInstant, sawWall)
+	if !sawProcessName || !sawEpisodeSpan || !sawTermInstant {
+		t.Errorf("missing sections: process=%v span=%v instant=%v",
+			sawProcessName, sawEpisodeSpan, sawTermInstant)
 	}
 	if phases["s"] != 1 || phases["f"] != 1 {
 		t.Errorf("flow pair s=%d f=%d, want 1/1", phases["s"], phases["f"])

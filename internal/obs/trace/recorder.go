@@ -62,24 +62,12 @@ type Config struct {
 	SampleEvery int
 	// Anomaly is the flight-recorder tail-sampling policy.
 	Anomaly Policy
-	// SpanCap is the per-episode ring capacity in spans (default 512);
-	// episodes exceeding it keep the most recent spans and count the
-	// evicted ones in EpisodeTrace.Dropped.
-	SpanCap int
-	// LinkCap bounds the per-episode link buffer (default 128).
-	LinkCap int
 	// Scope labels every trace of this run (see EpisodeTrace.Scope);
 	// callers pushing several evaluations into one Collector should give
 	// each a distinct scope so trace identities stay unique.
 	Scope string
 	// Collector receives the retained traces. Required.
 	Collector *Collector
-	// WallSpans additionally records wall-clock shard/queue-wait spans
-	// of the parallel engine into the Collector. These are real-time
-	// observations — inherently nondeterministic — so they are kept out
-	// of the line-delimited export and appear only in the Chrome export
-	// (as their own process track).
-	WallSpans bool
 }
 
 // Validate checks the configuration.
@@ -91,8 +79,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("trace: config requires a Collector")
 	case c.SampleEvery < 0:
 		return fmt.Errorf("trace: negative head-sampling interval %d", c.SampleEvery)
-	case c.SpanCap < 0 || c.LinkCap < 0:
-		return fmt.Errorf("trace: negative buffer capacity (spans %d, links %d)", c.SpanCap, c.LinkCap)
 	case c.Anomaly.LatencyAboveMin < 0 || math.IsNaN(c.Anomaly.LatencyAboveMin):
 		return fmt.Errorf("trace: bad latency threshold %g", c.Anomaly.LatencyAboveMin)
 	}
@@ -111,11 +97,13 @@ func (c *Config) WithScope(scope string) *Config {
 	return &d
 }
 
-// Default buffer capacities.
+// Per-episode buffer capacities. An episode recording more than
+// spanCap spans keeps the most recent ones and counts the evicted ones
+// in EpisodeTrace.Dropped; links past linkCap are not recorded.
 const (
-	defaultSpanCap = 512
-	defaultLinkCap = 128
-	stackCap       = 64
+	spanCap  = 512
+	linkCap  = 128
+	stackCap = 64
 )
 
 // SpanID refers to a span of the recorder's current episode. It encodes
@@ -152,17 +140,10 @@ func NewRecorder(cfg *Config) *Recorder {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := *cfg
-	if c.SpanCap == 0 {
-		c.SpanCap = defaultSpanCap
-	}
-	if c.LinkCap == 0 {
-		c.LinkCap = defaultLinkCap
-	}
 	return &Recorder{
-		cfg:   c,
-		spans: make([]Span, c.SpanCap),
-		links: make([]Link, 0, c.LinkCap),
+		cfg:   *cfg,
+		spans: make([]Span, spanCap),
+		links: make([]Link, 0, linkCap),
 		stack: make([]int32, 0, stackCap),
 	}
 }

@@ -6,8 +6,7 @@ import (
 )
 
 // newTestRecorder builds a recorder with head sampling every episode
-// and small, explicit buffer capacities, so ring behavior is easy to
-// provoke.
+// unless the config asks for anomaly retention.
 func newTestRecorder(t *testing.T, cfg Config) *Recorder {
 	t.Helper()
 	if cfg.Collector == nil {
@@ -89,10 +88,9 @@ func TestRecorderParentStackNesting(t *testing.T) {
 }
 
 func TestRecorderRingEvictionAndDropped(t *testing.T) {
-	const cap = 4
-	r := newTestRecorder(t, Config{SpanCap: cap})
+	r := newTestRecorder(t, Config{})
 	r.StartEpisode(0)
-	const total = 11
+	const total = spanCap + 7
 	for i := 0; i < total; i++ {
 		r.Event(KindEvent, "e", int32(i), float64(i), float64(i))
 	}
@@ -100,27 +98,27 @@ func TestRecorderRingEvictionAndDropped(t *testing.T) {
 		t.Fatal("episode not retained")
 	}
 	tr := r.Kept()[0]
-	if tr.Dropped != total-cap {
-		t.Errorf("Dropped = %d, want %d", tr.Dropped, total-cap)
+	if tr.Dropped != total-spanCap {
+		t.Errorf("Dropped = %d, want %d", tr.Dropped, total-spanCap)
 	}
-	if len(tr.Spans) != cap {
-		t.Fatalf("captured %d spans, want %d", len(tr.Spans), cap)
+	if len(tr.Spans) != spanCap {
+		t.Fatalf("captured %d spans, want %d", len(tr.Spans), spanCap)
 	}
-	// Oldest-first: the surviving spans are the most recent `cap`, in
+	// Oldest-first: the surviving spans are the most recent spanCap, in
 	// creation order.
 	for i, sp := range tr.Spans {
-		if want := int32(total - cap + i); sp.Seq != want {
+		if want := int32(total - spanCap + i); sp.Seq != want {
 			t.Errorf("span %d: seq = %d, want %d", i, sp.Seq, want)
 		}
 	}
 }
 
 func TestRecorderRingWrapRejectsEvictedSpan(t *testing.T) {
-	r := newTestRecorder(t, Config{SpanCap: 4})
+	r := newTestRecorder(t, Config{})
 	r.StartEpisode(0)
 	old := r.Async(KindMessage, "old", 0, 0)
-	for i := 0; i < 6; i++ { // wrap the ring past "old"
-		r.Event(KindEvent, "fill", 0, float64(i), 0)
+	for i := 0; i < spanCap+2; i++ { // wrap the ring past "old"
+		r.Event(KindEvent, "fill", 0, 1, 0)
 	}
 	r.EndArg(old, 9, 42) // slot was recycled: must not clobber it
 	if !r.FinishEpisode(Outcome{}) {
@@ -235,28 +233,28 @@ func TestRecorderOpenSpanClosedAtCapture(t *testing.T) {
 }
 
 func TestRecorderLinksSurviveCapture(t *testing.T) {
-	r := newTestRecorder(t, Config{SpanCap: 6, LinkCap: 2})
+	r := newTestRecorder(t, Config{})
 	r.StartEpisode(0)
 	evicted := r.Async(KindMessage, "evicted", 0, 0) // seq 0: will fall off the ring
 	r.Begin(KindDispatch, "scope", 0, 0)             // seq 1
 	r.Link(evicted)                                  // endpoint gets evicted → dropped at capture
 	msg := r.Async(KindMessage, "kept", 0, 1)        // seq 2
-	for i := 0; i < 4; i++ {                         // seqs 3..6: wrap the ring past seq 0
+	for i := 0; i < spanCap-2; i++ {                 // seqs 3..spanCap: wrap the ring past seq 0
 		r.Event(KindEvent, "fill", 0, 2, 0)
 	}
-	r.Link(msg)
-	r.Link(msg) // LinkCap = 2: third link is dropped, not grown
-	r.Link(msg)
+	for i := 0; i < linkCap; i++ { // the last of these is dropped at the cap, not grown
+		r.Link(msg)
+	}
 	r.FinishEpisode(Outcome{})
 	tr := r.Kept()[0]
 	if tr.Dropped != 1 {
 		t.Fatalf("Dropped = %d, want 1 (seq 0 evicted)", tr.Dropped)
 	}
-	// The evicted-endpoint link occupied a cap slot, one Link(msg) took
-	// the other, and the later Link(msg) calls were dropped at the cap;
+	// The evicted-endpoint link occupied a cap slot, linkCap-1 Link(msg)
+	// calls took the others, and the last was dropped at the cap;
 	// capture then discards the evicted-endpoint one.
-	if len(tr.Links) != 1 {
-		t.Fatalf("captured %d links, want 1", len(tr.Links))
+	if len(tr.Links) != linkCap-1 {
+		t.Fatalf("captured %d links, want %d", len(tr.Links), linkCap-1)
 	}
 	for _, l := range tr.Links {
 		for _, seq := range []int32{l.From, l.To} {
@@ -317,7 +315,6 @@ func TestConfigValidate(t *testing.T) {
 		{"nil", nil, false},
 		{"no-collector", &Config{SampleEvery: 1}, false},
 		{"negative-sample", &Config{SampleEvery: -1, Collector: col}, false},
-		{"negative-cap", &Config{SpanCap: -1, Collector: col}, false},
 		{"nan-latency", &Config{Collector: col, Anomaly: Policy{LatencyAboveMin: math.NaN()}}, false},
 		{"ok", &Config{SampleEvery: 1, Collector: col}, true},
 		{"ok-anomaly-only", &Config{Collector: col, Anomaly: Policy{RetriesExhausted: true}}, true},

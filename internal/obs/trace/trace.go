@@ -29,9 +29,12 @@
 // configurable threshold, or a crosslink conservation-invariant
 // violation).
 //
-// Exports: Chrome trace-event JSON (load in chrome://tracing or
-// https://ui.perfetto.dev) and a stable line-delimited text format for
-// golden tests and grep.
+// Export: Chrome trace-event JSON (load in chrome://tracing or
+// https://ui.perfetto.dev), the one span-trace format. It carries each
+// span's kind, seq, parent and arg and each episode's retention reasons
+// and dropped-span count, and it is a pure function of the retained
+// traces, so it is byte-identical at any worker count and golden tests
+// compare it whole.
 package trace
 
 import (

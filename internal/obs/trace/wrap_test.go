@@ -9,7 +9,6 @@ func wrapTestRecorder(t *testing.T) *Recorder {
 	t.Helper()
 	return NewRecorder(&Config{
 		SampleEvery: 1,
-		SpanCap:     8,
 		Collector:   NewCollector(),
 	})
 }
