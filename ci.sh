@@ -142,6 +142,15 @@ go run ./cmd/oaqbench -exp all -episodes 256 -workers 8 > "$tmpdir/all8.txt"
 cmp "$tmpdir/all1.txt" "$tmpdir/all8.txt"
 grep -q "worst relative mean error" "$tmpdir/all1.txt"
 
+# Sweep-metrics determinism gate: sweep points run concurrently, yet the
+# simulation families they publish must fold into the same snapshot at
+# 1 and 8 workers, down to the last bit of every histogram sum.
+go run ./cmd/oaqbench -exp degraded-loss,ablation-backward -episodes 256 \
+    -workers 1 -metrics "$tmpdir/sweep1.json" > /dev/null
+go run ./cmd/oaqbench -exp degraded-loss,ablation-backward -episodes 256 \
+    -workers 8 -metrics "$tmpdir/sweep8.json" > /dev/null
+go run ./cmd/metricscheck -in "$tmpdir/sweep1.json" -diff "$tmpdir/sweep8.json" des oaq crosslink
+
 # Serving gate: boot satqosd on an ephemeral port with an artificially
 # tiny Monte-Carlo admission budget, then satqosload exercises
 # the analytic path, a Monte-Carlo request plus its cache-hit repeat,

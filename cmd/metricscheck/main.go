@@ -18,8 +18,9 @@
 // With -chrome file.json it instead validates a Chrome trace-event
 // export (the CLIs' -trace-chrome flag): the file must parse, and every
 // event must carry a name, a known phase, finite timestamps, and a
-// non-negative duration where the phase requires one. It is the CI gate
-// for the span-trace exporter.
+// non-negative duration where the phase requires one; both events of a
+// flow must join the same from_seq/to_seq spans where they name them.
+// It is the CI gate for the span-trace exporter.
 package main
 
 import (
@@ -169,6 +170,10 @@ func checkChrome(path string, w io.Writer) error {
 			Ts   float64  `json:"ts"`
 			Dur  *float64 `json:"dur"`
 			ID   *int     `json:"id"`
+			Args struct {
+				FromSeq *int32 `json:"from_seq"`
+				ToSeq   *int32 `json:"to_seq"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 	}
@@ -179,6 +184,7 @@ func checkChrome(path string, w io.Writer) error {
 		return fmt.Errorf("%s: no trace events", path)
 	}
 	phases := make(map[string]int)
+	flowSeqs := make(map[int][2]int32) // flow id → (from_seq, to_seq)
 	for i, ev := range file.TraceEvents {
 		at := func(format string, args ...any) error {
 			return fmt.Errorf("%s: event %d (%q): %s", path, i, ev.Name, fmt.Sprintf(format, args...))
@@ -204,6 +210,13 @@ func checkChrome(path string, w io.Writer) error {
 		}
 		if (ev.Ph == "s" || ev.Ph == "f") && ev.ID == nil {
 			return at("flow event without id")
+		}
+		if a := ev.Args; a.FromSeq != nil && a.ToSeq != nil && ev.ID != nil {
+			seqs := [2]int32{*a.FromSeq, *a.ToSeq}
+			if start, ok := flowSeqs[*ev.ID]; ok && start != seqs {
+				return at("flow %d joins spans %v, its other event %v", *ev.ID, seqs, start)
+			}
+			flowSeqs[*ev.ID] = seqs
 		}
 		phases[ev.Ph]++
 	}

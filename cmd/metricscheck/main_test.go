@@ -179,6 +179,16 @@ func TestCheckChrome(t *testing.T) {
 	if !strings.Contains(b.String(), "chrome trace ok: 5 events (1 spans, 1 instants, 1 metadata, 1 flow pairs)") {
 		t.Errorf("unexpected output:\n%s", b.String())
 	}
+	// The span tracer's link seqs are checked when present; the export
+	// above, without them, passes as other exporters' files do.
+	withArgs := `{"traceEvents":[
+  {"name":"process_name","ph":"M","pid":1,"args":{"name":"ep-0 [retries]","dropped":0,"origin_min":580.2}},
+  {"name":"alert","ph":"s","pid":1,"tid":4,"ts":100,"id":1,"args":{"from_seq":2,"to_seq":3}},
+  {"name":"alert","ph":"f","pid":1,"tid":1,"ts":200,"id":1,"bp":"e","args":{"from_seq":2,"to_seq":3}}
+]}`
+	if err := run([]string{"-chrome", write("args.json", withArgs)}, strings.NewReader(""), &b); err != nil {
+		t.Fatalf("export with origin and link seqs rejected: %v", err)
+	}
 
 	// A real exporter run must pass too (the CI gate in ci.sh).
 	// Checked here end to end against the trace package so the two
@@ -195,6 +205,8 @@ func TestCheckChrome(t *testing.T) {
 		{"negdur.json", `{"traceEvents":[{"name":"x","ph":"X","ts":0,"dur":-2}]}`, "bad duration"},
 		{"noid.json", `{"traceEvents":[{"name":"x","ph":"s","ts":0}]}`, "without id"},
 		{"unbalanced.json", `{"traceEvents":[{"name":"x","ph":"s","ts":0,"id":1}]}`, "unbalanced flow"},
+		{"seqmismatch.json", `{"traceEvents":[{"name":"x","ph":"s","ts":0,"id":1,"args":{"from_seq":1,"to_seq":2}},` +
+			`{"name":"x","ph":"f","ts":1,"id":1,"args":{"from_seq":1,"to_seq":5}}]}`, "its other event"},
 	}
 	for _, tc := range bad {
 		err := run([]string{"-chrome", write(tc.name, tc.content)}, strings.NewReader(""), &b)

@@ -55,7 +55,7 @@ func PicoScaling(populations []int, lossFractions []float64, tau, mu, nu float64
 			names = append(names, fmt.Sprintf("%v N=%d", scheme, n))
 		}
 	}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, _ point) ([]float64, error) {
 		f := lossFractions[i]
 		if f < 0 || f >= 1 {
 			return nil, fmt.Errorf("experiment: loss fraction %g outside [0, 1)", f)
@@ -106,13 +106,13 @@ func AblationBackwardMessaging(failProbs []float64, episodes int, seed uint64) (
 	for _, v := range variants {
 		names = append(names, v.name+" delivered", v.name+" P(Y=2)")
 	}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, pt point) ([]float64, error) {
 		var col []float64
 		for _, v := range variants {
 			p := oaq.ReferenceParams(10, qos.SchemeOAQ)
 			p.BackwardMessaging = v.backward
 			p.FailSilentProb = failProbs[i]
-			ev, err := simulate(p, fmt.Sprintf("ablation-backward/f%g-%s", failProbs[i], v.name), episodes, seed)
+			ev, err := pt.simulate(p, fmt.Sprintf("ablation-backward/f%g-%s", failProbs[i], v.name), episodes, seed)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: ablation at failProb=%g: %w", failProbs[i], err)
 			}
@@ -148,11 +148,11 @@ func AblationProtocolConstants(deltas []float64, episodes int, seed uint64) (*Sw
 		},
 	}
 	names := []string{"empirical P(Y=2)", "|drift from analytic|"}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, pt point) ([]float64, error) {
 		p := oaq.ReferenceParams(10, qos.SchemeOAQ)
 		p.DeltaMin = deltas[i]
 		p.TgMin = 5 * deltas[i]
-		ev, err := simulate(p, fmt.Sprintf("ablation-constants/d%g", deltas[i]), episodes, seed)
+		ev, err := pt.simulate(p, fmt.Sprintf("ablation-constants/d%g", deltas[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: constants ablation at δ=%g: %w", deltas[i], err)
 		}
@@ -183,10 +183,10 @@ func AblationTC1(thresholds []float64, episodes int, seed uint64) (*Sweep, error
 		},
 	}
 	names := []string{"P(Y=2)", "mean messages", "mean chain"}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, pt point) ([]float64, error) {
 		p := oaq.ReferenceParams(10, qos.SchemeOAQ)
 		p.ErrorThresholdKm = thresholds[i]
-		ev, err := simulate(p, fmt.Sprintf("ablation-tc1/t%g", thresholds[i]), episodes, seed)
+		ev, err := pt.simulate(p, fmt.Sprintf("ablation-tc1/t%g", thresholds[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: TC-1 ablation at threshold=%g: %w", thresholds[i], err)
 		}

@@ -34,7 +34,7 @@ func ConstellationAvailability(lambdas []float64, eta int, phiHours float64, thr
 		names = append(names, fmt.Sprintf("P(total>=%d)", m))
 	}
 	names = append(names, "E[fleet]", "MTTA(hrs)")
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, _ point) ([]float64, error) {
 		p := capacity.ReferenceParams(eta, lambdas[i], phiHours)
 		col := make([]float64, 0, len(names))
 		for _, m := range thresholds {

@@ -42,9 +42,9 @@ func SimVsAnalytic(capacities []int, episodes int, seed uint64) (*Table, float64
 			cells = append(cells, cell{k, scheme})
 		}
 	}
-	evs, err := timedMapSlice(len(cells), func(i int) (*oaq.Evaluation, error) {
+	evs, err := timedMapSlice(len(cells), func(i int, pt point) (*oaq.Evaluation, error) {
 		c := cells[i]
-		ev, err := simulate(oaq.ReferenceParams(c.k, c.scheme), fmt.Sprintf("compare/k%d-%v", c.k, c.scheme), episodes, seed)
+		ev, err := pt.simulate(oaq.ReferenceParams(c.k, c.scheme), fmt.Sprintf("compare/k%d-%v", c.k, c.scheme), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: simulate k=%d %v: %w", c.k, c.scheme, err)
 		}

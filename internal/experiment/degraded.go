@@ -51,11 +51,11 @@ func DegradedLossSweep(lossRates []float64, scenario *fault.Scenario, k, retries
 			fmt.Sprintf("fault scenario %q layered on every point (%d fail-silent windows, %d loss bursts)",
 				scenario.Name, len(scenario.FailSilent), len(scenario.LossBursts)))
 	}
-	return mapSeries(sweep, degradedNames(retries), func(i int) ([]float64, error) {
+	return mapSeries(sweep, degradedNames(retries), func(i int, pt point) ([]float64, error) {
 		p := oaq.ReferenceParams(k, qos.SchemeOAQ)
 		p.MessageLossProb = lossRates[i]
 		p.Faults = scenario
-		col, err := degradedColumn(p, retries, fmt.Sprintf("degraded-loss/p%g", lossRates[i]), episodes, seed)
+		col, err := degradedColumn(pt, p, retries, fmt.Sprintf("degraded-loss/p%g", lossRates[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: DegradedLossSweep at loss=%g: %w", lossRates[i], err)
 		}
@@ -100,7 +100,7 @@ func DegradedFailSilentSweep(counts []int, k, retries, episodes int, seed uint64
 			"common random numbers across points: every count replays the same seeded workload",
 		},
 	}
-	return mapSeries(sweep, degradedNames(retries), func(i int) ([]float64, error) {
+	return mapSeries(sweep, degradedNames(retries), func(i int, pt point) ([]float64, error) {
 		n := counts[i]
 		p := oaq.ReferenceParams(k, qos.SchemeOAQ)
 		if n > 0 {
@@ -110,7 +110,7 @@ func DegradedFailSilentSweep(counts []int, k, retries, episodes int, seed uint64
 			}
 			p.Faults = s
 		}
-		col, err := degradedColumn(p, retries, fmt.Sprintf("degraded-failsilent/n%d", n), episodes, seed)
+		col, err := degradedColumn(pt, p, retries, fmt.Sprintf("degraded-failsilent/n%d", n), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: DegradedFailSilentSweep at n=%d: %w", n, err)
 		}
@@ -133,9 +133,9 @@ func degradedNames(retries int) []string {
 // the degradedNames series: hardened with the given retries and, when
 // retries > 0, again as the no-retry baseline. Each run's trace scope is
 // scope suffixed with its retry count.
-func degradedColumn(p oaq.Params, retries int, scope string, episodes int, seed uint64) ([]float64, error) {
+func degradedColumn(pt point, p oaq.Params, retries int, scope string, episodes int, seed uint64) ([]float64, error) {
 	p.RequestRetries = retries
-	hardened, err := simulate(p, fmt.Sprintf("%s-r%d", scope, retries), episodes, seed)
+	hardened, err := pt.simulate(p, fmt.Sprintf("%s-r%d", scope, retries), episodes, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func degradedColumn(p oaq.Params, retries int, scope string, episodes int, seed 
 	}
 	if retries > 0 {
 		p.RequestRetries = 0
-		bare, err := simulate(p, scope+"-r0", episodes, seed)
+		bare, err := pt.simulate(p, scope+"-r0", episodes, seed)
 		if err != nil {
 			return nil, err
 		}

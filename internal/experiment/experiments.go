@@ -72,7 +72,7 @@ func Figure7(lambdas []float64, eta int, phiHours float64) (*Sweep, error) {
 	for k := eta; k <= 14; k++ {
 		names = append(names, fmt.Sprintf("P(K=%d)", k))
 	}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, _ point) ([]float64, error) {
 		dist, err := capacity.ReferenceParams(eta, lambdas[i], phiHours).Analytic()
 		if err != nil {
 			return nil, fmt.Errorf("experiment: Figure7 at λ=%g: %w", lambdas[i], err)
@@ -121,7 +121,7 @@ func Figure8(lambdas []float64) (*Sweep, error) {
 			models = append(models, model)
 		}
 	}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, _ point) ([]float64, error) {
 		dist, err := capacity.ReferenceParams(eta, lambdas[i], phi).Analytic()
 		if err != nil {
 			return nil, fmt.Errorf("experiment: Figure8 at λ=%g: %w", lambdas[i], err)
@@ -168,7 +168,7 @@ func Figure9(lambdas []float64) (*Sweep, error) {
 		},
 	}
 	levels := []qos.Level{qos.LevelSimultaneousDual, qos.LevelSequentialDual, qos.LevelSingle}
-	return mapSeries(sweep, measureNames(levels), func(i int) ([]float64, error) {
+	return mapSeries(sweep, measureNames(levels), func(i int, _ point) ([]float64, error) {
 		dist, err := capacity.ReferenceParams(eta, lambdas[i], phi).Analytic()
 		if err != nil {
 			return nil, fmt.Errorf("experiment: Figure9 at λ=%g: %w", lambdas[i], err)
@@ -290,7 +290,7 @@ func modelSweep(sweep *Sweep, lambda float64, newModel func(x float64) (qos.Mode
 		return nil, err
 	}
 	levels := []qos.Level{qos.LevelSequentialDual, qos.LevelSimultaneousDual}
-	return mapSeries(sweep, measureNames(levels), func(i int) ([]float64, error) {
+	return mapSeries(sweep, measureNames(levels), func(i int, _ point) ([]float64, error) {
 		model, err := newModel(sweep.X[i])
 		if err != nil {
 			return nil, err

@@ -38,7 +38,7 @@ func MembershipLatency(roundPeriods []float64, trials int, seed uint64) (*Sweep,
 		},
 	}
 	names := []string{"mean latency", "max latency", "analytic bound"}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, _ point) ([]float64, error) {
 		round := roundPeriods[i]
 		cfg := membership.Config{RoundEvery: round, SuspectAfter: 3.5 * round}
 		if err := cfg.Validate(); err != nil {

@@ -53,14 +53,14 @@ func RoutedLoadSweep(loads []float64, rc route.Config, scenario *fault.Scenario,
 				scenario.Name, len(scenario.FailSilent), len(scenario.LossBursts)))
 	}
 	names := []string{"OAQ y>=1", "OAQ y>=2", "OAQ y>=3", "mean-latency/tau"}
-	return mapSeries(sweep, names, func(i int) ([]float64, error) {
+	return mapSeries(sweep, names, func(i int, pt point) ([]float64, error) {
 		cfg := rc
 		cfg.TrafficLoadPerMin = loads[i]
 		p := oaq.ReferenceParams(k, qos.SchemeOAQ)
 		p.Route = &cfg
 		p.Faults = scenario
 		p.RequestRetries = retries
-		ev, err := simulate(p, fmt.Sprintf("routed-load/%s-l%g", cfg.Policy, loads[i]), episodes, seed)
+		ev, err := pt.simulate(p, fmt.Sprintf("routed-load/%s-l%g", cfg.Policy, loads[i]), episodes, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: RoutedLoadSweep at load=%g: %w", loads[i], err)
 		}

@@ -73,7 +73,7 @@ func StochGeomCheck() (*Table, float64, error) {
 			ins = append(ins, cellIn{p, lat})
 		}
 	}
-	cells, err := timedMapSlice(len(ins), func(i int) (stochGeomCell, error) {
+	cells, err := timedMapSlice(len(ins), func(i int, _ point) (stochGeomCell, error) {
 		return stochGeomCompare(ins[i].preset, ins[i].latDeg)
 	})
 	if err != nil {

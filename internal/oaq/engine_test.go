@@ -60,19 +60,19 @@ func TestRunnerReuseMatchesFreshEpisodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reused tally
+	reused := newTally()
 	for i := 0; i < episodes; i++ {
 		res := r.Run()
-		reused.add(&res)
+		reused.add(&res, uint64(i))
 	}
 	rng := stats.NewRNG(5, 9)
-	var fresh tally
+	fresh := newTally()
 	for i := 0; i < episodes; i++ {
 		res, err := RunEpisode(p, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.add(&res)
+		fresh.add(&res, uint64(i))
 	}
 	evaluationsEqual(t, "fresh-vs-reused", reused.evaluation(episodes), fresh.evaluation(episodes))
 }

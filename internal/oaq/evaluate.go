@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"satqos/internal/obs"
 	"satqos/internal/obs/trace"
 	"satqos/internal/parallel"
 	"satqos/internal/qos"
@@ -35,31 +36,45 @@ type Evaluation struct {
 	MeanDeliveryLatency float64
 	// Terminations histograms the termination causes.
 	Terminations map[Termination]int
+
+	alertLatency *obs.LocalHistogram
+}
+
+// AlertLatencyQuantile returns the q-quantile of the alert send latency
+// over delivered episodes, interpolated within obs.MinuteBuckets by
+// obs.LocalHistogram.Quantile. ok is false when no episode delivered.
+func (ev *Evaluation) AlertLatencyQuantile(q float64) (v float64, ok bool) {
+	return ev.alertLatency.Quantile(q)
 }
 
 // tally is the mergeable per-shard accumulator of episode outcomes. All
-// integer fields merge exactly in any order; latencySum is a float sum,
-// which the sharded engine always folds in shard-index order so the
-// result is independent of the worker count.
+// integer fields merge exactly in any order. latency holds the delivered
+// episodes (its count) and their latencies; its float sum is folded in
+// shard-index order, so the result is independent of the worker count.
 type tally struct {
 	levels       [qos.NumLevels]int
-	delivered    int
 	detected     int
 	chainSum     int
 	msgSum       int
-	latencySum   float64
 	terminations [numTerminations]int
+	latency      obs.LocalHistogram
 }
 
-func (t *tally) add(res *EpisodeResult) {
+// newTally returns an empty tally; its histogram is held by value.
+func newTally() tally {
+	return tally{latency: *obs.NewLocalHistogram(obs.MinuteBuckets)}
+}
+
+// add tallies one episode outcome; ord is the episode's global ordinal,
+// kept as the latency exemplar when the episode's alert is the slowest.
+func (t *tally) add(res *EpisodeResult, ord uint64) {
 	t.levels[res.Level]++
 	if res.Detected {
 		t.detected++
 	}
 	if res.Delivered {
-		t.delivered++
 		t.chainSum += res.ChainLength
-		t.latencySum += res.DeliveryLatency
+		t.latency.ObserveExemplar(res.DeliveryLatency, ord)
 	}
 	t.msgSum += res.MessagesSent
 	t.terminations[res.Termination]++
@@ -69,14 +84,13 @@ func (t *tally) merge(o *tally) {
 	for i := range t.levels {
 		t.levels[i] += o.levels[i]
 	}
-	t.delivered += o.delivered
 	t.detected += o.detected
 	t.chainSum += o.chainSum
 	t.msgSum += o.msgSum
-	t.latencySum += o.latencySum
 	for i := range t.terminations {
 		t.terminations[i] += o.terminations[i]
 	}
+	t.latency.Merge(&o.latency)
 }
 
 // evaluation converts the tally into the public aggregate.
@@ -84,6 +98,7 @@ func (t *tally) evaluation(episodes int) *Evaluation {
 	ev := &Evaluation{
 		Episodes:     episodes,
 		Terminations: make(map[Termination]int),
+		alertLatency: &t.latency,
 	}
 	for l, n := range t.levels {
 		ev.PMF[l] = float64(n) / float64(episodes)
@@ -93,12 +108,13 @@ func (t *tally) evaluation(episodes int) *Evaluation {
 			ev.Terminations[Termination(term)] = n
 		}
 	}
-	ev.DeliveredFraction = float64(t.delivered) / float64(episodes)
+	delivered := t.latency.Count()
+	ev.DeliveredFraction = float64(delivered) / float64(episodes)
 	ev.DetectedFraction = float64(t.detected) / float64(episodes)
 	ev.MeanMessages = float64(t.msgSum) / float64(episodes)
-	if t.delivered > 0 {
-		ev.MeanChainLength = float64(t.chainSum) / float64(t.delivered)
-		ev.MeanDeliveryLatency = t.latencySum / float64(t.delivered)
+	if delivered > 0 {
+		ev.MeanChainLength = float64(t.chainSum) / float64(delivered)
+		ev.MeanDeliveryLatency = t.latency.Sum() / float64(delivered)
 	}
 	return ev
 }
@@ -203,7 +219,7 @@ func openShard(p Params, rng *stats.RNG, ord uint64) (*shard, error) {
 	}
 	r.ep.sim.ClearEventFreelist()
 	r.ep.ord = ord
-	s := &shard{r: r}
+	s := &shard{r: r, t: newTally()}
 	if p.Metrics != nil {
 		s.m = newShardMetrics()
 	}
@@ -223,8 +239,9 @@ func openShard(p Params, rng *stats.RNG, ord uint64) (*shard, error) {
 
 // run simulates the shard's next episode and tallies its outcome.
 func (s *shard) run() EpisodeResult {
+	ord := s.r.ep.ord
 	res := s.r.run()
-	s.t.add(&res)
+	s.t.add(&res, ord)
 	return res
 }
 

@@ -15,8 +15,8 @@ import (
 // metric snapshot of a deterministic evaluation is itself bit-identical
 // at any worker count. When Params.Metrics is nil no shardMetrics exists
 // and the per-event hooks reduce to a nil check. Episode outcomes
-// (levels, terminations) are not counted here: publish reads them from
-// the shard's tally.
+// (levels, terminations, alert latencies) are not counted here: publish
+// reads them from the shard's tally.
 type shardMetrics struct {
 	traceKinds [TraceAlertReceived + 1]uint64
 
@@ -24,7 +24,8 @@ type shardMetrics struct {
 	desFreeHits, desFreeMisses uint64
 	desMaxDepth                int
 
-	linkSent, linkDelivered           uint64
+	// Messages sent are the tally's msgSum (EpisodeResult.MessagesSent).
+	linkDelivered                     uint64
 	linkDroppedLoss, linkDroppedFails uint64
 	linkDroppedQueue, linkSuppressed  uint64
 
@@ -39,40 +40,23 @@ type shardMetrics struct {
 	retransmits, acks         uint64
 	faultWindows, faultBursts uint64
 
-	alertLatency *obs.LocalHistogram
-	linkDelay    *obs.LocalHistogram
-	queueDelay   *obs.LocalHistogram
+	// Every shard's histograms, here and in its tally, share the
+	// package-level obs.MinuteBuckets, so the shard-order Merge is valid
+	// by construction.
+	linkDelay, queueDelay obs.LocalHistogram
 }
-
-// Shared bucket layouts: every shard's local histograms use the same
-// package-level bounds slice, so the shard-order Merge is valid by
-// construction.
-var (
-	alertLatencyBounds = obs.MinuteBuckets
-	linkDelayBounds    = obs.MinuteBuckets
-	queueDelayBounds   = obs.MinuteBuckets
-)
 
 func newShardMetrics() *shardMetrics {
 	return &shardMetrics{
-		alertLatency: obs.NewLocalHistogram(alertLatencyBounds),
-		linkDelay:    obs.NewLocalHistogram(linkDelayBounds),
-		queueDelay:   obs.NewLocalHistogram(queueDelayBounds),
+		linkDelay:  *obs.NewLocalHistogram(obs.MinuteBuckets),
+		queueDelay: *obs.NewLocalHistogram(obs.MinuteBuckets),
 	}
 }
 
 // recordEpisode flushes one finished episode into the accumulator: the
-// alert latency, and the kernel and network counters that the episode's
-// Reset will zero before the next run.
-func (m *shardMetrics) recordEpisode(e *episode, res *EpisodeResult) {
-	if res.Delivered {
-		// The exemplar links the latency distribution to the episode that
-		// produced its maximum — the trace ID a flight-recorder run
-		// retains. Recorded whenever metrics are on (independent of
-		// tracing), so traced and untraced snapshots stay byte-identical.
-		m.alertLatency.ObserveExemplar(res.DeliveryLatency, e.ord)
-	}
-
+// kernel and network counters that the episode's Reset will zero before
+// the next run.
+func (m *shardMetrics) recordEpisode(e *episode) {
 	ds := e.sim.Stats()
 	m.desScheduled += ds.Scheduled
 	m.desFired += ds.Fired
@@ -85,7 +69,6 @@ func (m *shardMetrics) recordEpisode(e *episode, res *EpisodeResult) {
 	// Both fabrics are crosslink networks: net carries inter-satellite
 	// traffic, ground the alert downlink.
 	for _, st := range [2]crosslink.Stats{e.net.Stats(), e.ground.Stats()} {
-		m.linkSent += uint64(st.Sent)
 		m.linkDelivered += uint64(st.Delivered)
 		m.linkDroppedLoss += uint64(st.DroppedLoss)
 		m.linkDroppedFails += uint64(st.DroppedFailSilent)
@@ -124,7 +107,6 @@ func (m *shardMetrics) merge(o *shardMetrics) {
 	if o.desMaxDepth > m.desMaxDepth {
 		m.desMaxDepth = o.desMaxDepth
 	}
-	m.linkSent += o.linkSent
 	m.linkDelivered += o.linkDelivered
 	m.linkDroppedLoss += o.linkDroppedLoss
 	m.linkDroppedFails += o.linkDroppedFails
@@ -144,17 +126,16 @@ func (m *shardMetrics) merge(o *shardMetrics) {
 	m.acks += o.acks
 	m.faultWindows += o.faultWindows
 	m.faultBursts += o.faultBursts
-	m.alertLatency.Merge(o.alertLatency)
-	m.linkDelay.Merge(o.linkDelay)
-	m.queueDelay.Merge(o.queueDelay)
+	m.linkDelay.Merge(&o.linkDelay)
+	m.queueDelay.Merge(&o.queueDelay)
 }
 
 // publish registers and adds every metric family into the registry: the
-// episode outcomes from the shard's tally, everything else from its
-// metrics accumulator. It is a no-op when the shard has no accumulator
-// (Params.Metrics was nil). The full family set is registered even when
-// counts are zero, so snapshots of equal workloads have equal metric
-// sets. Publish is called once per evaluation, after the shard fold, so
+// episode outcomes and alert latencies from the shard's tally, the rest
+// from its metrics accumulator. It is a no-op when the shard has no
+// accumulator (Params.Metrics was nil). The full family set is
+// registered even when counts are zero, so snapshots of equal workloads
+// have equal metric sets. Publish is called once per evaluation, after the shard fold, so
 // its cost is off the hot path.
 func (s *shard) publish(r *obs.Registry) {
 	m := s.m
@@ -191,7 +172,7 @@ func (s *shard) publish(r *obs.Registry) {
 		"Scripted crosslink loss bursts armed by the fault-injection scenario, summed over episodes.").Add(m.faultBursts)
 	r.Histogram("oaq_alert_latency_minutes",
 		"Alert send latency from initial detection, delivered episodes (simulation minutes).",
-		alertLatencyBounds).AddLocal(m.alertLatency)
+		obs.MinuteBuckets).AddLocal(&s.t.latency)
 
 	r.Counter("des_events_scheduled_total", "Events scheduled on the simulation kernel.").Add(m.desScheduled)
 	r.Counter("des_events_fired_total", "Events dispatched by the simulation kernel.").Add(m.desFired)
@@ -199,7 +180,7 @@ func (s *shard) publish(r *obs.Registry) {
 	r.Counter("des_freelist_misses_total", "Schedules that allocated a fresh event.").Add(m.desFreeMisses)
 	r.Gauge("des_heap_depth_max", "Peak pending-event count of any episode.").SetMax(int64(m.desMaxDepth))
 
-	r.Counter("crosslink_messages_sent_total", "Crosslink messages sent (requests, done notifications, alerts).").Add(m.linkSent)
+	r.Counter("crosslink_messages_sent_total", "Crosslink messages sent (requests, done notifications, alerts).").Add(uint64(s.t.msgSum))
 	r.Counter("crosslink_hops_total", "Crosslink hops traversed (each delivered point-to-point message is one hop).").Add(m.linkDelivered)
 	r.Counter("crosslink_dropped_loss_total", "Messages lost to the link-loss process.").Add(m.linkDroppedLoss)
 	r.Counter("crosslink_dropped_failsilent_total", "Messages swallowed by fail-silent endpoints.").Add(m.linkDroppedFails)
@@ -207,7 +188,7 @@ func (s *shard) publish(r *obs.Registry) {
 	r.Counter("crosslink_suppressed_failsilent_total", "Sends from fail-silent nodes, never emitted into the link.").Add(m.linkSuppressed)
 	r.Histogram("crosslink_delivery_delay_minutes",
 		"Inter-satellite message delivery delay (simulation minutes).",
-		linkDelayBounds).AddLocal(m.linkDelay)
+		obs.MinuteBuckets).AddLocal(&m.linkDelay)
 
 	// Routed-fabric families, registered even when routing is off so
 	// snapshots of equal workloads have equal metric sets.
@@ -221,7 +202,7 @@ func (s *shard) publish(r *obs.Registry) {
 	r.Gauge("route_hops_max", "Largest single-packet hop count (bounded by the topology diameter).").SetMax(int64(m.routeMaxHops))
 	r.Histogram("route_queue_delay_minutes",
 		"Total queue wait of delivered fabric packets (simulation minutes).",
-		queueDelayBounds).AddLocal(m.queueDelay)
+		obs.MinuteBuckets).AddLocal(&m.queueDelay)
 }
 
 // note counts one protocol event by kind, feeding
@@ -240,7 +221,7 @@ func (r *episodeRunner) setMetrics(m *shardMetrics) {
 	r.ep.obs = m
 	var link, queue *obs.LocalHistogram
 	if m != nil {
-		link, queue = m.linkDelay, m.queueDelay
+		link, queue = &m.linkDelay, &m.queueDelay
 	}
 	r.ep.net.SetDelayHistogram(link)
 	if r.ep.fab != nil {

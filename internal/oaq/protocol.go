@@ -651,7 +651,7 @@ func (r *episodeRunner) run() EpisodeResult {
 				Termination:     TermNone,
 			}
 			if e.obs != nil {
-				e.obs.recordEpisode(e, &res)
+				e.obs.recordEpisode(e)
 			}
 			if e.rec != nil {
 				e.rec.Event(trace.KindEvent, "target-escaped", trace.SatKernel, e.sigEnd, 0)
@@ -727,7 +727,7 @@ func (r *episodeRunner) run() EpisodeResult {
 		res.Level = qos.LevelMiss
 	}
 	if e.obs != nil {
-		e.obs.recordEpisode(e, &res)
+		e.obs.recordEpisode(e)
 	}
 	if e.rec != nil {
 		e.finishTrace(&res, e.sim.Now())

@@ -139,10 +139,10 @@ func (h *Histogram) AddLocal(l *LocalHistogram) {
 	if h == nil || l == nil {
 		return
 	}
-	if len(l.counts) != len(h.counts) {
-		panic(fmt.Sprintf("obs: AddLocal bucket mismatch: %d vs %d", len(l.counts)-1, len(h.counts)-1))
+	if len(l.bounds) != len(h.bounds) {
+		panic(fmt.Sprintf("obs: AddLocal bucket mismatch: %d vs %d", len(l.bounds), len(h.bounds)))
 	}
-	for i, n := range l.counts {
+	for i, n := range l.buckets() {
 		if n > 0 {
 			h.counts[i].Add(n)
 		}
@@ -177,10 +177,12 @@ func (h *Histogram) merge(o *Histogram) {
 // fields, no atomics, no locks. Each Monte-Carlo shard owns its locals
 // and the engine folds them in shard order (Merge) before one AddLocal
 // into the shared registry — the pattern that keeps metric snapshots
-// bit-identical at any worker count. Observe performs no allocations.
+// bit-identical at any worker count. Observe performs no allocations, and
+// the counts live inline, so an accumulator can hold a LocalHistogram by
+// value (*NewLocalHistogram(b)) at no allocation of its own.
 type LocalHistogram struct {
 	bounds []float64
-	counts []uint64
+	counts [maxLocalBounds + 1]uint64 // buckets() holds the live ones
 	sum    float64
 	// Exemplar state: the episode ordinal of the largest finite
 	// observation so far (see ObserveExemplar). Strictly-greater updates
@@ -191,14 +193,24 @@ type LocalHistogram struct {
 	exOrd uint64
 }
 
+// maxLocalBounds is the most bucket bounds a LocalHistogram takes.
+const maxLocalBounds = 31
+
 // NewLocalHistogram builds a local histogram over the given upper
-// bounds. The bounds slice is retained (not copied): shards share one
-// package-level bounds slice so their locals are mergeable by
-// construction.
+// bounds, at most maxLocalBounds of them. The bounds slice is retained
+// (not copied): shards share one package-level bounds slice so their
+// locals are mergeable by construction.
 func NewLocalHistogram(bounds []float64) *LocalHistogram {
 	validateBounds(bounds)
-	return &LocalHistogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	if len(bounds) > maxLocalBounds {
+		panic("obs: too many bucket bounds for a local histogram")
+	}
+	return &LocalHistogram{bounds: bounds}
 }
+
+// buckets returns the live counts: one per bound, then the overflow
+// bucket.
+func (l *LocalHistogram) buckets() []uint64 { return l.counts[:len(l.bounds)+1] }
 
 // Observe records one value. Non-finite values are counted in the
 // overflow bucket and excluded from the sum, as in Histogram.Observe.
@@ -207,7 +219,7 @@ func (l *LocalHistogram) Observe(v float64) {
 		return
 	}
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		l.counts[len(l.counts)-1]++
+		l.counts[len(l.bounds)]++
 		return
 	}
 	l.counts[bucketIndex(l.bounds, v)]++
@@ -239,7 +251,7 @@ func (l *LocalHistogram) Count() uint64 {
 		return 0
 	}
 	var n uint64
-	for _, c := range l.counts {
+	for _, c := range l.buckets() {
 		n += c
 	}
 	return n
@@ -253,15 +265,39 @@ func (l *LocalHistogram) Sum() float64 {
 	return l.sum
 }
 
+// Quantile returns the q-quantile estimate, linearly interpolated
+// inside the bucket that crosses rank q·Count(); the first bucket starts
+// at 0. The overflow bucket clamps to its lower bound, the honest answer
+// when the histogram cannot see past it. ok is false when l is empty.
+func (l *LocalHistogram) Quantile(q float64) (v float64, ok bool) {
+	total := l.Count()
+	if total == 0 {
+		return 0, false
+	}
+	rank := q * float64(total)
+	var cum uint64
+	lower := 0.0
+	for i, b := range l.bounds {
+		n := l.counts[i]
+		if n > 0 && float64(cum+n) >= rank {
+			frac := min(max((rank-float64(cum))/float64(n), 0), 1)
+			return lower + (b-lower)*frac, true
+		}
+		cum += n
+		lower = b
+	}
+	return lower, true
+}
+
 // Merge folds another local histogram (same bucket layout) into l.
 func (l *LocalHistogram) Merge(o *LocalHistogram) {
 	if l == nil || o == nil {
 		return
 	}
-	if len(o.counts) != len(l.counts) {
-		panic(fmt.Sprintf("obs: Merge bucket mismatch: %d vs %d", len(o.counts)-1, len(l.counts)-1))
+	if len(o.bounds) != len(l.bounds) {
+		panic(fmt.Sprintf("obs: Merge bucket mismatch: %d vs %d", len(o.bounds), len(l.bounds)))
 	}
-	for i, n := range o.counts {
+	for i, n := range o.buckets() {
 		l.counts[i] += n
 	}
 	l.sum += o.sum

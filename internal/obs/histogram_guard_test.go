@@ -28,7 +28,7 @@ func TestObserveNonFiniteGuard(t *testing.T) {
 			for _, v := range vs {
 				l.Observe(v)
 			}
-			return l.Count(), l.Sum(), l.counts[len(l.counts)-1]
+			return l.Count(), l.Sum(), l.counts[len(l.bounds)]
 		}},
 	} {
 		count, sum, overflow := build.observe(0.5, math.NaN(), math.Inf(1), math.Inf(-1), 1.5)

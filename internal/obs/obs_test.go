@@ -262,3 +262,49 @@ func (r *Registry) Reset() {
 		}
 	}
 }
+
+// TestLatencyQuantileInterpolation pins LocalHistogram.Quantile on
+// hand-built histograms over MinuteBuckets: interpolation inside the
+// crossing bucket, the overflow-bucket clamp, and the empty case.
+func TestLatencyQuantileInterpolation(t *testing.T) {
+	l := NewLocalHistogram(MinuteBuckets)
+	for i := 0; i < 10; i++ {
+		l.Observe(0.25) // bucket (0.1, 0.25]
+		l.Observe(1.5)  // bucket (1, 1.5]
+	}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 0.1},      // rank 0 sits at the lower edge of the first occupied bucket
+		{0.25, 0.175}, // rank 5 of 10 in (0.1, 0.25]
+		{0.5, 0.25},   // rank 10: the top of (0.1, 0.25]
+		{0.9, 1.4},    // rank 18: 8 of 10 into (1, 1.5]
+		{0.99, 1.49},  // rank 19.8
+		{1, 1.5},
+	} {
+		got, ok := l.Quantile(c.q)
+		if !ok || got != c.want {
+			t.Errorf("Quantile(%g) = %v, %v; want %v", c.q, got, ok, c.want)
+		}
+	}
+
+	// Ranks past the last finite bound clamp to it: the overflow bucket
+	// has no upper edge to interpolate towards.
+	over := NewLocalHistogram(MinuteBuckets)
+	over.Observe(5)
+	over.Observe(60)
+	over.Observe(math.NaN())
+	for _, c := range []struct{ q, want float64 }{{0.3, 4.9}, {0.5, 10}, {0.99, 10}} {
+		got, ok := over.Quantile(c.q)
+		if !ok || got != c.want {
+			t.Errorf("overflow: Quantile(%g) = %v, %v; want %v", c.q, got, ok, c.want)
+		}
+	}
+
+	for name, empty := range map[string]*LocalHistogram{
+		"empty": NewLocalHistogram(MinuteBuckets),
+		"nil":   nil,
+	} {
+		if got, ok := empty.Quantile(0.5); ok || got != 0 {
+			t.Errorf("%s histogram: Quantile = %v, %v; want 0, false", name, got, ok)
+		}
+	}
+}

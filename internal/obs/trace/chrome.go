@@ -51,10 +51,13 @@ func chromeThreadName(sat int32) string {
 // WriteChrome writes the retained traces as Chrome trace-event JSON.
 // Each episode becomes one process (pid = position in the sorted trace
 // list + 1) with one thread per actor, and links become flow events.
-// The episode's dropped-span count rides on its process_name event and
-// each span's kind, seq, parent seq and arg on its own event; times are
-// rebased to the episode's earliest span. The output is a pure function
-// of the retained traces: byte-identical at any worker count.
+// Times are rebased to the episode's earliest span; that origin, in
+// absolute simulation minutes, rides on the process_name event as
+// origin_min beside the episode's dropped-span count. Each span's kind,
+// seq, parent seq and arg ride on its own event, and each link's flow
+// events carry the seqs of its source and destination spans (from_seq,
+// to_seq). The output is a pure function of the retained traces:
+// byte-identical at any worker count.
 func (c *Collector) WriteChrome(w io.Writer) error {
 	traces := c.Traces()
 	evs := []chromeEvent{}
@@ -62,10 +65,6 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 	for pi := range traces {
 		t := &traces[pi]
 		pid := pi + 1
-		evs = append(evs, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": fmt.Sprintf("%s [%s]", t.ID(), t.Reasons), "dropped": t.Dropped},
-		})
 		// Rebase each episode to its earliest span so all processes start
 		// near ts 0 regardless of where the episode sat in simulated time.
 		base := math.Inf(1)
@@ -77,6 +76,10 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 		if math.IsInf(base, 1) {
 			base = 0
 		}
+		evs = append(evs, chromeEvent{
+			Name: "process_name", Ph: "M", Pid: pid,
+			Args: map[string]any{"name": fmt.Sprintf("%s [%s]", t.ID(), t.Reasons), "dropped": t.Dropped, "origin_min": base},
+		})
 		seenTID := map[int]bool{}
 		for i := range t.Spans {
 			sp := &t.Spans[i]
@@ -117,14 +120,15 @@ func (c *Collector) WriteChrome(w io.Writer) error {
 				continue
 			}
 			flowID++
+			args := map[string]int32{"from_seq": l.From, "to_seq": l.To}
 			evs = append(evs,
 				chromeEvent{
 					Name: from.Label, Ph: "s", Pid: pid, Tid: chromeTID(from.Sat),
-					Ts: (from.Start - base) * minuteUS, Cat: "link", ID: flowID,
+					Ts: (from.Start - base) * minuteUS, Cat: "link", ID: flowID, Args: args,
 				},
 				chromeEvent{
 					Name: from.Label, Ph: "f", Pid: pid, Tid: chromeTID(to.Sat),
-					Ts: (from.End - base) * minuteUS, Cat: "link", ID: flowID, BP: "e",
+					Ts: (from.End - base) * minuteUS, Cat: "link", ID: flowID, BP: "e", Args: args,
 				},
 			)
 		}

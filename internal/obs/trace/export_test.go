@@ -50,7 +50,8 @@ func TestCollectorSortsByScopeAndOrdinal(t *testing.T) {
 }
 
 // TestWriteChromeGolden pins the Chrome export byte-for-byte, including
-// the span parent and the episode's dropped count: the export is the
+// the span parent, the episode's dropped count and absolute origin, and
+// each link's source and destination seqs: the export is the
 // one span-trace format, compared with cmp by CI gates and golden
 // tests, so any drift must be deliberate.
 func TestWriteChromeGolden(t *testing.T) {
@@ -63,7 +64,7 @@ func TestWriteChromeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"traceEvents":[` +
-		`{"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"dropped":2,"name":"test/ep-7 [retries|latency]"}},` +
+		`{"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"dropped":2,"name":"test/ep-7 [retries|latency]","origin_min":1}},` +
 		`{"name":"thread_name","ph":"M","pid":1,"tid":0,"ts":0,"args":{"name":"kernel"}},` +
 		`{"name":"episode","ph":"X","pid":1,"tid":0,"ts":0,"dur":510000000,"cat":"episode","args":{"arg":3,"kind":"episode","parent":-1,"seq":0}},` +
 		`{"name":"thread_name","ph":"M","pid":1,"tid":4,"ts":0,"args":{"name":"sat 2"}},` +
@@ -72,8 +73,8 @@ func TestWriteChromeGolden(t *testing.T) {
 		`{"name":"thread_name","ph":"M","pid":1,"tid":1,"ts":0,"args":{"name":"ground"}},` +
 		`{"name":"deliver","ph":"X","pid":1,"tid":1,"ts":180000000,"dur":7500000,"cat":"dispatch","args":{"arg":0,"kind":"dispatch","parent":0,"seq":3}},` +
 		`{"name":"term:retries","ph":"i","pid":1,"tid":0,"ts":510000000,"cat":"termination","s":"t","args":{"arg":3,"kind":"termination","parent":3,"seq":4}},` +
-		`{"name":"alert","ph":"s","pid":1,"tid":4,"ts":90000000,"cat":"link","id":1},` +
-		`{"name":"alert","ph":"f","pid":1,"tid":1,"ts":180000000,"cat":"link","id":1,"bp":"e"}` +
+		`{"name":"alert","ph":"s","pid":1,"tid":4,"ts":90000000,"cat":"link","id":1,"args":{"from_seq":2,"to_seq":3}},` +
+		`{"name":"alert","ph":"f","pid":1,"tid":1,"ts":180000000,"cat":"link","id":1,"bp":"e","args":{"from_seq":2,"to_seq":3}}` +
 		`],"displayTimeUnit":"ms"}` + "\n"
 	if b.String() != want {
 		t.Errorf("Chrome export drifted:\n--- got ---\n%s--- want ---\n%s", b.String(), want)

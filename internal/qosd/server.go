@@ -7,7 +7,9 @@
 // graceful degradation to analytic-only answers under pressure, a
 // canonical-key response cache, per-request deadlines threaded into the
 // episode engine as context cancellation, and a metrics/trace surface
-// on the shared debug mux.
+// on the shared debug mux. Each Monte-Carlo evaluation publishes its
+// simulation metrics into the server registry once, and its answer
+// reads the alert-latency quantiles from the evaluation itself.
 //
 // Which backend may answer a request is stated once, in the backends
 // table of request.go. An explicit mode given a field its backend does
@@ -93,10 +95,19 @@ type Response struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
+// LatencyQuantiles summarizes a Monte-Carlo answer's alert latency, in
+// minutes, interpolated within fixed buckets (obs.MinuteBuckets).
+type LatencyQuantiles struct {
+	P50 float64 `json:"p50_min"`
+	P90 float64 `json:"p90_min"`
+	P99 float64 `json:"p99_min"`
+}
+
 // Config parameterizes a Server. Zero values pick serving defaults.
 type Config struct {
-	// Registry receives the server's own satqosd_* metrics plus the
-	// merged per-request oaq_* metrics; it also backs the debug mux's
+	// Registry receives the server's own satqosd_* metrics, and each
+	// Monte-Carlo evaluation publishes its simulation metrics (oaq_*,
+	// des_*, crosslink_*, …) into it once; it also backs the debug mux's
 	// /metrics endpoints. Required.
 	Registry *obs.Registry
 	// Workers is the episode-engine worker count per Monte-Carlo request
@@ -227,10 +238,12 @@ func (s *Server) admitMC(episodes int) (release func(), ok bool) {
 			return nil, false
 		}
 		if s.inflightEpisodes.CompareAndSwap(cur, cur+n) {
-			s.budget.Set(cur + n)
+			// Deltas, not Sets: a Set could land after a later release's
+			// and leave a drained server reporting episodes in flight.
+			s.budget.Add(n)
 			return func() {
-				v := s.inflightEpisodes.Add(-n)
-				s.budget.Set(v)
+				s.inflightEpisodes.Add(-n)
+				s.budget.Add(-n)
 			}, true
 		}
 	}
@@ -528,16 +541,13 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 }
 
 // evaluateMC answers from the episode engine, with the request deadline
-// threaded in as cancellation. Alert-latency quantiles come from a
-// per-request registry that is merged into the server registry after
-// the evaluation, so /metrics accumulates totals across requests.
+// threaded in as cancellation. The evaluation publishes its simulation
+// metrics into the server registry once, so /metrics accumulates totals
+// across requests; the alert-latency quantiles come from the evaluation.
 func (s *Server) evaluateMC(ctx context.Context, rv *resolved) (*Response, error) {
 	p := rv.params
-	reqReg := obs.NewRegistry()
-	p.Metrics = reqReg
-	if s.cfg.Tracing != nil {
-		p.Tracing = s.cfg.Tracing.WithScope("qosd/" + rv.preset)
-	}
+	p.Metrics = s.cfg.Registry
+	p.Tracing = s.cfg.Tracing.WithScope("qosd/" + rv.preset)
 	ev, err := oaq.EvaluateParallelCtx(ctx, p, rv.episodes, rv.seed, s.cfg.Workers)
 	if err != nil {
 		return nil, err
@@ -553,13 +563,12 @@ func (s *Server) evaluateMC(ctx context.Context, rv *resolved) (*Response, error
 	resp.MeanDeliveryLatency = ev.MeanDeliveryLatency
 	resp.Terminations = make(map[string]int, len(ev.Terminations))
 	for cause, n := range ev.Terminations {
-		if n > 0 {
-			resp.Terminations[cause.String()] = n
-		}
+		resp.Terminations[cause.String()] = n
 	}
-	if q, ok := latencyQuantiles(reqReg.Snapshot(), "oaq_alert_latency_minutes"); ok {
-		resp.AlertLatency = &q
+	if p50, ok := ev.AlertLatencyQuantile(0.50); ok {
+		p90, _ := ev.AlertLatencyQuantile(0.90)
+		p99, _ := ev.AlertLatencyQuantile(0.99)
+		resp.AlertLatency = &LatencyQuantiles{P50: p50, P90: p90, P99: p99}
 	}
-	s.cfg.Registry.Merge(reqReg)
 	return resp, nil
 }

@@ -460,30 +460,3 @@ func TestHealthzAndMetricsSurface(t *testing.T) {
 		t.Errorf("/metrics.json missing the server family:\n%.300s", body)
 	}
 }
-
-// TestLatencyQuantileInterpolation pins bucketQuantile on a hand-built
-// histogram: 10 observations at 0.25 and 10 at 1.5 over MinuteBuckets.
-func TestLatencyQuantileInterpolation(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("oaq_alert_latency_minutes", "t.", obs.MinuteBuckets)
-	for i := 0; i < 10; i++ {
-		h.Observe(0.25)
-		h.Observe(1.5)
-	}
-	q, ok := latencyQuantiles(reg.Snapshot(), "oaq_alert_latency_minutes")
-	if !ok {
-		t.Fatal("quantiles unavailable")
-	}
-	if q.P50 <= 0 || q.P50 > 0.5 {
-		t.Errorf("p50 = %v, want within the (0, 0.5] bucket", q.P50)
-	}
-	if q.P90 <= 1 || q.P90 > 2 {
-		t.Errorf("p90 = %v, want within the (1, 2] bucket", q.P90)
-	}
-	if q.P99 < q.P90 || q.P99 > 2 {
-		t.Errorf("p99 = %v, want in [p90, 2]", q.P99)
-	}
-	if _, ok := latencyQuantiles(reg.Snapshot(), "missing_metric"); ok {
-		t.Error("quantiles from a missing metric")
-	}
-}
