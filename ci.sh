@@ -154,10 +154,11 @@ go run ./cmd/metricscheck -in "$tmpdir/sweep1.json" -diff "$tmpdir/sweep8.json" 
 # Serving gate: boot satqosd on an ephemeral port with an artificially
 # tiny Monte-Carlo admission budget, then satqosload exercises
 # the analytic path, a Monte-Carlo request plus its cache-hit repeat,
-# and an over-budget request that must be shed with an explicit 429.
+# and an over-budget montecarlo and auto request that must both be shed
+# with an explicit 429 (auto never falls back to another backend).
 # The served /metrics.json snapshot must validate (server + merged
-# simulation families) and record exactly one shed, and SIGTERM must
-# drain to a clean exit 0.
+# simulation families) and record exactly those two sheds, and SIGTERM
+# must drain to a clean exit 0.
 go build -o "$tmpdir/satqosd" ./cmd/satqosd
 go build -o "$tmpdir/satqosload" ./cmd/satqosload
 "$tmpdir/satqosd" -addr 127.0.0.1:0 -ready-file "$tmpdir/qosd.addr" \
@@ -167,7 +168,7 @@ qosd_pid=$!
     -shed-episodes 100000 -metrics-out "$tmpdir/qosd.metrics.json"
 go run ./cmd/metricscheck -in "$tmpdir/qosd.metrics.json" satqosd oaq
 grep -A 4 '"name": "satqosd_shed_total"' "$tmpdir/qosd.metrics.json" |
-    grep -q '"value": 1'
+    grep -q '"value": 2'
 kill -TERM "$qosd_pid"
 wait "$qosd_pid"
 qosd_pid=""

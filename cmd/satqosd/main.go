@@ -3,11 +3,12 @@
 // constellation + protocol + fault scenario deliver" from the analytic
 // model, the Monte-Carlo episode engine, or the stochastic-geometry
 // backend (O(1) at any fleet size; auto mode escalates to it at 1000
-// satellites), with an episode-weighted admission budget
-// (429 load shedding, analytic degradation for auto requests), a
-// canonical-key response cache, and per-request deadlines that cancel
-// the episode engine mid-run. GET /v1/coverage answers exact coverage
-// counts from one long-lived shared scanner per preset.
+// satellites), with an episode-weighted admission budget (429 load
+// shedding for every request that resolves to Monte-Carlo, auto
+// included), a canonical-key response cache, and per-request deadlines
+// that cancel the episode engine mid-run. GET /v1/coverage answers
+// exact coverage counts from one scanner per preset, all built at
+// start.
 //
 // Usage:
 //

@@ -9,8 +9,10 @@
 // analytic query with a field the analytic backend does not model
 // (which must answer 400 naming the field), one Monte-Carlo query plus
 // its repeat (which must be served identically from the response
-// cache), and one over-budget query that must be shed with 429, then
-// saves /metrics.json for metricscheck. Served
+// cache), and two over-budget queries, one montecarlo and one auto,
+// that must both be shed with 429: an auto request that resolves to
+// Monte-Carlo is never answered by another backend. It then saves
+// /metrics.json for metricscheck. Served
 // throughput and latency are measured by perfbench's serve workloads,
 // not here.
 package main
@@ -53,7 +55,7 @@ func run(args []string, stdout io.Writer) error {
 	var o options
 	fs.StringVar(&o.addr, "addr", "", "satqosd address (host:port)")
 	fs.StringVar(&o.addrFile, "addr-file", "", "file to read the address from (polled; written by satqosd -ready-file)")
-	fs.IntVar(&o.shedEpisodes, "shed-episodes", 100_000, "episode budget of the request that must be shed with 429")
+	fs.IntVar(&o.shedEpisodes, "shed-episodes", 100_000, "episode budget of the two requests that must be shed with 429")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "save the server's /metrics.json snapshot to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -125,8 +127,8 @@ func evaluate(client *http.Client, base, body string) (answer, int, error) {
 }
 
 // smoke runs the CI exchange: analytic, an unmodelled field rejected,
-// Monte-Carlo + cached repeat, an over-budget shed, then saves the
-// metrics snapshot.
+// Monte-Carlo + cached repeat, an over-budget montecarlo and auto
+// request shed, then saves the metrics snapshot.
 func smoke(o *options, client *http.Client, base string, stdout io.Writer) error {
 	a, status, err := evaluate(client, base, `{"mode":"analytic","k":10}`)
 	if err != nil || status != http.StatusOK {
@@ -156,13 +158,15 @@ func smoke(o *options, client *http.Client, base string, stdout io.Writer) error
 		return fmt.Errorf("repeat not served identically from cache: cached=%t", repeat.Cached)
 	}
 
-	_, status, err = evaluate(client, base,
-		fmt.Sprintf(`{"mode":"montecarlo","episodes":%d,"seed":9}`, o.shedEpisodes))
-	if err != nil {
-		return fmt.Errorf("shed request: %v", err)
-	}
-	if status != http.StatusTooManyRequests {
-		return fmt.Errorf("over-budget request: status %d, want 429", status)
+	for _, mode := range []string{"montecarlo", "auto"} {
+		a, status, err = evaluate(client, base,
+			fmt.Sprintf(`{"mode":%q,"episodes":%d,"seed":9}`, mode, o.shedEpisodes))
+		if err != nil {
+			return fmt.Errorf("over-budget %s request: %v", mode, err)
+		}
+		if status != http.StatusTooManyRequests {
+			return fmt.Errorf("over-budget %s request: status %d (answered via %q), want 429", mode, status, a.Mode)
+		}
 	}
 
 	if o.metricsOut != "" {
@@ -182,6 +186,6 @@ func smoke(o *options, client *http.Client, base string, stdout io.Writer) error
 			return err
 		}
 	}
-	fmt.Fprintln(stdout, "satqosload: smoke ok (analytic, unmodelled field 400, montecarlo, cache hit, 429 shed)")
+	fmt.Fprintln(stdout, "satqosload: smoke ok (analytic, unmodelled field 400, montecarlo, cache hit, 429 shed of montecarlo and auto)")
 	return nil
 }

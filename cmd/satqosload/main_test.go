@@ -30,8 +30,8 @@ func startServer(t *testing.T, cfg qosd.Config) string {
 }
 
 // TestSmokeExchange: against the budget the serving gate boots satqosd
-// with, the whole exchange passes, exactly one request is shed, and the
-// saved snapshot parses.
+// with, the whole exchange passes, exactly the two over-budget requests
+// are shed, and the saved snapshot parses.
 func TestSmokeExchange(t *testing.T) {
 	addr := startServer(t, qosd.Config{MCBudget: 50000})
 	out := filepath.Join(t.TempDir(), "metrics.json")
@@ -47,8 +47,8 @@ func TestSmokeExchange(t *testing.T) {
 		t.Fatalf("-metrics-out file does not parse: %v", err)
 	}
 	shed := snap.Get("satqosd_shed_total")
-	if shed == nil || shed.Value == nil || *shed.Value != 1 {
-		t.Fatalf("satqosd_shed_total = %+v, want 1", shed)
+	if shed == nil || shed.Value == nil || *shed.Value != 2 {
+		t.Fatalf("satqosd_shed_total = %+v, want 2", shed)
 	}
 }
 
@@ -62,10 +62,11 @@ func TestSmokeNeedsCacheHit(t *testing.T) {
 	}
 }
 
-// TestSmokeNeedsUnmodelledField400: a server that drops loss_prob
-// answers the analytic request with loss 200, which the exchange
-// rejects.
-func TestSmokeNeedsUnmodelledField400(t *testing.T) {
+// rewritingServer serves an in-process satqosd handler that replaces
+// the first old in each request body with new before serving it, and
+// returns its host:port.
+func rewritingServer(t *testing.T, old, new string) string {
+	t.Helper()
 	srv, err := qosd.NewServer(qosd.Config{Registry: obs.NewRegistry(), MCBudget: 50000})
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +74,30 @@ func TestSmokeNeedsUnmodelledField400(t *testing.T) {
 	h := srv.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		r.Body = io.NopCloser(bytes.NewReader(bytes.Replace(body, []byte(`,"loss_prob":0.4`), nil, 1)))
+		r.Body = io.NopCloser(bytes.NewReader(bytes.Replace(body, []byte(old), []byte(new), 1)))
 		h.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	err = run([]string{"-addr", strings.TrimPrefix(ts.URL, "http://")}, io.Discard)
+	return strings.TrimPrefix(ts.URL, "http://")
+}
+
+// TestSmokeNeedsUnmodelledField400: a server that drops loss_prob
+// answers the analytic request with loss 200, which the exchange
+// rejects.
+func TestSmokeNeedsUnmodelledField400(t *testing.T) {
+	err := run([]string{"-addr", rewritingServer(t, `,"loss_prob":0.4`, "")}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "want 400 naming loss_prob") {
 		t.Fatalf("err = %v, want the loss_prob failure", err)
+	}
+}
+
+// TestSmokeNeedsAutoShed: a server that answers the over-budget auto
+// request from the closed-form model (here, by rewriting it to an
+// analytic request) answers 200, which the exchange rejects.
+func TestSmokeNeedsAutoShed(t *testing.T) {
+	err := run([]string{"-addr", rewritingServer(t, `"mode":"auto"`, `"mode":"analytic"`)}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `over-budget auto request: status 200 (answered via "analytic"), want 429`) {
+		t.Fatalf("err = %v, want the auto shed failure", err)
 	}
 }
 

@@ -13,10 +13,14 @@ import (
 // pointer safe to hand to every caller, including concurrent sweep
 // workers.
 //
-// The cache is unbounded by design: a sweep touches one entry per grid
-// point (tens, not millions), and each entry is a few hundred bytes.
-// Long-running processes that generate unbounded distinct Params can
-// call ResetAnalyticCache to release the entries.
+// The cache holds at most analyticCacheCap entries. A sweep touches one
+// entry per grid point (tens to hundreds), far below the cap; a
+// long-running server whose clients send unbounded distinct Params
+// (cycling λ, say) would otherwise grow without limit. When the map is
+// full, the next install starts a fresh map: no recency bookkeeping,
+// and a dropped entry only costs a re-solve.
+const analyticCacheCap = 4096
+
 var analyticCache = struct {
 	sync.RWMutex
 	m map[Params]*Distribution
@@ -54,6 +58,9 @@ func (p Params) analyticCached() (*Distribution, error) {
 	if prev, ok := analyticCache.m[p]; ok {
 		d = prev
 	} else {
+		if len(analyticCache.m) >= analyticCacheCap {
+			analyticCache.m = make(map[Params]*Distribution)
+		}
 		analyticCache.m[p] = d
 	}
 	analyticCache.Unlock()

@@ -108,3 +108,44 @@ func TestAnalyticCacheConcurrent(t *testing.T) {
 		t.Fatal("invalid params accepted")
 	}
 }
+
+// TestAnalyticCacheBounded: a long-running caller cycling distinct λ
+// keeps at most analyticCacheCap entries in the memo, and every answer,
+// whether freshly solved or served from the memo, equals a direct solve.
+func TestAnalyticCacheBounded(t *testing.T) {
+	ResetAnalyticCache()
+	defer ResetAnalyticCache()
+
+	const n = 100_000
+	for i := 0; i < n; i++ {
+		p := ReferenceParams(10, 1e-5*(1+float64(i)/n), 100)
+		got, err := p.Analytic()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := p.uniformized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := p.Analytic(); err != nil || again != got {
+			t.Fatalf("λ %v: repeat call did not return the memoized distribution (err %v)", p.LambdaPerHour, err)
+		}
+		if got.Eta != want.Eta || got.N != want.N {
+			t.Fatalf("λ %v: support [%d, %d], direct solve [%d, %d]", p.LambdaPerHour, got.Eta, got.N, want.Eta, want.N)
+		}
+		for k := want.Eta; k <= want.N; k++ {
+			if got.P(k) != want.P(k) {
+				t.Fatalf("λ %v: P(%d) = %v, direct solve %v", p.LambdaPerHour, k, got.P(k), want.P(k))
+			}
+		}
+		analyticCache.RLock()
+		size := len(analyticCache.m)
+		analyticCache.RUnlock()
+		if size > analyticCacheCap {
+			t.Fatalf("after %d distinct λ the memo holds %d entries, cap %d", i+1, size, analyticCacheCap)
+		}
+	}
+	if hits, misses := AnalyticCacheStats(); hits != n || misses != n {
+		t.Errorf("hits=%d misses=%d, want one solve and one memo hit per distinct λ (%d)", hits, misses, n)
+	}
+}

@@ -106,9 +106,6 @@ func TestBackendTable(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Errorf("auto with loss_prob over budget: status %d %s, want 429", status, raw)
 	}
-	if got := s.degraded.Value(); got != 0 {
-		t.Errorf("satqosd_degraded_total = %d, want 0", got)
-	}
 	if got := s.shed.Value(); got != 1 {
 		t.Errorf("satqosd_shed_total = %d, want 1", got)
 	}

@@ -84,7 +84,8 @@ type Request struct {
 	// instant at any fleet size), or "auto" (default), which takes the
 	// first of stochgeom (shells or fleets of at least 1000 satellites),
 	// montecarlo and analytic that models every field the request sets.
-	// The backends table says which fields each backend models.
+	// The backends table says which fields each backend models. An auto
+	// request that resolves to montecarlo sheds 429 under load as well.
 	Mode string `json:"mode"`
 	// Preset names the constellation design (constellation.PresetNames);
 	// default "reference".
@@ -199,8 +200,8 @@ type backend struct {
 }
 
 // backends is the one statement of which request fields each backend
-// models, in the order auto tries them. pick and the degrade path of
-// Server.evaluate read it; the package doc states their rules.
+// models, in the order auto tries them. pick reads it; the package doc
+// states its rules.
 var backends = [...]backend{
 	{mode: ModeStochGeom, models: fieldShells | fieldMinElevation | fieldLatitude | fieldMinSats, largeOnly: true},
 	{mode: ModeMonteCarlo, models: fieldLossProb | fieldFailSilentProb | fieldRetries | fieldBackward | fieldFaults},

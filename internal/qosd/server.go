@@ -3,8 +3,7 @@
 // constellation + protocol + fault scenario deliver" queries over the
 // same analytic model and Monte-Carlo episode engine the batch CLIs
 // use. The server adds what a daemon needs and a CLI doesn't: an
-// episode-weighted admission budget with explicit 429 load shedding,
-// graceful degradation to analytic-only answers under pressure, a
+// episode-weighted admission budget with explicit 429 load shedding, a
 // canonical-key response cache, per-request deadlines threaded into the
 // episode engine as context cancellation, and a metrics/trace surface
 // on the shared debug mux. Each Monte-Carlo evaluation publishes its
@@ -14,8 +13,9 @@
 // Which backend may answer a request is stated once, in the backends
 // table of request.go. An explicit mode given a field its backend does
 // not model answers 400 naming it; auto takes the first backend that
-// models the whole request, and under budget pressure degrades to
-// analytic only when analytic models it.
+// models the whole request. An answer depends only on its request: a
+// request that resolves to Monte-Carlo is shed with 429 when the budget
+// is full, whatever its mode, and is never answered by another backend.
 //
 // Monte-Carlo answers are bit-identical to oaqbench for the same
 // parameters and seed at any server worker count: evaluation goes
@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,12 +54,13 @@ const (
 
 // Response is the /v1/evaluate answer.
 type Response struct {
-	// Mode is the path that actually produced the answer ("analytic",
-	// "montecarlo" or "stochgeom") — for auto requests it reveals which
-	// backend answered and whether the server degraded.
+	// Mode is the backend that produced the answer ("analytic",
+	// "montecarlo" or "stochgeom"); for auto requests it reveals which
+	// backend the request resolved to.
 	Mode string `json:"mode"`
-	// Degraded is true when an auto request wanted Monte-Carlo but the
-	// admission budget forced the analytic fallback.
+	// Degraded is never set: no request is answered by a backend other
+	// than the one it resolves to. The field stays only because
+	// perfbench's answer check still reads it.
 	Degraded bool `json:"degraded,omitempty"`
 	// Cached is true when the answer was served from the response cache.
 	Cached bool `json:"cached,omitempty"`
@@ -116,9 +116,9 @@ type Config struct {
 	// MaxEpisodes caps a single request's episode budget (default 1e6).
 	MaxEpisodes int
 	// MCBudget caps the total episodes admitted across in-flight
-	// Monte-Carlo requests (default 4·MaxEpisodes). Requests that would
-	// exceed it are shed with 429, or degraded where the backends table
-	// allows it.
+	// Monte-Carlo requests (default 4·MaxEpisodes). A request that
+	// resolves to Monte-Carlo and would exceed it is shed with 429,
+	// whatever its mode.
 	MCBudget int64
 	// CacheSize is the response-cache capacity in entries (default 256;
 	// negative disables caching).
@@ -142,17 +142,13 @@ type Server struct {
 	// burst can't collectively overshoot the budget.
 	inflightEpisodes atomic.Int64
 
-	// scanners holds one long-lived Scanner per preset, built lazily on
-	// the first /v1/coverage query and shared by every subsequent
-	// request. scanMu guards only (de)registration; queries go straight
-	// to the scanner's lock-free snapshot.
-	scanMu   sync.Mutex
+	// scanners holds one Scanner per preset, built by NewServer and
+	// never changed afterwards, so /v1/coverage reads it without a lock.
 	scanners map[string]*constellation.Scanner
 
 	requests  *obs.Counter
 	errors    *obs.Counter
 	shed      *obs.Counter
-	degraded  *obs.Counter
 	cacheHit  *obs.Counter
 	cacheMiss *obs.Counter
 	analytic  *obs.Counter
@@ -190,15 +186,26 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("qosd: tracing config: %w", err)
 		}
 	}
+	scanners := make(map[string]*constellation.Scanner)
+	for _, preset := range constellation.PresetNames() {
+		pc, err := constellation.PresetConfig(preset)
+		if err != nil {
+			return nil, fmt.Errorf("qosd: preset %s: %w", preset, err)
+		}
+		c, err := constellation.New(pc)
+		if err != nil {
+			return nil, fmt.Errorf("qosd: preset %s: %w", preset, err)
+		}
+		scanners[preset] = constellation.NewScanner(c)
+	}
 	r := cfg.Registry
 	s := &Server{
 		cfg:       cfg,
 		cache:     newResponseCache(cfg.CacheSize),
-		scanners:  make(map[string]*constellation.Scanner),
+		scanners:  scanners,
 		requests:  r.Counter("satqosd_requests_total", "Evaluation requests received."),
 		errors:    r.Counter("satqosd_request_errors_total", "Evaluation requests answered with an error status."),
 		shed:      r.Counter("satqosd_shed_total", "Monte-Carlo requests shed with 429 under budget pressure."),
-		degraded:  r.Counter("satqosd_degraded_total", "Auto requests degraded to analytic-only under budget pressure."),
 		cacheHit:  r.Counter("satqosd_cache_hits_total", "Responses served from the canonical-key cache."),
 		cacheMiss: r.Counter("satqosd_cache_misses_total", "Evaluations computed on a cache miss."),
 		analytic:  r.Counter("satqosd_analytic_total", "Answers produced by the closed-form model."),
@@ -332,23 +339,15 @@ func (s *Server) evaluate(ctx context.Context, req *Request) (*Response, *httpEr
 	}
 	s.cacheMiss.Inc()
 
-	// Over the Monte-Carlo budget, an auto request the analytic row
-	// models degrades to the closed-form answer; any other is shed.
-	backend := rv.backend
-	if backend == ModeMonteCarlo {
+	if rv.backend == ModeMonteCarlo {
 		release, ok := s.admitMC(rv.episodes)
-		switch {
-		case ok:
-			defer release()
-		case rv.mode == ModeAuto && rv.fits(row(ModeAnalytic)):
-			s.degraded.Inc()
-			backend = ModeAnalytic
-		default:
+		if !ok {
 			s.shed.Inc()
 			return nil, &httpError{http.StatusTooManyRequests,
 				fmt.Errorf("monte-carlo budget exhausted (%d episodes in flight, cap %d); retry later",
 					s.inflightEpisodes.Load(), s.cfg.MCBudget)}
 		}
+		defer release()
 	}
 
 	timeout := s.cfg.RequestTimeout
@@ -361,7 +360,7 @@ func (s *Server) evaluate(ctx context.Context, req *Request) (*Response, *httpEr
 	defer cancel()
 
 	var resp *Response
-	switch backend {
+	switch rv.backend {
 	case ModeMonteCarlo:
 		resp, err = s.evaluateMC(ctx, rv)
 	case ModeStochGeom:
@@ -380,12 +379,7 @@ func (s *Server) evaluate(ctx context.Context, req *Request) (*Response, *httpEr
 			return nil, &httpError{http.StatusInternalServerError, err}
 		}
 	}
-	resp.Degraded = backend != rv.backend
-	if !resp.Degraded {
-		// Degraded answers reflect transient pressure, not the request;
-		// caching them would keep serving the fallback after load clears.
-		s.cache.put(rv.key, *resp)
-	}
+	s.cache.put(rv.key, *resp)
 	return resp, nil
 }
 
@@ -451,37 +445,9 @@ func (s *Server) evaluateStochGeom(rv *resolved) (*Response, error) {
 	return resp, nil
 }
 
-// badRequestError marks a coverage query's client errors (HTTP 400)
-// apart from server faults.
-type badRequestError struct{ err error }
-
-func (e badRequestError) Error() string { return e.err.Error() }
-
-// scanner returns the long-lived shared scanner of the preset,
-// building it on first use. Every /v1/coverage query for a preset
-// after the first reads the same scanner's lock-free snapshot.
-func (s *Server) scanner(preset string) (*constellation.Scanner, error) {
-	s.scanMu.Lock()
-	defer s.scanMu.Unlock()
-	if sc, ok := s.scanners[preset]; ok {
-		return sc, nil
-	}
-	cfg, err := constellation.PresetConfig(preset)
-	if err != nil {
-		return nil, badRequestError{err}
-	}
-	c, err := constellation.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sc := constellation.NewScanner(c)
-	s.scanners[preset] = sc
-	return sc, nil
-}
-
 // handleCoverage serves GET /v1/coverage: the exact simultaneous-
 // coverage count of a preset constellation at a ground target and
-// time, from the preset's shared scanner.
+// time, from the preset's scanner.
 //
 // Query parameters: preset (default reference), lat_deg (default 30),
 // lon_deg (default 0), t_min (default 0).
@@ -522,14 +488,12 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	sc, err := s.scanner(preset)
-	if err != nil {
-		var bad badRequestError
-		if errors.As(err, &bad) {
-			s.fail(w, http.StatusBadRequest, err)
-		} else {
-			s.fail(w, http.StatusInternalServerError, err)
-		}
+	sc, ok := s.scanners[preset]
+	if !ok {
+		// Every preset has a scanner, so this is an unknown preset;
+		// PresetConfig words the error.
+		_, err := constellation.PresetConfig(preset)
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	target := orbit.LatLon{Lat: latDeg * math.Pi / 180, Lon: lonDeg * math.Pi / 180}

@@ -193,39 +193,45 @@ func TestMonteCarloShedsAt429(t *testing.T) {
 	if s.inflightEpisodes.Load() != 0 {
 		t.Errorf("completed request leaked budget: %d episodes in flight", s.inflightEpisodes.Load())
 	}
-	// An auto request whose capacity the closed-form model cannot
-	// answer (k above the two-regime ceiling) is shed as well, not
-	// degraded into a server error.
+	// An auto request is shed the same way, also when its capacity is
+	// above the closed-form model's two-regime ceiling.
 	over, _ := post(t, ts, `{"mode":"auto","k":40,"episodes":1000,"seed":7}`)
 	if over.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("auto request beyond the analytic ceiling: status %d, want 429", over.StatusCode)
 	}
 }
 
-// TestAutoDegradesToAnalytic: the same pressure that sheds a montecarlo
-// request degrades an auto request to a still-useful analytic answer.
-func TestAutoDegradesToAnalytic(t *testing.T) {
+// TestAutoOverBudgetIsShed: an answer depends only on its request. An
+// auto request that resolves to Monte-Carlo is shed with 429 when the
+// budget is full, like the explicit montecarlo request, and nothing is
+// cached; within budget it gets the explicit request's Monte-Carlo
+// answer.
+func TestAutoOverBudgetIsShed(t *testing.T) {
+	const auto = `{"mode":"auto","episodes":1000,"seed":7}`
 	s, ts := newTestServer(t, Config{MCBudget: 100})
-	resp, got := post(t, ts, `{"mode":"auto","episodes":1000,"seed":7}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
+	if resp, _ := post(t, ts, auto); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("auto over budget: status %d, want 429", resp.StatusCode)
 	}
-	if got.Mode != ModeAnalytic || !got.Degraded {
-		t.Fatalf("want a degraded analytic answer, got mode=%q degraded=%t", got.Mode, got.Degraded)
+	if got := s.shed.Value(); got != 1 {
+		t.Errorf("satqosd_shed_total = %d, want 1", got)
 	}
-	if got := s.degraded.Value(); got != 1 {
-		t.Errorf("satqosd_degraded_total = %d, want 1", got)
+	if n := s.cache.ll.Len(); n != 0 {
+		t.Errorf("%d answers cached while the budget was full, want 0", n)
 	}
-	// Degraded answers must not poison the cache: once pressure clears,
-	// the same request gets the real Monte-Carlo answer.
+
 	s.cfg.MCBudget = 1 << 20
-	resp2, got2 := post(t, ts, `{"mode":"auto","episodes":1000,"seed":7}`)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp2.StatusCode)
+	resp, got := post(t, ts, auto)
+	if resp.StatusCode != http.StatusOK || got.Mode != ModeMonteCarlo || got.Cached {
+		t.Fatalf("auto within budget: status %d mode=%q cached=%t, want a fresh montecarlo answer",
+			resp.StatusCode, got.Mode, got.Cached)
 	}
-	if got2.Mode != ModeMonteCarlo || got2.Degraded || got2.Cached {
-		t.Fatalf("after pressure cleared: mode=%q degraded=%t cached=%t, want a fresh montecarlo answer",
-			got2.Mode, got2.Degraded, got2.Cached)
+	_, plain := newTestServer(t, Config{CacheSize: -1})
+	resp, explicit := post(t, plain, `{"mode":"montecarlo","episodes":1000,"seed":7}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explicit montecarlo: status %d", resp.StatusCode)
+	}
+	if got.PYGE != explicit.PYGE {
+		t.Errorf("auto answered P(Y>=y) %v, explicit montecarlo %v", got.PYGE, explicit.PYGE)
 	}
 }
 

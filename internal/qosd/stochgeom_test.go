@@ -219,10 +219,19 @@ func TestCacheKeyIncludesBackend(t *testing.T) {
 	}
 }
 
-// TestCoverageEndpoint: /v1/coverage answers from the long-lived
-// shared scanner and matches a direct scan exactly.
+// TestCoverageEndpoint: NewServer builds every preset's scanner, and
+// /v1/coverage answers from it, matching a direct scan exactly.
 func TestCoverageEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
+	presets := constellation.PresetNames()
+	for _, p := range presets {
+		if srv.scanners[p] == nil {
+			t.Errorf("preset %s has no scanner after NewServer", p)
+		}
+	}
+	if len(srv.scanners) != len(presets) {
+		t.Errorf("%d scanners for %d presets", len(srv.scanners), len(presets))
+	}
 	get := func(query string) (int, map[string]any) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/v1/coverage" + query)
@@ -261,12 +270,18 @@ func TestCoverageEndpoint(t *testing.T) {
 		t.Fatalf("covering = %d, direct scan says %d", got, want)
 	}
 
-	// Same preset again must reuse the same shared scanner.
-	if _, _ = get("?preset=kepler&lat_deg=10"); len(srv.scanners) != 1 {
-		t.Fatalf("%d scanners after two kepler queries, want 1", len(srv.scanners))
+	if status, _ := get("?preset=kepler&lat_deg=10"); status != http.StatusOK {
+		t.Fatalf("second kepler query: status %d", status)
 	}
-	if status, _ := get("?preset=nope"); status != http.StatusBadRequest {
-		t.Fatalf("unknown preset: status %d, want 400", status)
+	resp, err := http.Get(ts.URL + "/v1/coverage?preset=nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&msg)
+	resp.Body.Close()
+	if _, want := constellation.PresetConfig("nope"); resp.StatusCode != http.StatusBadRequest || msg.Error != want.Error() {
+		t.Fatalf("unknown preset: status %d %q, want 400 %q", resp.StatusCode, msg.Error, want)
 	}
 	if status, _ := get("?lat_deg=200"); status != http.StatusBadRequest {
 		t.Fatalf("bad latitude: status %d, want 400", status)
